@@ -1,15 +1,28 @@
 """Buchberger's algorithm, reduced Groebner bases, elimination ideals.
 
-Deterministic by construction: pairs are selected by the normal strategy
-(smallest lcm of leading monomials in the active order), ties broken by
-generator index, and the reduced basis is returned sorted by leading
-monomial, all elements monic.
+`buchberger` is the improved algorithm of Becker and Weispfenning,
+*Groebner Bases* (1993), p. 232, in the shape of sympy's `groebnertools`:
+
+- The generators are inter-reduced once up front (p. 203): each by those
+  kept before it, so no two leading monomials are equal.
+- Pairs are selected by the normal strategy: smallest lcm of the leading
+  monomials in the active order, ties broken by basis index.
+- Each new basis element goes through the Gebauer-Moeller `_update` (J.
+  Symb. Comp. 6, 1988): the chain and product criteria drop new pairs,
+  old pairs the new leading monomial makes redundant are pruned, and
+  elements whose leading monomial it divides leave the working basis.
+- Basis elements are monic over `Fraction`, so a reduction step needs no
+  division and no rescaling.
+- Each call owns an `_OrderKeys` cache, so each monomial's order key is
+  computed once per call, not at every reduction step.
+- One final pass reduces each element by the others.  The result is the
+  unique reduced basis, monic and sorted by leading monomial, largest
+  first, whatever the order or scaling of the generators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .multipoly import (
     MonomialOrder,
@@ -23,83 +36,102 @@ from .multipoly import (
 _ZERO = Fraction(0)
 
 
-def normal_form(f: MultiPoly, basis, order: MonomialOrder, scale_free=False) -> MultiPoly:
+class _OrderKeys(dict):
+    """Monomial -> order key, each computed once.  One per `buchberger` call."""
+
+    __slots__ = ("order",)
+
+    def __init__(self, order: MonomialOrder):
+        super().__init__()
+        self.order = order
+
+    def __missing__(self, exp):
+        k = self[exp] = self.order.key(exp)
+        return k
+
+
+def normal_form(f: MultiPoly, basis, order) -> MultiPoly:
     """Remainder of f under multivariate division by `basis`.
 
-    With scale_free=True the result is only defined up to a nonzero constant
-    factor: intermediate values are rescaled to primitive integer form to
-    keep coefficient growth in check.  Zero-ness and leading monomials are
-    unaffected, which is all basis construction needs.
+    Divisors are tried in the order given, each made monic first.  `order`
+    is a MonomialOrder, or the key cache of the running `buchberger` call.
     """
-    basis = [g for g in basis if not g.is_zero()]
-    if not basis:
-        return f
-    key = order.key
-    lead = [
-        (g.leading_monomial(order), g.leading_coeff(order), g.terms) for g in basis
-    ]
+    keys = order if isinstance(order, _OrderKeys) else _OrderKeys(order)
+    key = keys.__getitem__
+    divisors = []
+    for g in basis:
+        if g.terms:
+            lm = max(g.terms, key=key)
+            lc = g.terms[lm]
+            terms = g.terms if lc == 1 else {e: c / lc for e, c in g.terms.items()}
+            divisors.append((lm, terms))
     # raw term dicts avoid per-step polynomial construction in the hot loop
     work = dict(f.terms)
     remainder = {}
     while work:
         lm = max(work, key=key)
-        ratio = None
-        for glm, glc, gterms in lead:
+        for glm, gterms in divisors:
             if _mono_divides(glm, lm):
                 shift = _mono_div(lm, glm)
-                ratio = work[lm] / glc
+                ratio = work[lm]
                 for e, c in gterms.items():
                     te = _mono_mul(e, shift)
                     nc = work.get(te, _ZERO) - ratio * c
                     if nc:
                         work[te] = nc
                     else:
-                        work.pop(te, None)
-                if scale_free and work:
-                    scale = _scale_of(work.values())
-                    if scale != 1:
-                        for e in work:
-                            work[e] *= scale
-                        for e in remainder:
-                            remainder[e] *= scale
+                        del work[te]
                 break
-        if ratio is None:
+        else:
             remainder[lm] = work.pop(lm)
     return MultiPoly(f.vars, remainder)
 
 
-def _scale_of(values) -> Fraction:
-    """Nonzero constant c scaling the values to integers with content 1."""
-    den_lcm = 1
-    num_gcd = 0
-    for c in values:
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        num_gcd = gcd(num_gcd, c.numerator)
-    return Fraction(den_lcm, num_gcd)
+def _s_polynomial(f: MultiPoly, g: MultiPoly, lf, lg, lcm) -> MultiPoly:
+    """S-polynomial of two monic polynomials with leading monomials lf, lg."""
+    sf, sg = _mono_div(lcm, lf), _mono_div(lcm, lg)
+    terms = {_mono_mul(e, sf): c for e, c in f.terms.items()}
+    for e, c in g.terms.items():
+        e = _mono_mul(e, sg)
+        c = terms.get(e, _ZERO) - c
+        if c:
+            terms[e] = c
+        else:
+            del terms[e]
+    return MultiPoly(f.vars, terms)
 
 
-def _content_scale(f: MultiPoly) -> Fraction:
-    """Nonzero constant c such that c*f has integer coefficients with content 1."""
-    return _scale_of(f.terms.values())
+def _update(basis, pairs, ih, lead):
+    """Gebauer-Moeller update of the basis indices and the pair -> lcm map.
 
-
-def _primitive(f: MultiPoly) -> MultiPoly:
-    """Scale to integer coefficients with content 1 (sign of the values kept).
-
-    Keeping coefficients small is what makes Buchberger tractable here; the
-    generated ideal is unchanged under nonzero constant scaling.
+    [BW] p. 230: adds the pairs of `ih` with the basis that the chain and
+    product criteria keep, prunes old pairs, and drops basis elements whose
+    leading monomial lead[ih] divides.
     """
-    if f.is_zero():
-        return f
-    return f * _content_scale(f)
-
-
-def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
-    lf, lg = f.leading_monomial(order), g.leading_monomial(order)
-    lcm = _mono_lcm(lf, lg)
-    mf = MultiPoly(f.vars, {_mono_div(lcm, lf): 1 / f.leading_coeff(order)})
-    mg = MultiPoly(g.vars, {_mono_div(lcm, lg): 1 / g.leading_coeff(order)})
-    return mf * f - mg * g
+    mh = lead[ih]
+    older = sorted(basis)
+    lcms = [_mono_lcm(mh, lead[ig]) for ig in older]
+    kept = []
+    for n, ig in enumerate(older):
+        m = lcms[n]
+        # chain criterion: another pair of h with a dividing lcm covers this one
+        if m == _mono_mul(mh, lead[ig]) or not (
+            any(_mono_divides(other, m) for other in lcms[n + 1 :])
+            or any(_mono_divides(other, m) for _, other in kept)
+        ):
+            kept.append((ig, m))
+    pairs = {
+        (i, j): m
+        for (i, j), m in pairs.items()
+        if not _mono_divides(mh, m)
+        or _mono_lcm(lead[i], mh) == m
+        or _mono_lcm(lead[j], mh) == m
+    }
+    # product criterion: coprime leading monomials reduce to zero
+    pairs.update(((ig, ih), m) for ig, m in kept if m != _mono_mul(mh, lead[ig]))
+    basis = {ig for ig in basis if not _mono_divides(mh, lead[ig])}
+    basis.add(ih)
+    return basis, pairs
 
 
 def buchberger(generators, order: MonomialOrder):
@@ -107,82 +139,39 @@ def buchberger(generators, order: MonomialOrder):
 
     The zero ideal yields an empty basis.
     """
-    basis = []
-    seen = set()
+    keys = _OrderKeys(order)
+    key = keys.__getitem__
+    polys = []  # every monic polynomial of the run; the basis and pairs index it
+    lead = []
     for g in generators:
-        if g.is_zero():
-            continue
-        g = _primitive(g)
-        if g.leading_coeff(order) < 0:
-            g = g * Fraction(-1)
-        key = frozenset(g.terms.items())
-        # generators equal up to scale are redundant and inflate pair counts
-        if key in seen:
-            continue
-        seen.add(key)
-        basis.append(g)
-    if not basis:
-        return []
-    leads = [g.leading_monomial(order) for g in basis]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-
-    def pair_rank(pair):
-        i, j = pair
-        return (order.key(_mono_lcm(leads[i], leads[j])), i, j)
-
+        r = normal_form(g, polys, keys)
+        if r.terms:
+            lm = max(r.terms, key=key)
+            polys.append(r * (1 / r.terms[lm]))
+            lead.append(lm)
+    basis, pairs = set(), {}
+    for ih in sorted(range(len(polys)), key=lambda i: key(lead[i])):
+        basis, pairs = _update(basis, pairs, ih, lead)
     while pairs:
-        i, j = min(pairs, key=pair_rank)
-        pairs.discard((i, j))
-        li, lj = leads[i], leads[j]
-        # product criterion: coprime leading monomials reduce to zero
-        if _mono_lcm(li, lj) == _mono_mul(li, lj):
-            continue
-        s = normal_form(
-            s_polynomial(basis[i], basis[j], order), basis, order, scale_free=True
-        )
-        if s.is_zero():
-            continue
-        s = _primitive(s)
-        basis.append(s)
-        leads.append(s.leading_monomial(order))
-        k = len(basis) - 1
-        pairs.update((idx, k) for idx in range(k))
-    return _reduce_basis(basis, order)
+        i, j = min(pairs, key=lambda pair: (key(pairs[pair]), pair))
+        s = _s_polynomial(polys[i], polys[j], lead[i], lead[j], pairs.pop((i, j)))
+        # divisors with small leading monomials first [Cox-Little-O'Shea p. 111]
+        divisors = sorted(basis, key=lambda ig: key(lead[ig]))
+        h = normal_form(s, [polys[ig] for ig in divisors], keys)
+        if h.terms:
+            lm = max(h.terms, key=key)
+            polys.append(h * (1 / h.terms[lm]))
+            lead.append(lm)
+            basis, pairs = _update(basis, pairs, len(polys) - 1, lead)
 
-
-def _reduce_basis(basis, order):
-    # drop elements whose leading monomial is divisible by another's
-    leads = [g.leading_monomial(order) for g in basis]
-    keep = []
-    for i, g in enumerate(basis):
-        li = leads[i]
-        redundant = any(
-            j != i
-            and _mono_divides(leads[j], li)
-            and (leads[j] != li or j < i)
-            for j in range(len(basis))
-        )
-        if not redundant:
-            keep.append(g)
-    # fully interreduce and normalize monic
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(keep)):
-            rest = keep[:i] + keep[i + 1 :]
-            r = normal_form(keep[i], rest, order, scale_free=True)
-            if r.is_zero():
-                keep.pop(i)
-                changed = True
-                break
-            r = _primitive(r)
-            if r != _primitive(keep[i]):
-                keep[i] = r
-                changed = True
-                break
-    keep = [g.monic(order) for g in keep]
-    keep.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
-    return keep
+    # the leading monomials of the basis are distinct, so elements whose
+    # leading monomial another one divides reduce to zero and the rest keep
+    # their monic leading term
+    reduced = (
+        normal_form(polys[ig], [polys[o] for o in basis if o != ig], keys)
+        for ig in sorted(basis, key=lambda ig: key(lead[ig]), reverse=True)
+    )
+    return [h for h in reduced if h.terms]
 
 
 class Ideal:

@@ -1,7 +1,10 @@
 import random
+from datetime import timedelta
 from fractions import Fraction
 
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_fraction
 from oracles import groebner_sympy, multipoly_to_sympy
@@ -140,3 +143,73 @@ def test_ideals_equal_by_mutual_reduction():
     assert not ideals_equal([x], [y], order)
     # scaling generators never changes the ideal
     assert ideals_equal([x * 2, y * Fraction(1, 3)], b, order)
+
+
+# -- properties of the reduced basis ----------------------------------------
+
+PROPERTY_ORDERS = {
+    "grevlex": MonomialOrder.grevlex(len(VARS)),
+    "lex": MonomialOrder.lex(len(VARS)),
+    "elim": MonomialOrder.elimination(len(VARS), [0]),
+}
+# derandomized, so that the tier-1 gate sees the same examples on every run
+properties = settings(max_examples=40, deadline=timedelta(seconds=10), derandomize=True)
+
+coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool)
+
+
+def polys(max_terms=3, max_exp=2):
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(VARS))
+    return st.dictionaries(exps, coefficients, min_size=1, max_size=max_terms).map(
+        lambda terms: MultiPoly(VARS, terms)
+    )
+
+
+systems = st.lists(polys(), min_size=1, max_size=3)
+order_names = st.sampled_from(sorted(PROPERTY_ORDERS))
+
+
+def assert_reduced(basis, order):
+    leads = [g.leading_monomial(order) for g in basis]
+    for i, g in enumerate(basis):
+        assert g.terms[leads[i]] == 1
+        for j, lm in enumerate(leads):
+            if i != j:
+                assert not any(
+                    all(a <= b for a, b in zip(lm, e)) for e in g.terms
+                ), "%s reduces a term of %s" % (basis[j], g)
+
+
+@properties
+@given(systems, order_names, st.randoms(use_true_random=False))
+def test_basis_invariant_under_generator_permutation(gens, kind, shuffler):
+    order = PROPERTY_ORDERS[kind]
+    gb = buchberger(gens, order)
+    assert_reduced(gb, order)
+    permuted = list(gens)
+    shuffler.shuffle(permuted)
+    assert buchberger(permuted, order) == gb
+
+
+@properties
+@given(systems, order_names, st.data())
+def test_basis_invariant_under_generator_scaling(gens, kind, data):
+    order = PROPERTY_ORDERS[kind]
+    gb = buchberger(gens, order)
+    assert_reduced(gb, order)
+    k = data.draw(st.integers(0, len(gens) - 1))
+    scaled = list(gens)
+    scaled[k] = scaled[k] * data.draw(coefficients)
+    assert buchberger(scaled, order) == gb
+
+
+@properties
+@given(systems, order_names, st.data())
+def test_basis_invariant_under_appended_combination(gens, kind, data):
+    order = PROPERTY_ORDERS[kind]
+    gb = buchberger(gens, order)
+    assert_reduced(gb, order)
+    combo = MultiPoly.zero(VARS)
+    for g in gens:
+        combo = combo + data.draw(polys(max_terms=2, max_exp=1)) * g
+    assert buchberger(gens + [combo], order) == gb

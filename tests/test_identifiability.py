@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from conftest import fixture_path, rand_fraction
+from oracles import groebner_sympy, multipoly_to_sympy
 from sarxid import (
     MonomialOrder,
     MultiPoly,
@@ -163,3 +165,46 @@ def test_identifiability_verdict_positive(first_family):
     verdict = identifiability_verdict(first_family, region, injectivity_probe(first_family))
     assert verdict.identifiable
     assert verdict.region_nonempty
+
+
+# The intermediate ideals of Procedure 1 on the fixture families, as reduced
+# grevlex bases.  A kernel rewrite must reproduce them exactly.
+REGION_INTERMEDIATES = {
+    "example8_first_family": {
+        "i_a_basis": ["1*zeta1 + 1*zeta2"],
+        "i_b_basis": ["1*zeta1^3 + 3*zeta1^2*zeta2 + 3*zeta1*zeta2^2 + 1*zeta2^3"],
+        "s": ["1*zeta1^4 + 4*zeta1^3*zeta2 + 6*zeta1^2*zeta2^2 + 4*zeta1*zeta2^3 + 1*zeta2^4"],
+    },
+    "example8_second_family": {
+        "i_a_basis": ["1"],
+        "i_b_basis": ["1*zeta2^3", "1*zeta1^2 + -1*zeta2^2", "1*zeta1*zeta2 + 1*zeta2^2"],
+        "s": ["1*zeta2^3", "1*zeta1^2 + -1*zeta2^2", "1*zeta1*zeta2 + 1*zeta2^2"],
+    },
+    "example2_param": {
+        "i_a_basis": [
+            "1*theta1^3 + -4*theta1^2 + 4*theta1",
+            "1*theta1*theta2 + -2*theta1 + -2*theta2 + 4",
+        ],
+        "i_b_basis": ["1*theta1^2*theta2^5 + -2*theta1*theta2^5", "1*theta1*theta2^6 + -2*theta2^6"],
+        "s": [
+            "1*theta1^4*theta2^5 + -6*theta1^3*theta2^5 + 12*theta1^2*theta2^5 + -8*theta1*theta2^5",
+            "1*theta1^3*theta2^6 + -2*theta1^3*theta2^5 + -4*theta1^2*theta2^6"
+            " + 8*theta1^2*theta2^5 + 4*theta1*theta2^6 + -8*theta1*theta2^5",
+            "1*theta1^2*theta2^7 + -2*theta1^2*theta2^6 + -4*theta1*theta2^7"
+            " + 8*theta1*theta2^6 + 4*theta2^7 + -8*theta2^6",
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGION_INTERMEDIATES))
+def test_region_intermediates_pinned(name):
+    par = PolyParametrization.load(fixture_path(name + ".json"))
+    region = procedure1(par)
+    for field, expected in REGION_INTERMEDIATES[name].items():
+        assert [f.to_str() for f in getattr(region, field)] == expected, field
+    if name == "example8_second_family":
+        syms = sympy.symbols(par.vars)
+        gens_b = [f for polys in region.s_b.values() for f in polys]
+        mine = {multipoly_to_sympy(g, syms) for g in region.i_b_basis}
+        assert mine == groebner_sympy(gens_b, syms)
