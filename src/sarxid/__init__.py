@@ -6,14 +6,13 @@ sub-parametrizations of polynomial model families with Groebner bases.
 All computation is over exact rationals.
 """
 
-from .groebner import Ideal, buchberger, elimination_ideal, ideal_product, ideals_equal, normal_form
+from .groebner import buchberger, elimination_ideal, ideals_equal, normal_form
 from .identifiability import (
     IdentifiabilityReport,
     IdentifiableRegion,
     InjectivityEvidence,
     ParamError,
     PolyParametrization,
-    SymbolicTheorem2Data,
     genericity_witness,
     identifiability_verdict,
     injectivity_probe,
@@ -30,6 +29,7 @@ from .lss import (
     LssMode,
     associated_lss,
     find_isomorphisms,
+    invariant_closure,
     is_minimal_lss,
     reachable_span,
     simulate_lss,
@@ -38,10 +38,10 @@ from .lss import (
 from .minimality import (
     MinimalityVerdict,
     Theorem2Data,
+    arx_is_minimal,
     check_condition_a,
     check_condition_b,
     check_strong_minimality,
-    check_type_consistency,
     condition_b_scalar,
     gamma_polynomials,
     sarx_minimality_sufficient,
@@ -50,16 +50,13 @@ from .minimality import (
 from .multipoly import MonomialOrder, MultiPoly
 from .rationals import format_rational, parse_rational
 from .sarx import (
-    ArxMode,
     HybridWord,
     SarxError,
     SarxModel,
-    arx_is_minimal,
-    arx_transfer,
     equivalent_on_samples,
     reduce_trailing_zero,
     simulate_sarx,
 )
-from .unipoly import UniPoly, char_poly, is_coprime, uni_extended_gcd, uni_gcd
+from .unipoly import UniPoly, char_poly, is_coprime, uni_gcd
 
 __version__ = "0.1.0"

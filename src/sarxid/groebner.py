@@ -174,72 +174,23 @@ def buchberger(generators, order: MonomialOrder):
     return [h for h in reduced if h.terms]
 
 
-class Ideal:
-    """Polynomial ideal with a cached reduced Groebner basis."""
+def elimination_ideal(generators, order: MonomialOrder, drop):
+    """Groebner basis of the ideal intersected with the subring omitting `drop`.
 
-    __slots__ = ("generators", "order", "_basis")
-
-    def __init__(self, generators, order: MonomialOrder):
-        self.generators = list(generators)
-        self.order = order
-        self._basis = None
-
-    @property
-    def vars(self):
-        return self.generators[0].vars if self.generators else ()
-
-    def groebner_basis(self):
-        if self._basis is None:
-            self._basis = buchberger(self.generators, self.order)
-        return self._basis
-
-    def normal_form(self, f: MultiPoly) -> MultiPoly:
-        return normal_form(f, self.groebner_basis(), self.order)
-
-    def contains(self, f: MultiPoly) -> bool:
-        return self.normal_form(f).is_zero()
-
-    def is_zero_ideal(self):
-        return not self.groebner_basis()
-
-    def is_unit_ideal(self):
-        gb = self.groebner_basis()
-        return len(gb) == 1 and gb[0].is_constant()
-
-
-def elimination_ideal(ideal: Ideal, drop):
-    """Groebner basis of I intersected with the subring omitting `drop`.
-
-    The ideal's order must rank the dropped variables strictly above the
-    kept ones; results are returned over the kept variables only.
+    The order must rank the dropped variables strictly above the kept ones;
+    results are returned over the kept variables only.
     """
     drop = sorted(set(drop))
-    nvars = len(ideal.order.perm)
-    if not ideal.order.eliminates(drop):
+    if not order.eliminates(drop):
         raise ValueError("order is not an elimination order for the requested split")
-    keep = [i for i in range(nvars) if i not in drop]
-    kept = [
+    keep = [i for i in range(order.nvars) if i not in drop]
+    return [
         g.restrict(keep)
-        for g in ideal.groebner_basis()
+        for g in buchberger(generators, order)
         if not any(g.involves(i) for i in drop)
     ]
-    return kept
-
-
-def ideal_product(a: Ideal, b: Ideal) -> Ideal:
-    """Ideal generated by all pairwise products of generators."""
-    if a.generators and b.generators and a.vars != b.vars:
-        raise ValueError("ideals live in different rings")
-    gens = [f * g for f in a.generators for g in b.generators]
-    prod = Ideal(gens, a.order)
-    prod.groebner_basis()
-    return prod
 
 
 def ideals_equal(gens_a, gens_b, order: MonomialOrder) -> bool:
-    """Ideal equality by mutual normal-form reduction to zero."""
-    ia = Ideal(list(gens_a), order)
-    ib = Ideal(list(gens_b), order)
-    return all(ia.contains(g) for g in gens_b) and all(
-        ib.contains(g) for g in gens_a
-    )
+    """Ideal equality: the reduced Groebner basis of an ideal is unique."""
+    return buchberger(gens_a, order) == buchberger(gens_b, order)

@@ -15,9 +15,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groebner import Ideal, buchberger, elimination_ideal, normal_form
+from .groebner import buchberger, elimination_ideal
 from .linalg import RatMatrix
-from .minimality import check_strong_minimality
+from .minimality import Theorem2Data, _theorem2, check_strong_minimality, ordered_pairs
 from .multipoly import MonomialOrder, MultiPoly
 from .sarx import SarxError, SarxModel
 
@@ -135,92 +135,23 @@ class PolyParametrization:
             return cls.from_json_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
-class SymbolicTheorem2Data:
-    """Symbolic coprimality data in the ring of parameters plus z.
+def symbolic_theorem2(par: PolyParametrization) -> Theorem2Data:
+    """Theorem-2 data of the family, in the ring of the parameters plus z.
 
-    Specializing the parameters reproduces the numeric Theorem2Data of the
-    instantiated model field by field.  phi[(q, qh)] pairs with chi[q];
-    phi_next is the one-step-advanced variant used for the elimination step
-    of the region computation.
+    z is the last variable.  Specializing the parameters gives the data of
+    the instantiated model, because both come from the same recursion.
     """
-
-    ring: tuple  # parameter names followed by "z"
-    z_index: int
-    labels: tuple
-    chi: dict
-    upsilon: dict
-    numerator: dict
-    phi: dict
-    phi_next: dict
-
-
-def symbolic_theorem2(par: PolyParametrization) -> SymbolicTheorem2Data:
     if not par.is_siso():
         raise ParamError("symbolic coprimality data requires SISO")
-    ny, nu = par.ny, par.nu
     if "z" in par.vars:
         raise ParamError('parameter variable named "z" collides with the indeterminate')
     ring = par.vars + ("z",)
-    zi = len(par.vars)
-    z = MultiPoly.variable(ring, zi)
-
-    def lift(q, i):
-        return par.coeff_poly(q, i).embed(ring)
-
-    labels = tuple(par.labels)
-    chi = {}
-    upsilon = {}
-    numerator = {}
-    d = {}
-    for q in labels:
-        h = [lift(q, j) for j in range(1, ny + nu + 1)]
-        ups = MultiPoly.zero(ring)
-        num = MultiPoly.zero(ring)
-        for j in range(1, ny + 1):
-            ups = ups + h[j - 1] * z ** (ny - j)
-        for j in range(1, nu + 1):
-            num = num + h[ny + j - 1] * z ** (nu - j)
-        chi[q] = z**ny - ups
-        upsilon[q] = ups
-        numerator[q] = num
-        seq = [[MultiPoly.constant(ring, 1)] + [MultiPoly.zero(ring)] * (ny - 1)]
-        for _ in range(nu):
-            prev = seq[-1]
-            top = MultiPoly.zero(ring)
-            for i in range(ny):
-                top = top + h[i] * prev[i]
-            seq.append([top] + prev[: ny - 1])
-        d[q] = seq
-    phi = {}
-    phi_next = {}
-    for qh in labels:
-        for q in labels:
-            diff = [lift(q, j) - lift(qh, j) for j in range(1, ny + 1)]
-            psi = [MultiPoly.constant(ring, 1)]
-            for j in range(nu):
-                inner = MultiPoly.zero(ring)
-                for i in range(ny):
-                    inner = inner + diff[i] * d[q][j][i]
-                psi.append(z * psi[-1] + inner)
-            acc = MultiPoly.zero(ring)
-            acc_next = MultiPoly.zero(ring)
-            for j in range(1, nu + 1):
-                hj = lift(q, ny + j)
-                acc = acc + hj * psi[nu - j]
-                acc_next = acc_next + hj * psi[nu - j + 1]
-            phi[(qh, q)] = acc
-            phi_next[(qh, q)] = acc_next
-    return SymbolicTheorem2Data(
-        ring=ring,
-        z_index=zi,
-        labels=labels,
-        chi=chi,
-        upsilon=upsilon,
-        numerator=numerator,
-        phi=phi,
-        phi_next=phi_next,
-    )
+    h = {
+        q: [par.coeff_poly(q, j).embed(ring) for j in range(1, par.ny + par.nu + 1)]
+        for q in par.labels
+    }
+    z = MultiPoly.variable(ring, len(par.vars))
+    return _theorem2(par.ny, par.nu, h, z, MultiPoly.constant(ring, 1))
 
 
 @dataclass(frozen=True)
@@ -270,24 +201,17 @@ def procedure1(par: PolyParametrization, include_diagonal=False) -> Identifiable
         raise ParamError("region computation needs at least one parameter")
     sym = symbolic_theorem2(par)
     d = len(par.vars)
-    elim_order = MonomialOrder.elimination(d + 1, [sym.z_index])
+    elim_order = MonomialOrder.elimination(d + 1, [d])
     param_order = MonomialOrder.grevlex(d)
 
     def eliminate(f, g):
-        ideal = Ideal([f, g], elim_order)
-        return [poly for poly in elimination_ideal(ideal, [sym.z_index])]
+        return elimination_ideal([f, g], elim_order, [d])
 
     ny, nu = par.ny, par.nu
     s_a = {}
     s_b_raw = {}
     s_b = {}
-    pairs = [
-        (q, qh)
-        for q in sym.labels
-        for qh in sym.labels
-        if include_diagonal or q != qh
-    ]
-    for q, qh in pairs:
+    for q, qh in ordered_pairs(sym.labels, include_diagonal):
         s_a[(q, qh)] = eliminate(sym.chi[q], sym.phi_next[(q, qh)])
         raw = eliminate(sym.chi[q], sym.upsilon[qh])
         s_b_raw[(q, qh)] = raw

@@ -36,7 +36,9 @@ class RatMatrix:
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls([[_ZERO] * cols for _ in range(rows)])
+        m = cls([[_ZERO] * cols for _ in range(rows)])
+        m.cols = cols  # the column count of a zero-row matrix
+        return m
 
     @classmethod
     def identity(cls, n):
@@ -321,25 +323,16 @@ class Subspace:
     def dim(self):
         return len(self._rows)
 
-    def basis_columns(self):
-        return [RatMatrix.column(row) for row in self._rows]
-
     def basis_rows_matrix(self):
         if not self._rows:
             return RatMatrix.zeros(0, self.ambient_dim)
         return RatMatrix(list(self._rows))
 
     def contains(self, v: RatMatrix):
-        if self.dim == 0:
-            return v.is_zero()
         stacked = RatMatrix.vstack(
             [self.basis_rows_matrix(), RatMatrix([[v[i, 0] for i in range(self.ambient_dim)]])]
         )
         return stacked.rank() == self.dim
-
-    def union(self, vectors):
-        """Span of self plus the given column vectors."""
-        return Subspace(self.ambient_dim, list(self.basis_columns()) + list(vectors))
 
     def __eq__(self, other):
         return (

@@ -142,41 +142,53 @@ def simulate_lss(sys: Lss, word: HybridWord):
     return outputs
 
 
+def invariant_closure(n, seeds, maps) -> Subspace:
+    """Smallest subspace of Q^n containing the seeds and invariant under the maps.
+
+    seeds are coordinate sequences and maps are n x n RatMatrix.  A worklist
+    keeps an echelon basis of at most n rows; each vector is reduced against
+    it, and only a vector that is new to the span enters the basis and is
+    pushed through the maps.
+    """
+    rows = [m.to_lists() for m in maps]
+    basis = []  # (pivot, row) with row[pivot] == 1 and zero at earlier pivots
+    work = [[Fraction(x) for x in v] for v in seeds]
+    while work and len(basis) < n:
+        v = work.pop()
+        for pivot, row in basis:
+            c = v[pivot]
+            if c:
+                v = [a - c * b for a, b in zip(v, row)]
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is None:
+            continue
+        inv = 1 / v[pivot]
+        v = [x * inv for x in v]
+        basis.append((pivot, v))
+        work.extend([sum(a * b for a, b in zip(r, v)) for r in m] for m in rows)
+    return Subspace(n, [row for _, row in basis])
+
+
 def reachable_span(sys: Lss) -> Subspace:
     """Smallest subspace containing x0 and all B columns, invariant under every A_q."""
-    seeds = [] if sys.x0.is_zero() else [sys.x0]
+    seeds = [sys.x0.col(0)]
     for q in sys.labels:
         b = sys.modes[q].b
-        seeds.extend(b.column_matrix(j) for j in range(b.cols))
-    space = Subspace(sys.n, seeds)
-    while True:
-        new = space.union(
-            [
-                (sys.modes[q].a @ v)
-                for q in sys.labels
-                for v in space.basis_columns()
-            ]
-        )
-        if new.dim == space.dim:
-            return space
-        space = new
+        seeds.extend(b.col(j) for j in range(b.cols))
+    return invariant_closure(sys.n, seeds, [sys.modes[q].a for q in sys.labels])
 
 
 def unobservable_space(sys: Lss) -> Subspace:
     """Largest A_q-invariant subspace inside the joint kernel of the C_q.
 
-    Computed dually: stack rows C_q, C_q A_r, ... until the row rank stops
-    growing, then take the kernel of the stack.
+    Computed dually: the kernel of the smallest A_q^T-invariant subspace
+    containing the rows of every C_q.
     """
-    base = RatMatrix.vstack([sys.modes[q].c for q in sys.labels])
-    stack = base
-    while True:
-        grown = RatMatrix.vstack(
-            [base] + [stack @ sys.modes[q].a for q in sys.labels]
-        )
-        if grown.rank() == stack.rank():
-            return Subspace(sys.n, stack.kernel_basis())
-        stack = grown
+    seeds = [row for q in sys.labels for row in sys.modes[q].c.to_lists()]
+    observable = invariant_closure(
+        sys.n, seeds, [sys.modes[q].a.transpose() for q in sys.labels]
+    )
+    return Subspace(sys.n, observable.basis_rows_matrix().kernel_basis())
 
 
 @dataclass(frozen=True)

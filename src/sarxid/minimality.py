@@ -14,23 +14,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import RatMatrix
 from .lss import associated_lss, is_minimal_lss
 from .rationals import format_rational
-from .sarx import SarxModel, SarxError, arx_is_minimal, equivalent_on_samples
+from .sarx import SarxModel, SarxError
 from .unipoly import UniPoly, is_coprime
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
 class Theorem2Data:
     """Polynomial data backing the sufficient strong-minimality conditions.
 
+    Polynomials are in z over the ring of the coefficients h_q^j: UniPoly
+    for one model, MultiPoly in the parameters and z for a family.
+
     chi[q]           monic z^ny - sum h_q^j z^(ny-j)
     upsilon[q]       sum_{j<=ny} h_q^j z^(ny-j)
     numerator[q]     sum_{j<=nu} h_q^(ny+j) z^(nu-j)
-    d[q][j]          column vectors with d[q][j] = A_q^j e_1, j = 0..nu
+    d[q][j]          the first ny entries of A_q^j e_1, j = 0..nu (the rest are 0)
     psi[(qh,q)][j]   monic degree-j polynomials with psi_j(A_qh) e_1 = A_q^j e_1
     phi[(qh,q)]      sum_j h_q^(ny+j) psi_(nu-j); phi(A_qh) e_1 = A_q^nu B
     phi_next[(qh,q)] sum_j h_q^(ny+j) psi_(nu-j+1); represents A_q^(nu+1) B
@@ -48,54 +51,44 @@ class Theorem2Data:
     phi_next: dict
 
 
-def theorem2_polynomials(model: SarxModel) -> Theorem2Data:
-    if not model.is_siso():
-        raise SarxError("coprimality conditions are defined for SISO models")
-    ny, nu = model.ny, model.nu
-    labels = tuple(model.labels)
-    chi = {}
-    upsilon = {}
-    numerator = {}
-    d = {}
-    for q in labels:
-        h = [model.coeff(q, j) for j in range(1, ny + nu + 1)]
-        chi[q] = UniPoly.monomial(ny) - UniPoly(
-            [h[ny - 1 - k] for k in range(ny)]
-        )
-        upsilon[q] = UniPoly([h[ny - 1 - k] for k in range(ny)])
-        numerator[q] = UniPoly([h[ny + nu - 1 - k] for k in range(nu)])
-        seq = [RatMatrix.column([1] + [0] * (ny - 1))]
+def _horner(lead, coeffs, z):
+    """lead z^k + coeffs[0] z^(k-1) + ... + coeffs[k-1], with k = len(coeffs)."""
+    for c in coeffs:
+        lead = lead * z + c
+    return lead
+
+
+def _theorem2(ny, nu, h, z, one) -> Theorem2Data:
+    """The Theorem-2 recursions over any coefficient ring.
+
+    h maps each mode label to its coefficients h_q^1..h_q^(ny+nu); z and one
+    are the indeterminate and the unit of the polynomial ring.  Only +, *
+    and Horner steps are used, so the same code builds the data of one model
+    and, symbolically, of a whole parametrized family.
+    """
+    zero = one * 0
+    labels = tuple(h)
+    chi, upsilon, numerator, d = {}, {}, {}, {}
+    for q, hq in h.items():
+        chi[q] = _horner(one, [-c for c in hq[:ny]], z)
+        upsilon[q] = _horner(zero, hq[:ny], z)
+        numerator[q] = _horner(zero, hq[ny:], z)
+        seq = [(_ONE,) + (_ZERO,) * (ny - 1)]
         for _ in range(nu):
             prev = seq[-1]
-            top = sum(
-                (h[i] * prev[i, 0] for i in range(ny)), _ZERO
-            )
-            seq.append(
-                RatMatrix.column([top] + [prev[i, 0] for i in range(ny - 1)])
-            )
+            seq.append((sum(c * x for c, x in zip(hq, prev)),) + prev[:-1])
         d[q] = seq
-    psi = {}
-    phi = {}
-    phi_next = {}
+    psi, phi, phi_next = {}, {}, {}
     for qh in labels:
         for q in labels:
-            diff = [
-                model.coeff(q, j) - model.coeff(qh, j) for j in range(1, ny + 1)
-            ]
-            seq = [UniPoly.one()]
+            diff = [a - b for a, b in zip(h[q][:ny], h[qh][:ny])]
+            seq = [one]
             for j in range(nu):
-                dj = d[q][j]
-                inner = sum((diff[i] * dj[i, 0] for i in range(ny)), _ZERO)
-                seq.append(seq[-1].shift(1) + UniPoly.constant(inner))
+                seq.append(z * seq[-1] + sum(c * x for c, x in zip(diff, d[q][j])))
+            num = h[q][ny:]
             psi[(qh, q)] = seq
-            acc = UniPoly.zero()
-            acc_next = UniPoly.zero()
-            for j in range(1, nu + 1):
-                hj = model.coeff(q, ny + j)
-                acc = acc + hj * seq[nu - j]
-                acc_next = acc_next + hj * seq[nu - j + 1]
-            phi[(qh, q)] = acc
-            phi_next[(qh, q)] = acc_next
+            phi[(qh, q)] = sum((c * p for c, p in zip(num, reversed(seq[:-1]))), zero)
+            phi_next[(qh, q)] = sum((c * p for c, p in zip(num, reversed(seq[1:]))), zero)
     return Theorem2Data(
         ny=ny,
         nu=nu,
@@ -110,8 +103,26 @@ def theorem2_polynomials(model: SarxModel) -> Theorem2Data:
     )
 
 
+def theorem2_polynomials(model: SarxModel) -> Theorem2Data:
+    if not model.is_siso():
+        raise SarxError("coprimality conditions are defined for SISO models")
+    h = {
+        q: [model.coeff(q, j) for j in range(1, model.ny + model.nu + 1)]
+        for q in model.labels
+    }
+    return _theorem2(model.ny, model.nu, h, UniPoly.x(), UniPoly.one())
+
+
+def arx_is_minimal(model: SarxModel, q) -> bool:
+    """Lone-mode ARX minimality: numerator N_q and denominator chi_q coprime."""
+    data = theorem2_polynomials(model)
+    return is_coprime(data.numerator[q], data.chi[q])
+
+
 def gamma_polynomials(model: SarxModel, q):
     """Polynomials gamma_1..gamma_nu with e_{ny+j}^T = e_ny^T chi_q(A_q) gamma_j(A_q).
+
+    Acceptance criterion 06 checks this row identity.
 
     Defined by gamma_1 = z^(nu-1) / h^(ny+nu) and
     gamma_i = (z^(nu-i) - sum_{j<i} gamma_j h^(ny+nu-i+j)) / h^(ny+nu);
@@ -273,27 +284,11 @@ def sarx_minimality_sufficient(model: SarxModel):
     """
     if not model.is_siso():
         raise SarxError("minimality certificates are defined for SISO models")
+    data = theorem2_polynomials(model)
     for q in model.labels:
-        if arx_is_minimal(model, q):
+        if is_coprime(data.numerator[q], data.chi[q]):
             return ("minimal-certified", "mode %s has a minimal ARX subsystem" % q)
     if check_strong_minimality(model, method="exact-rank").strong_minimal:
         return ("minimal-certified", "the associated switched state-space system is minimal")
     return ("unknown", None)
 
-
-def check_type_consistency(a: SarxModel, b: SarxModel, seed=0) -> bool:
-    """Diagnostic: two minimal, sample-equivalent models must share a type.
-
-    Returns False only when both are certified minimal, agree on sampled
-    traces, and still disagree on (n_y, n_u); that combination signals an
-    internal inconsistency.
-    """
-    if (a.ny, a.nu) == (b.ny, b.nu):
-        return True
-    if sarx_minimality_sufficient(a)[0] != "minimal-certified":
-        return True
-    if sarx_minimality_sufficient(b)[0] != "minimal-certified":
-        return True
-    if not equivalent_on_samples(a, b, seed=seed):
-        return True
-    return False

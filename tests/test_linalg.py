@@ -77,10 +77,20 @@ def test_subspace_canonical_form_and_union():
     assert s.dim == 1
     assert s.contains(RatMatrix.column([Fraction(-3), 0, Fraction(-3)]))
     assert not s.contains(RatMatrix.column([1, 1, 1]))
-    grown = s.union([RatMatrix.column([0, 1, 0])])
+    grown = Subspace(3, [v1, v2, RatMatrix.column([0, 1, 0])])
     assert grown.dim == 2
     # canonical form makes equality representation independent
     assert Subspace(3, [v1]) == Subspace(3, [v2])
+
+
+def test_zero_row_matrices_keep_their_columns():
+    empty = RatMatrix.zeros(0, 3)
+    assert empty.shape == (0, 3)
+    assert len(empty.kernel_basis()) == 3
+    zero = Subspace(3)
+    assert zero.basis_rows_matrix().shape == (0, 3)
+    assert zero.contains(RatMatrix.column([0, 0, 0]))
+    assert not zero.contains(RatMatrix.column([0, 1, 0]))
 
 
 def test_matrix_power_and_trace(rng):

@@ -75,6 +75,26 @@ def test_subspaces_match_brute_force(rng):
         assert unobservable_space(sys) == brute_force_unobservable(sys)
 
 
+def test_subspaces_of_silent_systems(rng):
+    # all C_q = 0 leaves every state unobservable; B = 0 with x0 = 0 reaches nothing
+    for _ in range(10):
+        sys = random_lss(rng, max_n=4, max_modes=3)
+        n = sys.n
+        silent = Lss(
+            n=n, m=sys.m, p=sys.p, x0=RatMatrix.zeros(n, 1),
+            modes={
+                q: LssMode(
+                    a=md.a, b=RatMatrix.zeros(n, sys.m), c=RatMatrix.zeros(sys.p, n)
+                )
+                for q, md in sys.modes.items()
+            },
+        )
+        assert unobservable_space(silent).dim == n
+        assert reachable_span(silent).dim == 0
+        assert unobservable_space(silent) == brute_force_unobservable(silent)
+        assert reachable_span(silent) == brute_force_reachable(silent)
+
+
 def test_minimality_certificate_dimensions(rng):
     sys = random_lss(rng, max_n=4)
     cert = is_minimal_lss(sys)

@@ -14,10 +14,10 @@ from sarxid import (
     SarxModel,
     UniPoly,
     arx_is_minimal,
-    arx_transfer,
     equivalent_on_samples,
     reduce_trailing_zero,
     simulate_sarx,
+    theorem2_polynomials,
 )
 from sarxid.sarx import random_word
 
@@ -68,23 +68,23 @@ def test_transfer_minimality_matches_sympy_gcd(rng):
     z = sympy.Symbol("z")
     for _ in range(40):
         m = random_siso_model(rng)
+        data = theorem2_polynomials(m)
         for q in m.labels:
-            tf = arx_transfer(m, q)
-            if tf.numerator.is_zero():
+            if data.numerator[q].is_zero():
                 assert not arx_is_minimal(m, q)
                 continue
             g = sympy.gcd(
-                unipoly_to_sympy(tf.numerator, z), unipoly_to_sympy(tf.denominator, z), z
+                unipoly_to_sympy(data.numerator[q], z), unipoly_to_sympy(data.chi[q], z), z
             )
             assert arx_is_minimal(m, q) == (sympy.degree(g, z) == 0)
 
 
 def test_transfer_denominator_is_monic_char_style(rng):
     m = random_siso_model(rng)
+    data = theorem2_polynomials(m)
     for q in m.labels:
-        tf = arx_transfer(m, q)
-        assert tf.denominator.degree == m.ny
-        assert tf.denominator.leading_coeff() == 1
+        assert data.chi[q].degree == m.ny
+        assert data.chi[q].leading_coeff() == 1
 
 
 def test_reduce_trailing_zero_preserves_traces(rng):

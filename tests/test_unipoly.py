@@ -5,7 +5,7 @@ import sympy
 
 from conftest import rand_fraction, random_lss
 from oracles import charpoly_by_cofactor, resultant, unipoly_to_sympy
-from sarxid import RatMatrix, UniPoly, char_poly, is_coprime, uni_extended_gcd, uni_gcd
+from sarxid import RatMatrix, UniPoly, char_poly, is_coprime, uni_gcd
 
 
 def random_poly(rng, max_deg=4):
@@ -33,16 +33,6 @@ def test_gcd_matches_sympy(rng):
         expected = sympy.gcd(unipoly_to_sympy(a, z), unipoly_to_sympy(b, z), z)
         expected = sympy.Poly(expected, z).monic().as_expr()
         assert unipoly_to_sympy(g, z).equals(expected)
-
-
-def test_extended_gcd_bezout_identity(rng):
-    for _ in range(60):
-        a, b = random_poly(rng), random_poly(rng)
-        if a.is_zero() and b.is_zero():
-            continue
-        g, s, t = uni_extended_gcd(a, b)
-        assert s * a + t * b == g
-        assert g == uni_gcd(a, b)
 
 
 def test_coprimality_matches_resultant(rng):
