@@ -359,6 +359,7 @@ def identifiability_verdict(
 
     The restriction is strongly minimal wherever some region polynomial is
     nonzero, so identifiability follows once injectivity is established.
+    `test_identifiability_verdict_positive` checks this on the first family.
     """
     if not par.is_siso():
         raise ParamError("identifiability verdicts require SISO")

@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices of Fractions with fraction-free-ish Gauss-Jordan elimination
-(pivoting is exact, so no fill-in tricks are needed at these sizes).  Every
-rank, kernel and solvability verdict downstream rests on rref().
+Dense matrices of Fractions.  One Gauss-Jordan elimination over Fraction,
+`RatMatrix._gauss_jordan`, is the only elimination: rref, rank, kernel,
+determinant and every linear solve read their answer off it, and each solve
+reduces its matrix once.
 """
 
 from __future__ import annotations
@@ -117,9 +118,6 @@ class RatMatrix:
             ]
         )
 
-    def __neg__(self):
-        return self.scale(Fraction(-1))
-
     def scale(self, c):
         c = Fraction(c)
         return RatMatrix([[c * x for x in row] for row in self._data])
@@ -137,15 +135,10 @@ class RatMatrix:
             ]
         )
 
-    def __mul__(self, other):
-        if isinstance(other, RatMatrix):
-            return self.__matmul__(other)
-        return self.scale(other)
-
-    __rmul__ = scale
-
     def transpose(self):
-        return RatMatrix(list(zip(*self._data)) if self._data else [])
+        if not (self.rows and self.cols):
+            return RatMatrix.zeros(self.cols, self.rows)
+        return RatMatrix(list(zip(*self._data)))
 
     def power(self, k):
         if not self.is_square():
@@ -197,24 +190,26 @@ class RatMatrix:
 
     # -- elimination --------------------------------------------------
 
-    def rref(self):
-        """Reduced row echelon form.
+    def _gauss_jordan(self):
+        """Gauss-Jordan elimination, pivoting on the first nonzero entry.
 
-        Returns (R, pivot_columns).  rank == len(pivot_columns).
+        Returns (reduced rows, pivot columns, product of the pivots with the
+        sign of the row swaps); that product is the determinant when the
+        matrix is square and of full rank.
         """
         m = self.to_lists()
-        rows, cols = self.rows, self.cols
+        rows = self.rows
         pivots = []
+        product = _ONE
         r = 0
-        for c in range(cols):
-            pivot_row = None
-            for i in range(r, rows):
-                if m[i][c] != 0:
-                    pivot_row = i
-                    break
+        for c in range(self.cols):
+            pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
             if pivot_row is None:
                 continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
+            if pivot_row != r:
+                m[r], m[pivot_row] = m[pivot_row], m[r]
+                product = -product
+            product *= m[r][c]
             inv = 1 / m[r][c]
             m[r] = [x * inv for x in m[r]]
             for i in range(rows):
@@ -225,6 +220,14 @@ class RatMatrix:
             r += 1
             if r == rows:
                 break
+        return m, pivots, product
+
+    def rref(self):
+        """Reduced row echelon form.
+
+        Returns (R, pivot_columns).  rank == len(pivot_columns).
+        """
+        m, pivots, _ = self._gauss_jordan()
         return RatMatrix(m), pivots
 
     def rank(self):
@@ -233,67 +236,56 @@ class RatMatrix:
     def kernel_basis(self):
         """Basis of {x : Mx = 0} as a list of n x 1 column matrices."""
         red, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [_ZERO] * self.cols
-            v[fc] = _ONE
-            for r, pc in enumerate(pivots):
-                v[pc] = -red[r, fc]
-            basis.append(RatMatrix.column(v))
-        return basis
+        return _null_vectors(red, pivots, self.cols)
 
     def determinant(self):
         if not self.is_square():
             raise ValueError("determinant of non-square matrix")
-        m = self.to_lists()
-        n = self.rows
-        det = _ONE
-        for c in range(n):
-            pivot_row = None
-            for i in range(c, n):
-                if m[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return _ZERO
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det
+        _, pivots, product = self._gauss_jordan()
+        return product if len(pivots) == self.rows else _ZERO
 
     def __repr__(self):
         return "RatMatrix(%r)" % (self.to_strings(),)
 
 
+def _null_vectors(red, pivots, cols):
+    """Kernel basis read off a reduced form whose first `cols` columns are an rref."""
+    basis = []
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        v = [_ZERO] * cols
+        v[fc] = _ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r, fc]
+        basis.append(RatMatrix.column(v))
+    return basis
+
+
 def solve_affine(a: RatMatrix, b: RatMatrix):
-    """Full solution set of A x = b.
+    """Full solution set of A x = b, from one reduction of [A | b].
 
     Returns (particular, kernel_basis) with particular an n x 1 column, or
-    None when the system is inconsistent.
+    None when the system is inconsistent.  When it is consistent, the first
+    a.cols columns of the reduced [A | b] are the rref of A, so the kernel
+    comes from the same reduction.
     """
     if a.rows != b.rows or b.cols != 1:
         raise ValueError("shape mismatch in solve_affine")
-    aug = RatMatrix.hstack([a, b])
-    red, pivots = aug.rref()
+    red, pivots = RatMatrix.hstack([a, b]).rref()
     if a.cols in pivots:
         return None
     x = [_ZERO] * a.cols
     for r, pc in enumerate(pivots):
         x[pc] = red[r, a.cols]
-    return RatMatrix.column(x), a.kernel_basis()
+    return RatMatrix.column(x), _null_vectors(red, pivots, a.cols)
 
 
-def row_space_basis(m: RatMatrix):
-    """Canonical (rref) basis of the row space, as a list of row tuples."""
-    red, pivots = m.rref()
-    return [red.row(i) for i in range(len(pivots))]
+def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """Kronecker product: the block in row i, column k is a[i, k] * b."""
+    if not (a.rows and b.rows):
+        return RatMatrix.zeros(0, a.cols * b.cols)
+    return RatMatrix([[x * y for x in ra for y in rb] for ra in a._data for rb in b._data])
 
 
 class Subspace:
@@ -315,7 +307,8 @@ class Subspace:
                     raise ValueError("vector length mismatch")
                 rows.append([Fraction(x) for x in v])
         if rows:
-            self._rows = tuple(row_space_basis(RatMatrix(rows)))
+            red, pivots = RatMatrix(rows).rref()
+            self._rows = red._data[: len(pivots)]
         else:
             self._rows = ()
 

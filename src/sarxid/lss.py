@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import RatMatrix, Subspace, solve_affine
+from .linalg import RatMatrix, Subspace, kron, solve_affine
 from .sarx import HybridWord, SarxModel, SarxError
 
 _ZERO = Fraction(0)
@@ -247,73 +247,45 @@ def find_isomorphisms(a: Lss, b: Lss, seed=0) -> IsoSolution:
     if (a.n, a.m, a.p) != (b.n, b.m, b.p) or a.labels != b.labels:
         raise LssError("systems must share dimensions and mode labels")
     n = a.n
+    eye = RatMatrix.identity(n)
 
-    def s_index(i, j):
-        return i * n + j
+    def vec(m):  # row-major, the order of the unknowns vec(S)
+        return [x for i in range(m.rows) for x in m.row(i)]
 
-    rows = []
+    blocks = []
     rhs = []
-
-    def add_equation(coeffs, value):
-        rows.append(coeffs)
-        rhs.append(value)
-
     for q in a.labels:
         ma, mb = a.modes[q], b.modes[q]
-        # S A_q - A'_q S = 0, entrywise
-        for i in range(n):
-            for j in range(n):
-                coeffs = [_ZERO] * (n * n)
-                for k in range(n):
-                    coeffs[s_index(i, k)] += ma.a[k, j]
-                    coeffs[s_index(k, j)] -= mb.a[i, k]
-                add_equation(coeffs, _ZERO)
-        # S B_q = B'_q
-        for i in range(n):
-            for j in range(a.m):
-                coeffs = [_ZERO] * (n * n)
-                for k in range(n):
-                    coeffs[s_index(i, k)] = ma.b[k, j]
-                add_equation(coeffs, mb.b[i, j])
-        # C'_q S = C_q
-        for i in range(a.p):
-            for j in range(n):
-                coeffs = [_ZERO] * (n * n)
-                for k in range(n):
-                    coeffs[s_index(k, j)] = mb.c[i, k]
-                add_equation(coeffs, ma.c[i, j])
-    # S x0 = x0'
-    for i in range(n):
-        coeffs = [_ZERO] * (n * n)
-        for k in range(n):
-            coeffs[s_index(i, k)] = a.x0[k, 0]
-        add_equation(coeffs, b.x0[i, 0])
+        blocks.append(kron(eye, ma.a.transpose()) - kron(mb.a, eye))  # S A_q = A'_q S
+        blocks.append(kron(eye, ma.b.transpose()))  # S B_q = B'_q
+        blocks.append(kron(mb.c, eye))  # C'_q S = C_q
+        rhs += [_ZERO] * (n * n) + vec(mb.b) + vec(ma.c)
+    blocks.append(kron(eye, a.x0.transpose()))  # S x0 = x0'
+    rhs += vec(b.x0)
 
-    solution = solve_affine(RatMatrix(rows), RatMatrix.column(rhs))
+    solution = solve_affine(RatMatrix.vstack(blocks), RatMatrix.column(rhs))
     if solution is None:
         return IsoSolution(kind="none", witness=None, family_dim=-1)
     particular, kernel = solution
 
-    def unflatten(vec):
-        return RatMatrix(
-            [[vec[s_index(i, j), 0] for j in range(n)] for i in range(n)]
-        )
+    def unflatten(v):
+        return RatMatrix([v.col(0)[i * n : (i + 1) * n] for i in range(n)])
 
     if not kernel:
         s = unflatten(particular)
         if s.determinant() == 0:
             return IsoSolution(kind="none", witness=None, family_dim=0)
-        if s == RatMatrix.identity(n):
+        if s == eye:
             return IsoSolution(kind="unique-identity", witness=s, family_dim=0)
         return IsoSolution(kind="unique-other", witness=s, family_dim=0)
 
     rng = random.Random(seed)
     witness = None
     for _ in range(20):
-        vec = particular
+        point = particular
         for kv in kernel:
-            vec = vec + kv.scale(Fraction(rng.randint(-9, 9)))
-        s = unflatten(vec)
+            point = point + kv.scale(Fraction(rng.randint(-9, 9)))
+        s = unflatten(point)
         if s.determinant() != 0:
             witness = s
             break

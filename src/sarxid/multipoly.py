@@ -144,11 +144,6 @@ class MultiPoly:
             return -1
         return max(sum(exp) for exp in self.terms)
 
-    def degree_in(self, index):
-        if not self.terms:
-            return -1
-        return max(exp[index] for exp in self.terms)
-
     def involves(self, index):
         return any(exp[index] > 0 for exp in self.terms)
 
@@ -248,7 +243,10 @@ class MultiPoly:
         return acc
 
     def substitute(self, assignment):
-        """Partially evaluate: assignment maps variable index -> Fraction."""
+        """Partially evaluate: assignment maps variable index -> Fraction.
+
+        `test_symbolic_data_specializes_to_numeric` checks the specialization.
+        """
         out = {}
         for exp, c in self.terms.items():
             coef = c
@@ -266,6 +264,7 @@ class MultiPoly:
         """View as a univariate polynomial in variable `index`.
 
         All other variables must be absent.
+        `test_symbolic_data_specializes_to_numeric` checks the specialization.
         """
         coeffs = {}
         for exp, c in self.terms.items():

@@ -181,7 +181,10 @@ def simulate_sarx(model: SarxModel, word: HybridWord):
 
 
 def reduce_trailing_zero(model: SarxModel) -> SarxModel:
-    """Drop the last input coefficient when it vanishes in every mode."""
+    """Drop the last input coefficient when it vanishes in every mode.
+
+    `test_reduce_trailing_zero_preserves_traces` checks that traces are kept.
+    """
     if not model.is_siso():
         raise SarxError("trailing-zero reduction implemented for SISO models")
     if model.nu < 2:
@@ -209,7 +212,7 @@ def equivalent_on_samples(a: SarxModel, b: SarxModel, trials=20, horizon=None, s
     """Randomized necessary test for equivalence: exact trace agreement.
 
     A `False` is a proof of inequivalence; `True` only says no sampled word
-    separated the two models.
+    separated the two models.  `test_equivalent_on_samples_separates` checks both.
     """
     if a.p != b.p or a.m != b.m:
         raise SarxError("models have different input/output dimensions")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import RatMatrix
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -46,10 +46,6 @@ class UniPoly:
     @classmethod
     def monomial(cls, degree, coeff=_ONE):
         return cls([_ZERO] * degree + [Fraction(coeff)])
-
-    @classmethod
-    def from_strings(cls, coeffs):
-        return cls([parse_rational(c) for c in coeffs])
 
     # -- basics -------------------------------------------------------
 
@@ -132,9 +128,6 @@ class UniPoly:
 
     def __mod__(self, other):
         return self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
 
     def monic(self):
         if self.is_zero():

@@ -18,6 +18,7 @@ from sarxid import (
     reachable_span,
     simulate_lss,
     simulate_sarx,
+    solve_affine,
     unobservable_space,
 )
 from sarxid.sarx import random_word
@@ -68,11 +69,34 @@ def test_embedding_state_is_regressor(rng):
         x = sys.modes[q].a @ x + sys.modes[q].b @ RatMatrix.column(u)
 
 
+def shift_chain(n, order):
+    """Mode i maps e_k to e_(k+1) only, k = order[i]; B = e_1 and C = e_n^T.
+
+    Only the word that applies the maps in chain order reaches e_n from e_1,
+    so no single mode reaches or observes the whole space.
+    """
+    modes = {}
+    for i, k in enumerate(order):
+        a = [[0] * n for _ in range(n)]
+        a[k + 1][k] = 1
+        modes[str(i + 1)] = LssMode(
+            a=RatMatrix(a),
+            b=RatMatrix.column([1] + [0] * (n - 1)),
+            c=RatMatrix.row_vector([0] * (n - 1) + [1]),
+        )
+    return Lss(n=n, m=1, p=1, modes=modes, x0=RatMatrix.zeros(n, 1))
+
+
 def test_subspaces_match_brute_force(rng):
     for _ in range(25):
         sys = random_lss(rng, max_n=4, max_modes=3)
         assert reachable_span(sys) == brute_force_reachable(sys)
         assert unobservable_space(sys) == brute_force_unobservable(sys)
+    for sys in (shift_chain(3, [0, 1]), shift_chain(4, [2, 0, 1]), shift_chain(4, [1, 2, 0])):
+        assert reachable_span(sys) == brute_force_reachable(sys)
+        assert unobservable_space(sys) == brute_force_unobservable(sys)
+        assert reachable_span(sys).dim == sys.n
+        assert unobservable_space(sys).dim == 0
 
 
 def test_subspaces_of_silent_systems(rng):
@@ -115,42 +139,58 @@ def test_self_isomorphism_identity_on_reference_model():
     assert sol.witness == RatMatrix.identity(sys.n)
 
 
-def test_isomorphism_found_under_conjugation(rng):
-    m = random_siso_model(rng, nonzero_top=True)
-    sys = associated_lss(m)
-    n = sys.n
-    # random invertible T with T x0 = x0 = 0
+def random_invertible(rng, n):
     while True:
         t = RatMatrix([[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
         if t.determinant() != 0:
-            break
-    ti_cols = []
-    from sarxid import solve_affine
+            return t
 
-    for j in range(n):
-        e = RatMatrix.column([1 if i == j else 0 for i in range(n)])
-        ti_cols.append(solve_affine(t, e)[0])
-    t_inv = RatMatrix.hstack(ti_cols)
-    conj = Lss(
-        n=n, m=1, p=1,
+
+def conjugate(sys, t):
+    """The system in the coordinates x' = T x."""
+    n = sys.n
+    t_inv = RatMatrix.hstack(
+        [solve_affine(t, RatMatrix.column([1 if i == j else 0 for i in range(n)]))[0]
+         for j in range(n)]
+    )
+    return Lss(
+        n=n, m=sys.m, p=sys.p,
         modes={
-            q: LssMode(
-                a=t @ sys.modes[q].a @ t_inv,
-                b=t @ sys.modes[q].b,
-                c=sys.modes[q].c @ t_inv,
-            )
-            for q in sys.labels
+            q: LssMode(a=t @ md.a @ t_inv, b=t @ md.b, c=md.c @ t_inv)
+            for q, md in sys.modes.items()
         },
         x0=t @ sys.x0,
     )
-    sol = find_isomorphisms(sys, conj)
-    assert sol.kind in ("unique-other", "unique-identity", "affine-family")
-    assert sol.witness is not None
-    s = sol.witness
-    for q in sys.labels:
-        assert s @ sys.modes[q].a == conj.modes[q].a @ s
-        assert s @ sys.modes[q].b == conj.modes[q].b
-        assert conj.modes[q].c @ s == sys.modes[q].c
+
+
+def test_isomorphism_found_under_conjugation(rng):
+    # an embedded SISO model (x0 = 0), then every input/output width with x0 != 0
+    systems = [associated_lss(random_siso_model(rng, nonzero_top=True))]
+    for m, p in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+        sys = random_lss(rng)
+        while (sys.m, sys.p) != (m, p) or sys.x0.is_zero():
+            sys = random_lss(rng)
+        systems.append(sys)
+    # no inputs at all: every B_q is n x 0
+    sys = systems[-1]
+    systems.append(Lss(
+        n=sys.n, m=0, p=sys.p, x0=sys.x0,
+        modes={
+            q: LssMode(a=md.a, b=RatMatrix.zeros(sys.n, 0), c=md.c) for q, md in sys.modes.items()
+        },
+    ))
+    for sys in systems:
+        conj = conjugate(sys, random_invertible(rng, sys.n))
+        sol = find_isomorphisms(sys, conj)
+        assert sol.kind in ("unique-other", "unique-identity", "affine-family")
+        assert sol.witness is not None
+        s = sol.witness
+        assert s.determinant() != 0
+        for q in sys.labels:
+            assert s @ sys.modes[q].a == conj.modes[q].a @ s
+            assert s @ sys.modes[q].b == conj.modes[q].b
+            assert conj.modes[q].c @ s == sys.modes[q].c
+        assert s @ sys.x0 == conj.x0
 
 
 def test_no_isomorphism_between_inequivalent_systems():
