@@ -59,9 +59,7 @@ def _emit(report, fmt):
 
 def cmd_check_min(args):
     model = SarxModel.load(args.model)
-    verdict = check_strong_minimality(
-        model, method=args.method, include_diagonal_pairs=args.diagonal_pairs
-    )
+    verdict = check_strong_minimality(model, method=args.method)
     _emit(verdict.to_json_dict(), args.format)
     return 0 if verdict.strong_minimal else 1
 
@@ -108,7 +106,7 @@ def cmd_param_analyze(args):
     par = PolyParametrization.load(args.param)
     if not par.is_siso():
         raise ParamError("region analysis requires a SISO parametrization")
-    region = procedure1(par, include_diagonal=args.diagonal_pairs)
+    region = procedure1(par)
     _emit(region.to_json_dict(), args.format)
     return 0 if not region.is_empty() else 1
 
@@ -147,7 +145,6 @@ def build_parser():
     p = add_parser("check-min", "decide strong minimality")
     p.add_argument("model")
     p.add_argument("--method", choices=("exact-rank", "theorem2", "both"), default="exact-rank")
-    p.add_argument("--diagonal-pairs", action="store_true")
     p.set_defaults(func=cmd_check_min)
 
     p = add_parser("check-sufficient", "one-sided minimality certificate")
@@ -171,7 +168,6 @@ def build_parser():
 
     p = add_parser("param-analyze", "identifiable sub-parametrization region")
     p.add_argument("param")
-    p.add_argument("--diagonal-pairs", action="store_true")
     p.set_defaults(func=cmd_param_analyze)
 
     p = add_parser("param-generic", "sample a strongly minimal witness")

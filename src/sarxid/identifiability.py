@@ -14,10 +14,11 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from .groebner import buchberger, elimination_ideal
 from .linalg import RatMatrix
-from .minimality import Theorem2Data, _theorem2, check_strong_minimality, ordered_pairs
+from .minimality import Theorem2Data, _theorem2, check_strong_minimality
 from .multipoly import MonomialOrder, MultiPoly
 from .sarx import SarxError, SarxModel
 
@@ -112,6 +113,8 @@ class PolyParametrization:
     def from_json_dict(cls, obj):
         try:
             vars = tuple(str(v) for v in obj["vars"])
+            if not isinstance(obj["modes"], dict):
+                raise TypeError('"modes" must be an object')
             modes = {
                 str(q): tuple(MultiPoly.from_json_terms(vars, t) for t in polys)
                 for q, polys in obj["modes"].items()
@@ -188,7 +191,7 @@ class IdentifiableRegion:
         }
 
 
-def procedure1(par: PolyParametrization, include_diagonal=False) -> IdentifiableRegion:
+def procedure1(par: PolyParametrization) -> IdentifiableRegion:
     """Compute the strongly minimal sub-parametrization region.
 
     Per ordered pair of distinct modes, eliminate z from the reachability
@@ -211,7 +214,7 @@ def procedure1(par: PolyParametrization, include_diagonal=False) -> Identifiable
     s_a = {}
     s_b_raw = {}
     s_b = {}
-    for q, qh in ordered_pairs(sym.labels, include_diagonal):
+    for q, qh in permutations(sym.labels, 2):
         s_a[(q, qh)] = eliminate(sym.chi[q], sym.phi_next[(q, qh)])
         raw = eliminate(sym.chi[q], sym.upsilon[qh])
         s_b_raw[(q, qh)] = raw
@@ -340,14 +343,6 @@ class IdentifiabilityReport:
     region_nonempty: bool
     injectivity: InjectivityEvidence
     missing: tuple
-
-    def to_json_dict(self):
-        return {
-            "identifiable": self.identifiable,
-            "region_nonempty": self.region_nonempty,
-            "injectivity": self.injectivity.to_json_dict(),
-            "missing_hypotheses": list(self.missing),
-        }
 
 
 def identifiability_verdict(

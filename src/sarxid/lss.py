@@ -76,6 +76,8 @@ class Lss:
     @classmethod
     def from_json_dict(cls, obj):
         try:
+            if not isinstance(obj["modes"], dict):
+                raise TypeError('"modes" must be an object')
             modes = {
                 str(q): LssMode(
                     a=RatMatrix.from_strings(md["A"]),
@@ -197,14 +199,6 @@ class LssMinimalityCertificate:
     reachable_dim: int
     unobservable_dim: int
     state_dim: int
-
-    def to_json_dict(self):
-        return {
-            "minimal": self.minimal,
-            "reachable_dim": self.reachable_dim,
-            "unobservable_dim": self.unobservable_dim,
-            "state_dim": self.state_dim,
-        }
 
 
 def is_minimal_lss(sys: Lss) -> LssMinimalityCertificate:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from .lss import associated_lss, is_minimal_lss
 from .rationals import format_rational
@@ -141,18 +142,9 @@ def gamma_polynomials(model: SarxModel, q):
     return gammas
 
 
-def ordered_pairs(labels, include_diagonal=False):
-    return [
-        (a, b)
-        for a in labels
-        for b in labels
-        if include_diagonal or a != b
-    ]
-
-
-def check_condition_a(data: Theorem2Data, include_diagonal=False):
-    """First ordered pair (q0, q1) with chi_q0 coprime to phi_(q0,q1), or None."""
-    for q0, q1 in ordered_pairs(data.labels, include_diagonal):
+def check_condition_a(data: Theorem2Data):
+    """First pair (q0, q1), q0 != q1, with chi_q0 coprime to phi_(q0,q1), or None."""
+    for q0, q1 in permutations(data.labels, 2):
         p = data.phi[(q0, q1)]
         if p.is_zero():
             continue
@@ -173,7 +165,7 @@ def condition_b_scalar(model: SarxModel, q2, q3):
 def check_condition_b(data: Theorem2Data, model: SarxModel):
     """First pair (q2, q3), q2 != q3, passing all three clauses, or None."""
     ny, nu = model.ny, model.nu
-    for q2, q3 in ordered_pairs(data.labels, include_diagonal=False):
+    for q2, q3 in permutations(data.labels, 2):
         if model.coeff(q2, ny + nu) == 0:
             continue
         ups = data.upsilon[q3]
@@ -235,9 +227,7 @@ class MinimalityVerdict:
         return out
 
 
-def check_strong_minimality(
-    model: SarxModel, method="exact-rank", include_diagonal_pairs=False
-) -> MinimalityVerdict:
+def check_strong_minimality(model: SarxModel, method="exact-rank") -> MinimalityVerdict:
     if method not in ("exact-rank", "theorem2", "both"):
         raise ValueError("unknown method %r" % method)
     wa = wb = None
@@ -245,7 +235,7 @@ def check_strong_minimality(
     sufficient = None
     if method in ("theorem2", "both"):
         data = theorem2_polynomials(model)
-        wa = check_condition_a(data, include_diagonal=include_diagonal_pairs)
+        wa = check_condition_a(data)
         wb = check_condition_b(data, model)
         if wb is not None:
             value = condition_b_scalar(model, *wb)

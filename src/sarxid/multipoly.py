@@ -332,9 +332,13 @@ class MultiPoly:
 
     @classmethod
     def from_json_terms(cls, vars, obj):
+        if not isinstance(obj, dict):
+            raise TypeError("a polynomial must be an object with a terms list")
         terms = {}
         for t in obj.get("terms", []):
             exp = tuple(int(e) for e in t["e"])
+            if any(e < 0 for e in exp):
+                raise ValueError("negative exponent in %r" % (t["e"],))
             terms[exp] = terms.get(exp, _ZERO) + parse_rational(t["c"])
         return cls(vars, terms)
 

@@ -88,6 +88,8 @@ class SarxModel:
     @classmethod
     def from_json_dict(cls, obj):
         try:
+            if not isinstance(obj["modes"], dict):
+                raise TypeError('"modes" must be an object')
             modes = {
                 str(q): RatMatrix.from_strings(rows)
                 for q, rows in obj["modes"].items()

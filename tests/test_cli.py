@@ -1,8 +1,12 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from conftest import fixture_path
+from sarxid import MultiPoly, cli
 from sarxid.cli import main
 
 
@@ -29,6 +33,40 @@ def test_malformed_input_exits_two(capsys, tmp_path):
     assert "error" in err
     code, _, err = run_cli(capsys, "check-min", tmp_path / "missing.json")
     assert code == 2
+
+    # well-formed JSON of the wrong shape: "modes" not an object, or a
+    # coefficient polynomial that is a list instead of an object
+    header = {
+        "check-min": {"ny": 2, "nu": 2, "p": 1, "m": 1},
+        "iso": {"n": 1, "m": 1, "p": 1, "x0": ["0"]},
+        "param-analyze": {"vars": ["t"], "ny": 1, "nu": 1, "p": 1, "m": 1},
+    }
+    cases = [(cmd, dict(head, modes=modes))
+             for cmd, head in header.items()
+             for modes in (["1"], "1")]
+    cases.append(("param-analyze", dict(header["param-analyze"], modes={"1": [[], []]})))
+    for cmd, obj in cases:
+        bad.write_text(json.dumps(obj))
+        files = [bad, bad] if cmd == "iso" else [bad]
+        code, _, err = run_cli(capsys, cmd, *files)
+        assert code == 2, (cmd, obj)
+        assert err.startswith("error: ") and "Traceback" not in err, (cmd, obj)
+
+
+def test_negative_exponent_is_refused(capsys, tmp_path):
+    term = {"terms": [{"c": "1", "e": [-1]}]}
+    with pytest.raises(ValueError, match="negative exponent"):
+        MultiPoly.from_json_terms(("t",), term)
+    one = {"terms": [{"c": "1", "e": [0]}]}
+    path = tmp_path / "inverse.json"
+    path.write_text(json.dumps(
+        {"vars": ["t"], "ny": 1, "nu": 1, "p": 1, "m": 1, "modes": {"1": [term, one]}}
+    ))
+    for cmd in ("param-analyze", "param-generic"):
+        code, out, err = run_cli(capsys, cmd, path)
+        assert code == 2, cmd
+        assert out == ""
+        assert err.startswith("error: ") and "negative exponent" in err
 
 
 def test_output_is_deterministic(capsys):
@@ -109,6 +147,51 @@ def test_param_generic_and_injective(capsys):
     )
     assert code == 1
     assert json.loads(out)["kind"] == "collision"
+
+
+def test_param_generic_gives_up_after_samples(capsys):
+    # y_t = theta^2 y_(t-1) + u_(t-1) is never observable in its regressor
+    # embedding (C A = theta^2 C), so every draw fails
+    code, out, _ = run_cli(
+        capsys, "param-generic", fixture_path("theta_squared_param.json"), "--samples", "3"
+    )
+    assert code == 1
+    assert json.loads(out) == {"attempts": 3, "witness": None}
+
+
+def test_param_injective_passes_trials(capsys, monkeypatch):
+    seen = []
+
+    def spy(par, **kwargs):
+        seen.append(kwargs)
+        return real(par, **kwargs)
+
+    real = cli.injectivity_probe
+    monkeypatch.setattr(cli, "injectivity_probe", spy)
+    code, _, _ = run_cli(
+        capsys, "param-injective", fixture_path("theta_squared_param.json"), "--trials", "7"
+    )
+    assert code == 1
+    assert [kwargs["trials"] for kwargs in seen] == [7]
+
+
+def test_every_cli_option_is_exercised():
+    """Each option of each subcommand is named by some test or bench job."""
+    root = Path(__file__).parent
+    corpus = [p.read_text() for p in root.rglob("*.py")]
+    corpus.append((root.parent / "bench" / "workloads.py").read_text())
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    unreached = set()
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            for opt in action.option_strings:
+                pattern = re.compile(re.escape(opt) + r"(?![\w-])")
+                if not any(pattern.search(text) for text in corpus):
+                    unreached.add((name, opt))
+    assert not unreached, sorted(unreached)
 
 
 def test_env_seed_overrides(capsys, monkeypatch):
