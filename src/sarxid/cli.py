@@ -103,10 +103,7 @@ def cmd_iso(args):
 
 
 def cmd_param_analyze(args):
-    par = PolyParametrization.load(args.param)
-    if not par.is_siso():
-        raise ParamError("region analysis requires a SISO parametrization")
-    region = procedure1(par)
+    region = procedure1(PolyParametrization.load(args.param))
     _emit(region.to_json_dict(), args.format)
     return 0 if not region.is_empty() else 1
 

@@ -20,6 +20,7 @@ from .groebner import buchberger, elimination_ideal
 from .linalg import RatMatrix
 from .minimality import Theorem2Data, _theorem2, check_strong_minimality
 from .multipoly import MonomialOrder, MultiPoly
+from .rationals import parse_int
 from .sarx import SarxError, SarxModel
 
 _ZERO = Fraction(0)
@@ -112,7 +113,12 @@ class PolyParametrization:
     @classmethod
     def from_json_dict(cls, obj):
         try:
-            vars = tuple(str(v) for v in obj["vars"])
+            vars = obj["vars"]
+            if not (isinstance(vars, list) and all(isinstance(v, str) for v in vars)):
+                raise TypeError('"vars" must be a list of strings')
+            if len(set(vars)) != len(vars):
+                raise ValueError('"vars" repeats a name: %r' % (vars,))
+            vars = tuple(vars)
             if not isinstance(obj["modes"], dict):
                 raise TypeError('"modes" must be an object')
             modes = {
@@ -121,10 +127,10 @@ class PolyParametrization:
             }
             return cls(
                 vars=vars,
-                ny=int(obj["ny"]),
-                nu=int(obj["nu"]),
-                p=int(obj["p"]),
-                m=int(obj["m"]),
+                ny=parse_int(obj["ny"]),
+                nu=parse_int(obj["nu"]),
+                p=parse_int(obj["p"]),
+                m=parse_int(obj["m"]),
                 modes=modes,
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -1,13 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices of Fractions.  One Gauss-Jordan elimination over Fraction,
-`RatMatrix._gauss_jordan`, is the only elimination: rref, rank, kernel,
-determinant and every linear solve read their answer off it, and each solve
-reduces its matrix once.
+Dense matrices of Fractions.  One elimination over Fraction, `_insert`, adds
+a row to a reduced echelon basis and is the only one: rref, rank, kernel,
+determinant, every linear solve, `Subspace` and `lss.invariant_closure` read
+their answer off it, and each solve reduces its matrix once.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 
 from .rationals import format_rational, parse_rational
@@ -55,6 +56,8 @@ class RatMatrix:
 
     @classmethod
     def from_strings(cls, data):
+        if not (isinstance(data, list) and all(isinstance(r, list) for r in data)):
+            raise ValueError("a matrix must be a list of rows, each a list")
         return cls([[parse_rational(x) for x in row] for row in data])
 
     # -- access -------------------------------------------------------
@@ -191,36 +194,23 @@ class RatMatrix:
     # -- elimination --------------------------------------------------
 
     def _gauss_jordan(self):
-        """Gauss-Jordan elimination, pivoting on the first nonzero entry.
+        """Insert the rows one at a time into a reduced echelon basis.
 
-        Returns (reduced rows, pivot columns, product of the pivots with the
-        sign of the row swaps); that product is the determinant when the
-        matrix is square and of full rank.
+        Returns (reduced rows, pivot columns, product of the leading entries
+        with the sign of the permutation that sorts the pivots); that product
+        is the determinant when the matrix is square and of full rank.
         """
-        m = self.to_lists()
-        rows = self.rows
-        pivots = []
+        basis = []
         product = _ONE
-        r = 0
-        for c in range(self.cols):
-            pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
-            if pivot_row is None:
-                continue
-            if pivot_row != r:
-                m[r], m[pivot_row] = m[pivot_row], m[r]
-                product = -product
-            product *= m[r][c]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == rows:
+        for row in self._data:
+            if len(basis) == self.cols:
                 break
-        return m, pivots, product
+            found = _insert(basis, row)
+            if found is not None:
+                pivot, lead, _ = found
+                product *= -lead if sum(p > pivot for p, _ in basis) % 2 else lead
+        m = [row for _, row in basis] + [[_ZERO] * self.cols] * (self.rows - len(basis))
+        return m, [p for p, _ in basis], product
 
     def rref(self):
         """Reduced row echelon form.
@@ -246,6 +236,33 @@ class RatMatrix:
 
     def __repr__(self):
         return "RatMatrix(%r)" % (self.to_strings(),)
+
+
+def _insert(basis, v):
+    """Add the row v to a reduced echelon basis, in place.
+
+    basis is a list of (pivot, row) pairs sorted by pivot, each row 1 at its
+    own pivot and 0 at every other.  v is reduced by the basis; what is left,
+    divided by its leading entry, clears its pivot column from the other rows
+    and is inserted in pivot order.  Rows are replaced, never mutated, so a
+    copy of the list is an independent basis.  Returns None when v is in the
+    span, else (pivot, leading entry, new row).
+    """
+    for p, row in basis:
+        c = v[p]
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+    pivot = next((i for i, x in enumerate(v) if x), None)
+    if pivot is None:
+        return None
+    lead = v[pivot]
+    v = [x / lead for x in v]
+    for k, (p, row) in enumerate(basis):
+        c = row[pivot]
+        if c:
+            basis[k] = (p, [a - c * b for a, b in zip(row, v)])
+    insort(basis, (pivot, v))
+    return pivot, lead, v
 
 
 def _null_vectors(red, pivots, cols):
@@ -291,51 +308,43 @@ def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 class Subspace:
     """Subspace of Q^n held in canonical rref-row form."""
 
-    __slots__ = ("ambient_dim", "_rows")
+    __slots__ = ("ambient_dim", "_basis")
 
     def __init__(self, ambient_dim, vectors=()):
         """vectors: iterable of n x 1 column matrices (or coordinate tuples)."""
         self.ambient_dim = ambient_dim
-        rows = []
+        basis = []
         for v in vectors:
             if isinstance(v, RatMatrix):
                 if v.shape != (ambient_dim, 1):
                     raise ValueError("vector shape mismatch")
-                rows.append([v[i, 0] for i in range(ambient_dim)])
-            else:
-                if len(v) != ambient_dim:
-                    raise ValueError("vector length mismatch")
-                rows.append([Fraction(x) for x in v])
-        if rows:
-            red, pivots = RatMatrix(rows).rref()
-            self._rows = red._data[: len(pivots)]
-        else:
-            self._rows = ()
+                v = v.col(0)
+            elif len(v) != ambient_dim:
+                raise ValueError("vector length mismatch")
+            _insert(basis, [Fraction(x) for x in v])
+        self._basis = tuple((p, tuple(row)) for p, row in basis)
 
     @property
     def dim(self):
-        return len(self._rows)
+        return len(self._basis)
 
     def basis_rows_matrix(self):
-        if not self._rows:
+        if not self._basis:
             return RatMatrix.zeros(0, self.ambient_dim)
-        return RatMatrix(list(self._rows))
+        return RatMatrix([row for _, row in self._basis])
 
     def contains(self, v: RatMatrix):
-        stacked = RatMatrix.vstack(
-            [self.basis_rows_matrix(), RatMatrix([[v[i, 0] for i in range(self.ambient_dim)]])]
-        )
-        return stacked.rank() == self.dim
+        return _insert(list(self._basis), v.col(0)) is None
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self._rows == other._rows
+            and self._basis == other._basis
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self._rows))
+        return hash((self.ambient_dim, self._basis))
 
     def __repr__(self):
         return "Subspace(dim=%d, ambient=%d)" % (self.dim, self.ambient_dim)

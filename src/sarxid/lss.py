@@ -14,7 +14,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import RatMatrix, Subspace, kron, solve_affine
+from .linalg import RatMatrix, Subspace, _insert, kron, solve_affine
+from .rationals import parse_int
 from .sarx import HybridWord, SarxModel, SarxError
 
 _ZERO = Fraction(0)
@@ -86,10 +87,9 @@ class Lss:
                 )
                 for q, md in obj["modes"].items()
             }
-            x0 = RatMatrix.from_strings([[x] for x in obj["x0"]])
-            return cls(
-                n=int(obj["n"]), m=int(obj["m"]), p=int(obj["p"]), modes=modes, x0=x0
-            )
+            x0 = RatMatrix.from_strings([obj["x0"]]).transpose()
+            n, m, p = (parse_int(obj[k]) for k in ("n", "m", "p"))
+            return cls(n=n, m=m, p=p, modes=modes, x0=x0)
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, LssError):
                 raise
@@ -148,26 +148,17 @@ def invariant_closure(n, seeds, maps) -> Subspace:
     """Smallest subspace of Q^n containing the seeds and invariant under the maps.
 
     seeds are coordinate sequences and maps are n x n RatMatrix.  A worklist
-    keeps an echelon basis of at most n rows; each vector is reduced against
-    it, and only a vector that is new to the span enters the basis and is
-    pushed through the maps.
+    inserts each vector into a reduced echelon basis of at most n rows; only
+    a vector that is new to the span is pushed through the maps.
     """
     rows = [m.to_lists() for m in maps]
-    basis = []  # (pivot, row) with row[pivot] == 1 and zero at earlier pivots
+    basis = []
     work = [[Fraction(x) for x in v] for v in seeds]
     while work and len(basis) < n:
-        v = work.pop()
-        for pivot, row in basis:
-            c = v[pivot]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is None:
-            continue
-        inv = 1 / v[pivot]
-        v = [x * inv for x in v]
-        basis.append((pivot, v))
-        work.extend([sum(a * b for a, b in zip(r, v)) for r in m] for m in rows)
+        found = _insert(basis, work.pop())
+        if found is not None:
+            v = found[2]
+            work.extend([sum(a * b for a, b in zip(r, v)) for r in m] for m in rows)
     return Subspace(n, [row for _, row in basis])
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_int, parse_rational
 from .unipoly import UniPoly
 
 _ZERO = Fraction(0)
@@ -213,15 +213,6 @@ class MultiPoly:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=order.key)
 
-    def leading_coeff(self, order: MonomialOrder):
-        return self.terms[self.leading_monomial(order)]
-
-    def monic(self, order: MonomialOrder):
-        if not self.terms:
-            return self
-        lc = self.leading_coeff(order)
-        return self * (1 / lc)
-
     def sorted_terms(self, order: MonomialOrder):
         return sorted(self.terms.items(), key=lambda kv: order.key(kv[0]), reverse=True)
 
@@ -336,7 +327,7 @@ class MultiPoly:
             raise TypeError("a polynomial must be an object with a terms list")
         terms = {}
         for t in obj.get("terms", []):
-            exp = tuple(int(e) for e in t["e"])
+            exp = tuple(parse_int(e) for e in t["e"])
             if any(e < 0 for e in exp):
                 raise ValueError("negative exponent in %r" % (t["e"],))
             terms[exp] = terms.get(exp, _ZERO) + parse_rational(t["c"])

@@ -32,6 +32,13 @@ def parse_rational(value) -> Fraction:
     raise ValueError("cannot parse rational from %r" % (value,))
 
 
+def parse_int(value) -> int:
+    """Accept an int as it is; refuse a bool, float or str instead of truncating it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("expected an integer, got %r" % (value,))
+    return value
+
+
 def format_rational(x: Fraction) -> str:
     """Canonical text form: integer as "n", otherwise "n/d" with d > 0."""
     if x.denominator == 1:

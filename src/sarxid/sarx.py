@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import RatMatrix
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_int, parse_rational
 
 _ZERO = Fraction(0)
 
@@ -45,10 +45,6 @@ class SarxModel:
                     "mode %r has shape %s, expected %s"
                     % (q, h.shape, (self.p, width))
                 )
-
-    @property
-    def dim(self):
-        return self.p * self.ny + self.nu * self.m
 
     @property
     def labels(self):
@@ -95,10 +91,10 @@ class SarxModel:
                 for q, rows in obj["modes"].items()
             }
             return cls(
-                ny=int(obj["ny"]),
-                nu=int(obj["nu"]),
-                p=int(obj["p"]),
-                m=int(obj["m"]),
+                ny=parse_int(obj["ny"]),
+                nu=parse_int(obj["nu"]),
+                p=parse_int(obj["p"]),
+                m=parse_int(obj["m"]),
                 modes=modes,
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -140,9 +136,12 @@ class HybridWord:
     @classmethod
     def from_json_dict(cls, obj):
         try:
-            return cls(
-                [(s["q"], [parse_rational(x) for x in s["u"]]) for s in obj["steps"]]
-            )
+            steps = []
+            for s in obj["steps"]:
+                if not isinstance(s["u"], list):
+                    raise TypeError('a step\'s "u" must be a list')
+                steps.append((s["q"], [parse_rational(x) for x in s["u"]]))
+            return cls(steps)
         except (KeyError, TypeError, ValueError) as exc:
             raise SarxError("malformed word JSON: %s" % exc) from exc
 

@@ -45,10 +45,41 @@ def test_malformed_input_exits_two(capsys, tmp_path):
              for cmd, head in header.items()
              for modes in (["1"], "1")]
     cases.append(("param-analyze", dict(header["param-analyze"], modes={"1": [[], []]})))
-    for cmd, obj in cases:
+
+    # an integer field that is not an int, or a string where a list belongs:
+    # each valid input below is accepted, then one of its fields is spoiled
+    term = {"terms": [{"c": "1", "e": [1]}]}
+    lss_mode = {"A": [["1"]], "B": [["1"]], "C": [["1"]]}
+    valid = {
+        "check-min": dict(header["check-min"], ny=1, nu=1, modes={"1": [["1", "2"]]}),
+        "iso": dict(header["iso"], modes={"1": lss_mode}),
+        "param-analyze": dict(header["param-analyze"], modes={"1": [term, term]}),
+        "simulate": {"steps": [{"q": "1", "u": ["1"]}]},
+    }
+    spoiled = [
+        ("check-min", "ny", 1.5), ("check-min", "ny", True), ("check-min", "p", "1"),
+        ("check-min", "modes", {"1": ["12"]}),
+        ("iso", "n", 1.0), ("iso", "x0", "0"), ("iso", "modes", {"1": dict(lss_mode, A="1")}),
+        ("param-analyze", "modes", {"1": [{"terms": [{"c": "1", "e": [1.7]}]}, term]}),
+        ("param-analyze", "vars", ["t", "t"]), ("param-analyze", "vars", "t"),
+        ("simulate", "steps", [{"q": "1", "u": "1"}]),
+    ]
+    word = tmp_path / "word.json"
+
+    def files(cmd, obj):
+        if cmd == "simulate":
+            bad.write_text(json.dumps(valid["check-min"]))
+            word.write_text(json.dumps(obj))
+            return [bad, word]
         bad.write_text(json.dumps(obj))
-        files = [bad, bad] if cmd == "iso" else [bad]
-        code, _, err = run_cli(capsys, cmd, *files)
+        return [bad, bad] if cmd == "iso" else [bad]
+
+    for cmd, obj in valid.items():
+        code, _, err = run_cli(capsys, cmd, *files(cmd, obj))
+        assert code != 2, (cmd, err)
+    cases += [(cmd, dict(valid[cmd], **{key: value})) for cmd, key, value in spoiled]
+    for cmd, obj in cases:
+        code, _, err = run_cli(capsys, cmd, *files(cmd, obj))
         assert code == 2, (cmd, obj)
         assert err.startswith("error: ") and "Traceback" not in err, (cmd, obj)
 

@@ -192,3 +192,49 @@ def test_kron_applies_both_sides_to_row_major_vec(abc):
         return RatMatrix.column(sum(m.to_lists(), []))
 
     assert kron(a, b.transpose()) @ vec(x) == vec(a @ x @ b)
+
+
+@st.composite
+def vector_lists(draw, max_n=5):
+    """(n, vectors, a reordering of them, a member of their span, any vector).
+
+    The vectors mix fresh draws with zero vectors, repeats and linear
+    combinations of the vectors drawn before them.
+    """
+    n = draw(st.integers(1, max_n))
+    vector = st.lists(entries, min_size=n, max_size=n)
+
+    def combination(vs):
+        coeffs = draw(st.lists(entries, min_size=len(vs), max_size=len(vs)))
+        return [sum((c * v[j] for c, v in zip(coeffs, vs)), Fraction(0)) for j in range(n)]
+
+    vs = []
+    kinds = st.sampled_from(["fresh", "zero", "repeat", "combination"])
+    for kind in draw(st.lists(kinds, max_size=7)):
+        if kind == "zero":
+            vs.append([Fraction(0)] * n)
+        elif kind == "fresh" or not vs:
+            vs.append(draw(vector))
+        elif kind == "repeat":
+            vs.append(list(draw(st.sampled_from(vs))))
+        else:
+            vs.append(combination(vs))
+    return n, vs, draw(st.permutations(vs)), combination(vs), draw(vector)
+
+
+@properties
+@given(vector_lists())
+def test_subspace_is_the_rref_of_its_vectors_in_any_order(case):
+    n, vs, shuffled, member, probe = case
+    s = Subspace(n, vs)
+
+    def sym(rows):
+        return to_sympy(RatMatrix(rows) if rows else RatMatrix.zeros(0, n))
+
+    ref, pivots = sym(vs).rref()
+    assert s.basis_rows_matrix().to_lists() == [
+        [from_sympy(x) for x in ref.row(i)] for i in range(len(pivots))
+    ]
+    assert Subspace(n, shuffled) == s
+    assert s.contains(RatMatrix.column(member))
+    assert s.contains(RatMatrix.column(probe)) == (sym(vs + [probe]).rank() == s.dim)
