@@ -57,6 +57,6 @@ from .sarx import (
     reduce_trailing_zero,
     simulate_sarx,
 )
-from .unipoly import UniPoly, char_poly, is_coprime, uni_gcd
+from .unipoly import Z_RING, char_poly, eval_matrix, is_coprime, uni_gcd
 
 __version__ = "0.1.0"

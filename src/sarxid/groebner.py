@@ -174,19 +174,18 @@ def buchberger(generators, order: MonomialOrder):
     return [h for h in reduced if h.terms]
 
 
-def elimination_ideal(generators, order: MonomialOrder, drop):
+def elimination_ideal(generators, drop):
     """Groebner basis of the ideal intersected with the subring omitting `drop`.
 
-    The order must rank the dropped variables strictly above the kept ones;
-    results are returned over the kept variables only.
+    The generators share one ring; the basis is taken in the block order
+    ranking the dropped variables above the kept ones, and the result is
+    returned over the kept variables only.
     """
-    drop = sorted(set(drop))
-    if not order.eliminates(drop):
-        raise ValueError("order is not an elimination order for the requested split")
-    keep = [i for i in range(order.nvars) if i not in drop]
+    nvars = len(generators[0].vars)
+    keep = [i for i in range(nvars) if i not in drop]
     return [
         g.restrict(keep)
-        for g in buchberger(generators, order)
+        for g in buchberger(generators, MonomialOrder.elimination(nvars, drop))
         if not any(g.involves(i) for i in drop)
     ]
 

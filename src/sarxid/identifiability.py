@@ -21,7 +21,8 @@ from .linalg import RatMatrix
 from .minimality import Theorem2Data, _theorem2, check_strong_minimality
 from .multipoly import MonomialOrder, MultiPoly
 from .rationals import parse_int
-from .sarx import SarxError, SarxModel
+from .sarx import SarxModel
+from .unipoly import Z_RING
 
 _ZERO = Fraction(0)
 
@@ -152,9 +153,9 @@ def symbolic_theorem2(par: PolyParametrization) -> Theorem2Data:
     """
     if not par.is_siso():
         raise ParamError("symbolic coprimality data requires SISO")
-    if "z" in par.vars:
+    if Z_RING[0] in par.vars:
         raise ParamError('parameter variable named "z" collides with the indeterminate')
-    ring = par.vars + ("z",)
+    ring = par.vars + Z_RING
     h = {
         q: [par.coeff_poly(q, j).embed(ring) for j in range(1, par.ny + par.nu + 1)]
         for q in par.labels
@@ -210,19 +211,15 @@ def procedure1(par: PolyParametrization) -> IdentifiableRegion:
         raise ParamError("region computation needs at least one parameter")
     sym = symbolic_theorem2(par)
     d = len(par.vars)
-    elim_order = MonomialOrder.elimination(d + 1, [d])
     param_order = MonomialOrder.grevlex(d)
-
-    def eliminate(f, g):
-        return elimination_ideal([f, g], elim_order, [d])
 
     ny, nu = par.ny, par.nu
     s_a = {}
     s_b_raw = {}
     s_b = {}
     for q, qh in permutations(sym.labels, 2):
-        s_a[(q, qh)] = eliminate(sym.chi[q], sym.phi_next[(q, qh)])
-        raw = eliminate(sym.chi[q], sym.upsilon[qh])
+        s_a[(q, qh)] = elimination_ideal([sym.chi[q], sym.phi_next[(q, qh)]], [d])
+        raw = elimination_ideal([sym.chi[q], sym.upsilon[qh]], [d])
         s_b_raw[(q, qh)] = raw
         n_q_top = par.coeff_poly(q, ny + nu)
         scale = n_q_top * (
@@ -291,6 +288,11 @@ def _affine_linear_part(par: PolyParametrization):
     return RatMatrix(rows) if rows else None
 
 
+def _draw_theta(rng, dim):
+    """A parameter vector with entries n/d, n in [-10, 10], d in [1, 3]."""
+    return tuple(Fraction(rng.randint(-10, 10), rng.randint(1, 3)) for _ in range(dim))
+
+
 def injectivity_probe(par: PolyParametrization, trials=100, seed=0) -> InjectivityEvidence:
     """Exact proof for affine maps, randomized refutation otherwise.
 
@@ -308,15 +310,9 @@ def injectivity_probe(par: PolyParametrization, trials=100, seed=0) -> Injectivi
         theta2 = tuple(kern[i, 0] for i in range(par.dim))
         return InjectivityEvidence(kind="collision", collision=(theta1, theta2))
     rng = random.Random(seed)
-
-    def sample():
-        return tuple(
-            Fraction(rng.randint(-10, 10), rng.randint(1, 3)) for _ in range(par.dim)
-        )
-
     for _ in range(trials):
-        theta1 = sample()
-        for theta2 in (tuple(-x for x in theta1), sample()):
+        theta1 = _draw_theta(rng, par.dim)
+        for theta2 in (tuple(-x for x in theta1), _draw_theta(rng, par.dim)):
             if theta1 == theta2:
                 continue
             if par.instantiate(theta1) == par.instantiate(theta2):
@@ -334,9 +330,7 @@ def genericity_witness(par: PolyParametrization, samples=20, seed=0):
     """
     rng = random.Random(seed)
     for attempt in range(1, samples + 1):
-        theta = tuple(
-            Fraction(rng.randint(-10, 10), rng.randint(1, 3)) for _ in range(par.dim)
-        )
+        theta = _draw_theta(rng, par.dim)
         model = par.instantiate(theta)
         if check_strong_minimality(model, method="exact-rank").strong_minimal:
             return theta, attempt

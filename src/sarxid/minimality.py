@@ -18,7 +18,8 @@ from itertools import permutations
 from .lss import associated_lss, is_minimal_lss
 from .rationals import format_rational
 from .sarx import SarxModel, SarxError
-from .unipoly import UniPoly, is_coprime
+from .multipoly import MultiPoly
+from .unipoly import Z_RING, is_coprime
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -28,8 +29,8 @@ _ONE = Fraction(1)
 class Theorem2Data:
     """Polynomial data backing the sufficient strong-minimality conditions.
 
-    Polynomials are in z over the ring of the coefficients h_q^j: UniPoly
-    for one model, MultiPoly in the parameters and z for a family.
+    Polynomials are MultiPoly in z over the ring of the coefficients h_q^j:
+    in Z_RING for one model, in the parameters and z for a family.
 
     chi[q]           monic z^ny - sum h_q^j z^(ny-j)
     upsilon[q]       sum_{j<=ny} h_q^j z^(ny-j)
@@ -111,7 +112,9 @@ def theorem2_polynomials(model: SarxModel) -> Theorem2Data:
         q: [model.coeff(q, j) for j in range(1, model.ny + model.nu + 1)]
         for q in model.labels
     }
-    return _theorem2(model.ny, model.nu, h, UniPoly.x(), UniPoly.one())
+    return _theorem2(
+        model.ny, model.nu, h, MultiPoly.variable(Z_RING, 0), MultiPoly.constant(Z_RING, 1)
+    )
 
 
 def arx_is_minimal(model: SarxModel, q) -> bool:
@@ -135,7 +138,7 @@ def gamma_polynomials(model: SarxModel, q):
         raise SarxError("leading input coefficient of mode %r is zero" % (q,))
     gammas = []
     for i in range(1, nu + 1):
-        acc = UniPoly.monomial(nu - i)
+        acc = MultiPoly.variable(Z_RING, 0, nu - i)
         for j in range(1, i):
             acc = acc - model.coeff(q, ny + nu - i + j) * gammas[j - 1]
         gammas.append((1 / top) * acc)

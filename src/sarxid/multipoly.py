@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .rationals import format_rational, parse_int, parse_rational
-from .unipoly import UniPoly
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -67,12 +66,6 @@ class MonomialOrder:
             return _grevlex_key(e)
         return (_grevlex_key(e[: self.block]), _grevlex_key(e[self.block :]))
 
-    def eliminates(self, drop):
-        """True if this order ranks every variable in `drop` above the rest."""
-        if self.kind != "elim":
-            return False
-        return set(self.perm[: self.block]) == set(drop)
-
 
 def _mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
@@ -98,15 +91,15 @@ class MultiPoly:
         clean = {}
         if terms:
             for exp, c in terms.items():
-                c = Fraction(c)
-                if c == 0:
+                if type(c) is not Fraction:
+                    c = Fraction(c)
+                if not c:
                     continue
                 exp = tuple(exp)
                 if len(exp) != len(self.vars):
                     raise ValueError("exponent length mismatch")
-                clean[exp] = clean.get(exp, _ZERO) + c
-                if clean[exp] == 0:
-                    del clean[exp]
+                # distinct keys stay distinct as tuples, so nothing accumulates
+                clean[exp] = c
         self.terms = clean
 
     # -- constructors -------------------------------------------------
@@ -250,23 +243,6 @@ class MultiPoly:
             key = tuple(new_exp)
             out[key] = out.get(key, _ZERO) + coef
         return MultiPoly(self.vars, out)
-
-    def as_unipoly(self, index):
-        """View as a univariate polynomial in variable `index`.
-
-        All other variables must be absent.
-        `test_symbolic_data_specializes_to_numeric` checks the specialization.
-        """
-        coeffs = {}
-        for exp, c in self.terms.items():
-            if any(e > 0 for i, e in enumerate(exp) if i != index):
-                raise ValueError("polynomial involves variables other than %r"
-                                 % self.vars[index])
-            coeffs[exp[index]] = c
-        if not coeffs:
-            return UniPoly.zero()
-        top = max(coeffs)
-        return UniPoly([coeffs.get(k, _ZERO) for k in range(top + 1)])
 
     def restrict(self, keep):
         """Project onto the subring of the variables listed in `keep`.

@@ -7,13 +7,18 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from sarxid import Lss, LssMode, RatMatrix, SarxModel
+from sarxid import Z_RING, Lss, LssMode, MultiPoly, RatMatrix, SarxModel
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 
 def fixture_path(name):
     return FIXTURES / name
+
+
+def zpoly(*ascending_coeffs):
+    """The polynomial sum_k c_k z^k in the one-variable ring of z."""
+    return MultiPoly(Z_RING, {(k,): c for k, c in enumerate(ascending_coeffs)})
 
 
 def rand_fraction(rng, lo=-5, hi=5, max_den=1):

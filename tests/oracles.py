@@ -10,7 +10,7 @@ from itertools import combinations
 
 import sympy
 
-from sarxid import MultiPoly, RatMatrix, Subspace, UniPoly
+from sarxid import Z_RING, MultiPoly, RatMatrix, Subspace
 
 _ZERO = Fraction(0)
 
@@ -37,21 +37,19 @@ def rank_by_minors(m: RatMatrix) -> int:
     return 0
 
 
-def charpoly_by_cofactor(a: RatMatrix) -> UniPoly:
-    """det(zI - A) by Laplace expansion over univariate polynomials."""
+def charpoly_by_cofactor(a: RatMatrix) -> MultiPoly:
+    """det(zI - A) by Laplace expansion over polynomials in z."""
     n = a.rows
+    z = MultiPoly.variable(Z_RING, 0)
     entries = [
-        [
-            UniPoly([-a[i, j], 1]) if i == j else UniPoly.constant(-a[i, j])
-            for j in range(n)
-        ]
+        [z - a[i, j] if i == j else MultiPoly.constant(Z_RING, -a[i, j]) for j in range(n)]
         for i in range(n)
     ]
 
     def det(rows, cols):
         if len(rows) == 1:
             return entries[rows[0]][cols[0]]
-        acc = UniPoly.zero()
+        acc = MultiPoly.zero(Z_RING)
         sign = 1
         for idx, r in enumerate(rows):
             acc = acc + sign * entries[r][cols[0]] * det(
@@ -63,10 +61,11 @@ def charpoly_by_cofactor(a: RatMatrix) -> UniPoly:
     return det(list(range(n)), list(range(n)))
 
 
-def resultant(a: UniPoly, b: UniPoly) -> Fraction:
-    """Sylvester-matrix resultant; nonzero iff the inputs are coprime
-    (for nonzero inputs with at least one positive degree)."""
-    da, db = a.degree, b.degree
+def resultant(a: MultiPoly, b: MultiPoly) -> Fraction:
+    """Sylvester-matrix resultant of two polynomials in one variable; nonzero
+    iff the inputs are coprime (for nonzero inputs with at least one
+    positive degree)."""
+    da, db = a.total_degree(), b.total_degree()
     if da < 0 or db < 0:
         raise ValueError("resultant of zero polynomial")
     n = da + db
@@ -76,12 +75,12 @@ def resultant(a: UniPoly, b: UniPoly) -> Fraction:
     for shift in range(db):
         row = [_ZERO] * n
         for k in range(da + 1):
-            row[shift + k] = a.coefficient(da - k)
+            row[shift + k] = a.terms.get((da - k,), _ZERO)
         rows.append(row)
     for shift in range(da):
         row = [_ZERO] * n
         for k in range(db + 1):
-            row[shift + k] = b.coefficient(db - k)
+            row[shift + k] = b.terms.get((db - k,), _ZERO)
         rows.append(row)
     return RatMatrix(rows).determinant()
 
@@ -109,10 +108,11 @@ def sympy_to_multipoly(expr, vars, symbols) -> MultiPoly:
     return MultiPoly(vars, terms)
 
 
-def unipoly_to_sympy(f: UniPoly, z):
+def unipoly_to_sympy(f: MultiPoly, z):
+    """A polynomial in one variable as a sympy expression in z."""
     return sum(
-        sympy.Rational(c.numerator, c.denominator) * z**k
-        for k, c in enumerate(f.coeffs)
+        (sympy.Rational(c.numerator, c.denominator) * z**k for (k,), c in f.terms.items()),
+        sympy.Integer(0),
     )
 
 

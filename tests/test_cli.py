@@ -1,12 +1,13 @@
 import argparse
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import fixture_path
-from sarxid import MultiPoly, cli
+from sarxid import MultiPoly, cli, groebner
 from sarxid.cli import main
 
 
@@ -131,6 +132,39 @@ def test_simulate_with_lss_comparison(capsys):
     report = json.loads(out)
     assert report["lss_agrees"] is True
     assert report["outputs"][0] == ["0"]
+
+
+# (exit code, argv) of the screening subcommands, which decide from ranks,
+# closures and univariate gcds only
+SCREENING = [
+    (0, ["check-min", "example3.json", "--method", "both"]),
+    (1, ["check-min", "remark1_counterexample.json", "--method", "both"]),
+    (0, ["check-sufficient", "example3.json"]),
+    (0, ["check-sufficient", "remark1_counterexample.json"]),
+    (0, ["simulate", "example3.json", "example3_word.json", "--compare-lss"]),
+    (0, ["param-generic", "engine_family.json"]),
+    (0, ["param-generic", "example2_param.json"]),
+    (0, ["param-generic", "example8_first_family.json"]),
+    (0, ["param-generic", "example8_second_family.json"]),
+    (1, ["param-generic", "theta_squared_param.json"]),
+    (0, ["param-generic", "trivial_param.json"]),
+]
+
+
+@pytest.mark.parametrize("expected, argv", SCREENING, ids=[" ".join(a) for _, a in SCREENING])
+def test_screening_never_enters_the_groebner_kernel(capsys, monkeypatch, expected, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("screening entered the Groebner kernel")
+
+    sarxid_modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "sarxid"]
+    for name in ("buchberger", "normal_form"):
+        original = getattr(groebner, name)
+        for module in sarxid_modules:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, refuse)
+    args = [fixture_path(a) if a.endswith(".json") else a for a in argv]
+    code, _, _ = run_cli(capsys, *args)
+    assert code == expected
 
 
 def test_to_lss_and_iso_roundtrip(capsys, tmp_path):

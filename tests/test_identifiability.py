@@ -75,7 +75,7 @@ def test_symbolic_data_specializes_to_numeric(rng, name):
     z = par.dim
 
     def specialize(poly, theta):
-        return poly.substitute(dict(enumerate(theta))).as_unipoly(z)
+        return poly.substitute(dict(enumerate(theta))).restrict([z])
 
     for _ in range(10):
         theta = [rand_fraction(rng) for _ in range(par.dim)]
