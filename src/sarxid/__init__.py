@@ -11,7 +11,6 @@ from .identifiability import (
     IdentifiabilityReport,
     IdentifiableRegion,
     InjectivityEvidence,
-    ParamError,
     PolyParametrization,
     genericity_witness,
     identifiability_verdict,
@@ -24,7 +23,6 @@ from .linalg import RatMatrix, Subspace, solve_affine
 from .lss import (
     IsoSolution,
     Lss,
-    LssError,
     LssMinimalityCertificate,
     LssMode,
     associated_lss,
@@ -48,10 +46,9 @@ from .minimality import (
     theorem2_polynomials,
 )
 from .multipoly import MonomialOrder, MultiPoly
-from .rationals import format_rational, parse_rational
+from .rationals import InputError, format_rational, parse_rational
 from .sarx import (
     HybridWord,
-    SarxError,
     SarxModel,
     equivalent_on_samples,
     reduce_trailing_zero,

@@ -1,10 +1,11 @@
 """Command-line front end for the switched ARX analyses.
 
-Every subcommand reads JSON files, runs one analysis, and prints a report
-as JSON (the contract format) or as an indented text rendering of the same
-data.  Exit codes encode the verdict: 0 affirmative, 1 negative or
-inconclusive, 2 malformed input.  All randomness flows from --seed, which
-the SARX_SEED environment variable overrides.
+Every subcommand reads JSON files, runs one analysis, and returns a report
+and whether its verdict is affirmative.  `main` alone prints the report, as
+JSON (the contract format) or as an indented text rendering of the same
+data, and turns the verdict into the exit code: 0 affirmative, 1 negative
+or inconclusive, 2 for an `InputError`.  All randomness flows from --seed,
+which the SARX_SEED environment variable overrides.
 """
 
 from __future__ import annotations
@@ -15,18 +16,15 @@ import os
 import sys
 
 from .identifiability import (
-    ParamError,
     PolyParametrization,
     genericity_witness,
     injectivity_probe,
     procedure1,
 )
-from .lss import Lss, LssError, associated_lss, find_isomorphisms, simulate_lss
+from .lss import Lss, associated_lss, find_isomorphisms, simulate_lss
 from .minimality import check_strong_minimality, sarx_minimality_sufficient
-from .rationals import format_rational
-from .sarx import HybridWord, SarxError, SarxModel, simulate_sarx
-
-_INPUT_ERRORS = (SarxError, LssError, ParamError, OSError, json.JSONDecodeError)
+from .rationals import InputError, format_rational
+from .sarx import HybridWord, SarxModel, simulate_sarx
 
 
 def _render_text(value, indent=0, out=None):
@@ -50,80 +48,51 @@ def _render_text(value, indent=0, out=None):
     return out
 
 
-def _emit(report, fmt):
-    if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print("\n".join(_render_text(report, out=[])))
-
-
 def cmd_check_min(args):
-    model = SarxModel.load(args.model)
-    verdict = check_strong_minimality(model, method=args.method)
-    _emit(verdict.to_json_dict(), args.format)
-    return 0 if verdict.strong_minimal else 1
+    verdict = check_strong_minimality(SarxModel.load(args.model), method=args.method)
+    return verdict.to_json_dict(), verdict.strong_minimal
 
 
 def cmd_check_sufficient(args):
-    model = SarxModel.load(args.model)
-    status, reason = sarx_minimality_sufficient(model)
-    _emit({"status": status, "reason": reason}, args.format)
-    return 0 if status == "minimal-certified" else 1
+    status, reason = sarx_minimality_sufficient(SarxModel.load(args.model))
+    return {"status": status, "reason": reason}, status == "minimal-certified"
 
 
 def cmd_simulate(args):
     model = SarxModel.load(args.model)
     word = HybridWord.load(args.word)
     trace = simulate_sarx(model, word)
-    report = {
-        "outputs": [[format_rational(y) for y in step] for step in trace]
-    }
+    report = {"outputs": [[format_rational(y) for y in step] for step in trace]}
     if args.compare_lss:
-        lss_trace = simulate_lss(associated_lss(model), word)
-        report["lss_agrees"] = lss_trace == trace
-        if not report["lss_agrees"]:
-            _emit(report, args.format)
-            return 1
-    _emit(report, args.format)
-    return 0
+        report["lss_agrees"] = simulate_lss(associated_lss(model), word) == trace
+    return report, report.get("lss_agrees", True)
 
 
 def cmd_to_lss(args):
-    model = SarxModel.load(args.model)
-    _emit(associated_lss(model).to_json_dict(), args.format)
-    return 0
+    return associated_lss(SarxModel.load(args.model)).to_json_dict(), True
 
 
 def cmd_iso(args):
-    a = Lss.load(args.a)
-    b = Lss.load(args.b)
-    solution = find_isomorphisms(a, b, seed=args.seed)
-    _emit(solution.to_json_dict(), args.format)
-    return 0 if solution.kind != "none" else 1
+    solution = find_isomorphisms(Lss.load(args.a), Lss.load(args.b), seed=args.seed)
+    return solution.to_json_dict(), solution.kind != "none"
 
 
 def cmd_param_analyze(args):
     region = procedure1(PolyParametrization.load(args.param))
-    _emit(region.to_json_dict(), args.format)
-    return 0 if not region.is_empty() else 1
+    return region.to_json_dict(), not region.is_empty()
 
 
 def cmd_param_generic(args):
     par = PolyParametrization.load(args.param)
     theta, attempts = genericity_witness(par, samples=args.samples, seed=args.seed)
-    report = {
-        "witness": [format_rational(x) for x in theta] if theta else None,
-        "attempts": attempts,
-    }
-    _emit(report, args.format)
-    return 0 if theta is not None else 1
+    witness = [format_rational(x) for x in theta] if theta else None
+    return {"witness": witness, "attempts": attempts}, theta is not None
 
 
 def cmd_param_injective(args):
     par = PolyParametrization.load(args.param)
     evidence = injectivity_probe(par, trials=args.trials, seed=args.seed)
-    _emit(evidence.to_json_dict(), args.format)
-    return 0 if evidence.kind == "injective-affine" else 1
+    return evidence.to_json_dict(), evidence.kind == "injective-affine"
 
 
 def build_parser():
@@ -190,10 +159,15 @@ def main(argv=None):
             print("invalid SARX_SEED %r" % env_seed, file=sys.stderr)
             return 2
     try:
-        return args.func(args)
-    except _INPUT_ERRORS as exc:
+        report, positive = args.func(args)
+    except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    if args.format == "json":
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        print("\n".join(_render_text(report, out=[])))
+    return 0 if positive else 1
 
 
 if __name__ == "__main__":

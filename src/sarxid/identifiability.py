@@ -10,7 +10,6 @@ gather injectivity and genericity evidence.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,15 +19,11 @@ from .groebner import buchberger, elimination_ideal
 from .linalg import RatMatrix
 from .minimality import Theorem2Data, _theorem2, check_strong_minimality
 from .multipoly import MonomialOrder, MultiPoly
-from .rationals import parse_int
+from .rationals import InputError, load_json, malformed, parse_int
 from .sarx import SarxModel
 from .unipoly import Z_RING
 
 _ZERO = Fraction(0)
-
-
-class ParamError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -48,19 +43,19 @@ class PolyParametrization:
 
     def __post_init__(self):
         if not (0 < self.nu <= self.ny):
-            raise ParamError("need 0 < n_u <= n_y")
+            raise InputError("need 0 < n_u <= n_y")
         if not self.modes:
-            raise ParamError("mode set must be nonempty")
+            raise InputError("mode set must be nonempty")
         width = self.p * (self.ny * self.p + self.nu * self.m)
         for q, polys in self.modes.items():
             if len(polys) != width:
-                raise ParamError(
+                raise InputError(
                     "mode %r has %d coefficient polynomials, expected %d"
                     % (q, len(polys), width)
                 )
             for f in polys:
                 if f.vars != self.vars:
-                    raise ParamError("coefficient polynomial in a different ring")
+                    raise InputError("coefficient polynomial in a different ring")
 
     @property
     def dim(self):
@@ -76,15 +71,13 @@ class PolyParametrization:
     def coeff_poly(self, q, i):
         """SISO coefficient polynomial for h_q^i, 1-based."""
         if not self.is_siso():
-            raise ParamError("scalar coefficient access requires SISO")
+            raise InputError("scalar coefficient access requires SISO")
         return self.modes[q][i - 1]
 
     def instantiate(self, theta) -> SarxModel:
         theta = [Fraction(x) for x in theta]
         if len(theta) != self.dim:
-            raise ParamError(
-                "parameter length %d != %d" % (len(theta), self.dim)
-            )
+            raise InputError("parameter length %d != %d" % (len(theta), self.dim))
         cols = self.ny * self.p + self.nu * self.m
         modes = {}
         for q in self.labels:
@@ -113,7 +106,7 @@ class PolyParametrization:
 
     @classmethod
     def from_json_dict(cls, obj):
-        try:
+        with malformed("parametrization"):
             vars = obj["vars"]
             if not (isinstance(vars, list) and all(isinstance(v, str) for v in vars)):
                 raise TypeError('"vars" must be a list of strings')
@@ -134,15 +127,10 @@ class PolyParametrization:
                 m=parse_int(obj["m"]),
                 modes=modes,
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ParamError):
-                raise
-            raise ParamError("malformed parametrization JSON: %s" % exc) from exc
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(load_json(path))
 
 
 def symbolic_theorem2(par: PolyParametrization) -> Theorem2Data:
@@ -152,9 +140,9 @@ def symbolic_theorem2(par: PolyParametrization) -> Theorem2Data:
     the instantiated model, because both come from the same recursion.
     """
     if not par.is_siso():
-        raise ParamError("symbolic coprimality data requires SISO")
+        raise InputError("symbolic coprimality data requires SISO")
     if Z_RING[0] in par.vars:
-        raise ParamError('parameter variable named "z" collides with the indeterminate')
+        raise InputError('parameter variable named "z" collides with the indeterminate')
     ring = par.vars + Z_RING
     h = {
         q: [par.coeff_poly(q, j).embed(ring) for j in range(1, par.ny + par.nu + 1)]
@@ -208,7 +196,7 @@ def procedure1(par: PolyParametrization) -> IdentifiableRegion:
     the two combined ideals.
     """
     if not par.vars:
-        raise ParamError("region computation needs at least one parameter")
+        raise InputError("region computation needs at least one parameter")
     sym = symbolic_theorem2(par)
     d = len(par.vars)
     param_order = MonomialOrder.grevlex(d)
@@ -248,21 +236,16 @@ def procedure1(par: PolyParametrization) -> IdentifiableRegion:
 def verify_region_membership(region: IdentifiableRegion, theta) -> bool:
     theta = [Fraction(x) for x in theta]
     if len(theta) != len(region.vars):
-        raise ParamError(
-            "parameter length %d != %d" % (len(theta), len(region.vars))
-        )
+        raise InputError("parameter length %d != %d" % (len(theta), len(region.vars)))
     return any(f.eval(theta) != 0 for f in region.s)
 
 
 @dataclass(frozen=True)
 class InjectivityEvidence:
-    """kind: "injective-affine", "collision", "no-collision-found", "assumed"."""
+    """kind: "injective-affine", "collision" or "no-collision-found"."""
 
     kind: str
     collision: tuple | None = None  # (theta1, theta2) when kind == "collision"
-
-    def is_affirmative(self):
-        return self.kind in ("injective-affine", "assumed")
 
     def to_json_dict(self):
         out = {"kind": self.kind}
@@ -357,14 +340,14 @@ def identifiability_verdict(
     `test_identifiability_verdict_positive` checks this on the first family.
     """
     if not par.is_siso():
-        raise ParamError("identifiability verdicts require SISO")
+        raise InputError("identifiability verdicts require SISO")
     missing = []
     nonempty = not region.is_empty()
     if not nonempty:
         missing.append("region of strongly minimal instances is empty")
     if injectivity.kind == "collision":
         missing.append("parametrization is not injective")
-    elif not injectivity.is_affirmative():
+    elif injectivity.kind != "injective-affine":
         missing.append("injectivity is unproven")
     return IdentifiabilityReport(
         identifiable=not missing,

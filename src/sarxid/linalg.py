@@ -23,7 +23,7 @@ class RatMatrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, data):
-        data = [tuple(Fraction(x) for x in row) for row in data]
+        data = [tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in data]
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):

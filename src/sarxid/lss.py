@@ -9,21 +9,16 @@ ARX model exactly.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import RatMatrix, Subspace, _insert, kron, solve_affine
-from .rationals import parse_int
-from .sarx import HybridWord, SarxModel, SarxError
+from .rationals import InputError, load_json, malformed, parse_int
+from .sarx import HybridWord, SarxModel
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-class LssError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -43,16 +38,16 @@ class Lss:
 
     def __post_init__(self):
         if not self.modes:
-            raise LssError("mode set must be nonempty")
+            raise InputError("mode set must be nonempty")
         if self.x0.shape != (self.n, 1):
-            raise LssError("x0 must be an n x 1 column")
+            raise InputError("x0 must be an n x 1 column")
         for q, md in self.modes.items():
             if md.a.shape != (self.n, self.n):
-                raise LssError("mode %r: A must be %d x %d" % (q, self.n, self.n))
+                raise InputError("mode %r: A must be %d x %d" % (q, self.n, self.n))
             if md.b.shape != (self.n, self.m):
-                raise LssError("mode %r: B must be %d x %d" % (q, self.n, self.m))
+                raise InputError("mode %r: B must be %d x %d" % (q, self.n, self.m))
             if md.c.shape != (self.p, self.n):
-                raise LssError("mode %r: C must be %d x %d" % (q, self.p, self.n))
+                raise InputError("mode %r: C must be %d x %d" % (q, self.p, self.n))
 
     @property
     def labels(self):
@@ -76,7 +71,7 @@ class Lss:
 
     @classmethod
     def from_json_dict(cls, obj):
-        try:
+        with malformed("LSS"):
             if not isinstance(obj["modes"], dict):
                 raise TypeError('"modes" must be an object')
             modes = {
@@ -90,15 +85,10 @@ class Lss:
             x0 = RatMatrix.from_strings([obj["x0"]]).transpose()
             n, m, p = (parse_int(obj[k]) for k in ("n", "m", "p"))
             return cls(n=n, m=m, p=p, modes=modes, x0=x0)
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, LssError):
-                raise
-            raise LssError("malformed LSS JSON: %s" % exc) from exc
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(load_json(path))
 
 
 def associated_lss(model: SarxModel) -> Lss:
@@ -134,9 +124,9 @@ def simulate_lss(sys: Lss, word: HybridWord):
     outputs = []
     for q, u in word:
         if q not in sys.modes:
-            raise LssError("unknown mode label %r" % q)
+            raise InputError("unknown mode label %r" % q)
         if len(u) != sys.m:
-            raise LssError("input dimension %d != m=%d" % (len(u), sys.m))
+            raise InputError("input dimension %d != m=%d" % (len(u), sys.m))
         md = sys.modes[q]
         y = md.c @ x
         outputs.append(tuple(y[i, 0] for i in range(sys.p)))
@@ -230,7 +220,7 @@ def find_isomorphisms(a: Lss, b: Lss, seed=0) -> IsoSolution:
     generic point and certifying invertibility with an exact determinant.
     """
     if (a.n, a.m, a.p) != (b.n, b.m, b.p) or a.labels != b.labels:
-        raise LssError("systems must share dimensions and mode labels")
+        raise InputError("systems must share dimensions and mode labels")
     n = a.n
     eye = RatMatrix.identity(n)
 

@@ -16,8 +16,8 @@ from fractions import Fraction
 from itertools import permutations
 
 from .lss import associated_lss, is_minimal_lss
-from .rationals import format_rational
-from .sarx import SarxModel, SarxError
+from .rationals import InputError, format_rational
+from .sarx import SarxModel
 from .multipoly import MultiPoly
 from .unipoly import Z_RING, is_coprime
 
@@ -107,7 +107,7 @@ def _theorem2(ny, nu, h, z, one) -> Theorem2Data:
 
 def theorem2_polynomials(model: SarxModel) -> Theorem2Data:
     if not model.is_siso():
-        raise SarxError("coprimality conditions are defined for SISO models")
+        raise InputError("coprimality conditions are defined for SISO models")
     h = {
         q: [model.coeff(q, j) for j in range(1, model.ny + model.nu + 1)]
         for q in model.labels
@@ -135,7 +135,7 @@ def gamma_polynomials(model: SarxModel, q):
     ny, nu = model.ny, model.nu
     top = model.coeff(q, ny + nu)
     if top == 0:
-        raise SarxError("leading input coefficient of mode %r is zero" % (q,))
+        raise InputError("leading input coefficient of mode %r is zero" % (q,))
     gammas = []
     for i in range(1, nu + 1):
         acc = MultiPoly.variable(Z_RING, 0, nu - i)
@@ -161,7 +161,7 @@ def condition_b_scalar(model: SarxModel, q2, q3):
     ny, nu = model.ny, model.nu
     top2 = model.coeff(q2, ny + nu)
     if top2 == 0:
-        raise SarxError("leading input coefficient of mode %r is zero" % (q2,))
+        raise InputError("leading input coefficient of mode %r is zero" % (q2,))
     return model.coeff(q3, ny) - model.coeff(q3, ny + nu) * model.coeff(q2, ny) / top2
 
 
@@ -276,7 +276,7 @@ def sarx_minimality_sufficient(model: SarxModel):
     Plain minimality has no complete decision procedure here.
     """
     if not model.is_siso():
-        raise SarxError("minimality certificates are defined for SISO models")
+        raise InputError("minimality certificates are defined for SISO models")
     data = theorem2_polynomials(model)
     for q in model.labels:
         if is_coprime(data.numerator[q], data.chi[q]):

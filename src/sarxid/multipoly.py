@@ -272,13 +272,12 @@ class MultiPoly:
 
     # -- serialization ------------------------------------------------
 
-    def to_str(self, order: MonomialOrder | None = None):
+    def to_str(self):
+        """Terms in grevlex order, largest first."""
         if not self.terms:
             return "0"
-        if order is None:
-            order = MonomialOrder.grevlex(len(self.vars))
         parts = []
-        for exp, c in self.sorted_terms(order):
+        for exp, c in self.sorted_terms(MonomialOrder.grevlex(len(self.vars))):
             factors = [format_rational(c)]
             for name, e in zip(self.vars, exp):
                 if e == 1:

@@ -1,18 +1,48 @@
-"""Exact rational scalars.
+"""Exact rational scalars, and where the program meets its input files.
 
 All numeric data in this package is held as `fractions.Fraction`.  Decimal
 literals from input files ("0.001") are converted exactly, never through
 binary floating point.
+
+Input the program refuses, from an unreadable file to a model of the wrong
+shape, raises `InputError`; the CLI turns it into exit code 2.
 """
 
+import json
+from contextlib import contextmanager
 from fractions import Fraction
+
+
+class InputError(ValueError):
+    """Input that cannot be read, is malformed, or is outside an analysis' scope."""
+
+
+def load_json(path):
+    """The JSON value in the UTF-8 file at `path`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError("cannot read %s: %s" % (path, exc)) from exc
+
+
+@contextmanager
+def malformed(what):
+    """Run a JSON reader: a KeyError, TypeError or ValueError in it is an InputError."""
+    try:
+        yield
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError("malformed %s JSON: %s" % (what, exc)) from exc
 
 
 def parse_rational(value) -> Fraction:
     """Parse "8", "-3/2", "0.001" or a plain int into an exact Fraction.
 
     Floats are rejected: a float literal has already lost exactness and
-    silently accepting it would corrupt rank/coprimality verdicts.
+    silently accepting it would corrupt rank/coprimality verdicts.  So is
+    exponent notation, since "1e999999999" would expand to a billion digits.
     """
     if isinstance(value, Fraction):
         return value
@@ -25,6 +55,8 @@ def parse_rational(value) -> Fraction:
             "float %r not accepted; pass a string like '0.001' for exact parsing" % value
         )
     if isinstance(value, str):
+        if "e" in value.lower():
+            raise ValueError("exponent notation not accepted: %r" % value)
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

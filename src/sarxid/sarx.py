@@ -8,19 +8,21 @@ zero.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import RatMatrix
-from .rationals import format_rational, parse_int, parse_rational
+from .rationals import (
+    InputError,
+    format_rational,
+    load_json,
+    malformed,
+    parse_int,
+    parse_rational,
+)
 
 _ZERO = Fraction(0)
-
-
-class SarxError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -33,15 +35,15 @@ class SarxModel:
 
     def __post_init__(self):
         if not (0 < self.nu <= self.ny):
-            raise SarxError("need 0 < n_u <= n_y, got (%d, %d)" % (self.ny, self.nu))
+            raise InputError("need 0 < n_u <= n_y, got (%d, %d)" % (self.ny, self.nu))
         if self.p < 1 or self.m < 1:
-            raise SarxError("need positive input/output dimensions")
+            raise InputError("need positive input/output dimensions")
         if not self.modes:
-            raise SarxError("mode set must be nonempty")
+            raise InputError("mode set must be nonempty")
         width = self.ny * self.p + self.nu * self.m
         for q, h in self.modes.items():
             if h.shape != (self.p, width):
-                raise SarxError(
+                raise InputError(
                     "mode %r has shape %s, expected %s"
                     % (q, h.shape, (self.p, width))
                 )
@@ -56,7 +58,7 @@ class SarxModel:
     def coeff(self, q, i):
         """SISO scalar coefficient h_q^i, 1-based as in the recursions."""
         if not self.is_siso():
-            raise SarxError("scalar coefficient access requires a SISO model")
+            raise InputError("scalar coefficient access requires a SISO model")
         return self.modes[q][0, i - 1]
 
     def block(self, q, i):
@@ -83,7 +85,7 @@ class SarxModel:
 
     @classmethod
     def from_json_dict(cls, obj):
-        try:
+        with malformed("SARX"):
             if not isinstance(obj["modes"], dict):
                 raise TypeError('"modes" must be an object')
             modes = {
@@ -97,15 +99,10 @@ class SarxModel:
                 m=parse_int(obj["m"]),
                 modes=modes,
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, SarxError):
-                raise
-            raise SarxError("malformed SARX JSON: %s" % exc) from exc
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(load_json(path))
 
 
 class HybridWord:
@@ -118,7 +115,7 @@ class HybridWord:
             (str(q), tuple(Fraction(x) for x in u)) for q, u in steps
         ]
         if not self.steps:
-            raise SarxError("hybrid word must be nonempty")
+            raise InputError("hybrid word must be nonempty")
 
     def __len__(self):
         return len(self.steps)
@@ -135,20 +132,17 @@ class HybridWord:
 
     @classmethod
     def from_json_dict(cls, obj):
-        try:
+        with malformed("word"):
             steps = []
             for s in obj["steps"]:
                 if not isinstance(s["u"], list):
                     raise TypeError('a step\'s "u" must be a list')
                 steps.append((s["q"], [parse_rational(x) for x in s["u"]]))
             return cls(steps)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SarxError("malformed word JSON: %s" % exc) from exc
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(load_json(path))
 
 
 def regressor(model: SarxModel, outputs, inputs, t):
@@ -171,9 +165,9 @@ def simulate_sarx(model: SarxModel, word: HybridWord):
     inputs = []
     for q, u in word:
         if q not in model.modes:
-            raise SarxError("unknown mode label %r" % q)
+            raise InputError("unknown mode label %r" % q)
         if len(u) != model.m:
-            raise SarxError("input dimension %d != m=%d" % (len(u), model.m))
+            raise InputError("input dimension %d != m=%d" % (len(u), model.m))
         phi = regressor(model, outputs, inputs, len(outputs))
         y = model.modes[q] @ phi
         outputs.append(tuple(y[i, 0] for i in range(model.p)))
@@ -187,12 +181,12 @@ def reduce_trailing_zero(model: SarxModel) -> SarxModel:
     `test_reduce_trailing_zero_preserves_traces` checks that traces are kept.
     """
     if not model.is_siso():
-        raise SarxError("trailing-zero reduction implemented for SISO models")
+        raise InputError("trailing-zero reduction implemented for SISO models")
     if model.nu < 2:
-        raise SarxError("n_u must be at least 2 to reduce")
+        raise InputError("n_u must be at least 2 to reduce")
     last = model.ny + model.nu
     if any(model.coeff(q, last) != 0 for q in model.labels):
-        raise SarxError("last coefficient is not zero in every mode")
+        raise InputError("last coefficient is not zero in every mode")
     modes = {
         q: RatMatrix([[model.modes[q][0, j] for j in range(last - 1)]])
         for q in model.modes
@@ -216,10 +210,10 @@ def equivalent_on_samples(a: SarxModel, b: SarxModel, trials=20, horizon=None, s
     separated the two models.  `test_equivalent_on_samples_separates` checks both.
     """
     if a.p != b.p or a.m != b.m:
-        raise SarxError("models have different input/output dimensions")
+        raise InputError("models have different input/output dimensions")
     labels = sorted(set(a.labels) | set(b.labels))
     if any(q not in a.modes or q not in b.modes for q in labels):
-        raise SarxError("mode sets differ")
+        raise InputError("mode sets differ")
     if horizon is None:
         horizon = 2 * (max(a.ny, b.ny) + max(a.nu, b.nu)) + 2
     rng = random.Random(seed)

@@ -64,6 +64,11 @@ def test_malformed_input_exits_two(capsys, tmp_path):
         ("param-analyze", "modes", {"1": [{"terms": [{"c": "1", "e": [1.7]}]}, term]}),
         ("param-analyze", "vars", ["t", "t"]), ("param-analyze", "vars", "t"),
         ("simulate", "steps", [{"q": "1", "u": "1"}]),
+        # exponent notation: "1e999999999" would expand to a billion digits
+        ("check-min", "modes", {"1": [["1e3", "2"]]}),
+        ("iso", "modes", {"1": dict(lss_mode, A=[["1e3"]])}),
+        ("param-analyze", "modes", {"1": [{"terms": [{"c": "1e3", "e": [1]}]}, term]}),
+        ("simulate", "steps", [{"q": "1", "u": ["1e3"]}]),
     ]
     word = tmp_path / "word.json"
 
@@ -83,6 +88,15 @@ def test_malformed_input_exits_two(capsys, tmp_path):
         code, _, err = run_cli(capsys, cmd, *files(cmd, obj))
         assert code == 2, (cmd, obj)
         assert err.startswith("error: ") and "Traceback" not in err, (cmd, obj)
+
+    # files that do not decode: not UTF-8, or nested past the recursion limit
+    for raw in (b'\xff\xfe{"ny": 1}', b"[" * 100_000 + b"]" * 100_000):
+        for cmd in valid:
+            paths = files(cmd, {})
+            paths[-1].write_bytes(raw)
+            code, _, err = run_cli(capsys, cmd, *paths)
+            assert code == 2, (cmd, raw[:4])
+            assert err.startswith("error: ") and "Traceback" not in err, (cmd, raw[:4])
 
 
 def test_negative_exponent_is_refused(capsys, tmp_path):
@@ -165,6 +179,48 @@ def test_screening_never_enters_the_groebner_kernel(capsys, monkeypatch, expecte
     args = [fixture_path(a) if a.endswith(".json") else a for a in argv]
     code, _, _ = run_cli(capsys, *args)
     assert code == expected
+
+
+def one_state_lss(c):
+    mode = {"A": [["1"]], "B": [["1"]], "C": [[c]]}
+    return {"n": 1, "m": 1, "p": 1, "modes": {"1": mode}, "x0": ["0"]}
+
+
+# (exit code, argv, files written to tmp_path) for the verdicts the tests
+# above do not pin; together they give every subcommand a pinned exit code
+EXIT_CODES = [
+    (1, ["check-sufficient", "ns.json"],
+     {"ns.json": {"ny": 1, "nu": 1, "p": 1, "m": 1, "modes": {"1": [["1", "0"]]}}}),
+    (0, ["to-lss", "example3.json"], {}),
+    (0, ["iso", "a.json", "a.json"], {"a.json": one_state_lss("1")}),
+    (1, ["iso", "a.json", "b.json"],
+     {"a.json": one_state_lss("1"), "b.json": one_state_lss("2")}),
+    (1, ["param-analyze", "theta_squared_param.json"], {}),
+    (0, ["param-injective", "example8_first_family.json"], {}),
+    (1, ["param-injective", "example2_param.json"], {}),
+]
+
+
+@pytest.mark.parametrize(
+    "expected, argv, written", EXIT_CODES, ids=[" ".join(a) for _, a, _ in EXIT_CODES]
+)
+def test_exit_code_pinned(capsys, tmp_path, expected, argv, written):
+    for name, obj in written.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    args = [tmp_path / a if a in written else fixture_path(a) for a in argv[1:]]
+    code, out, _ = run_cli(capsys, argv[0], *args)
+    assert code == expected
+    assert json.loads(out)
+
+
+def test_simulate_exits_one_when_the_lss_trace_differs(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "simulate_lss", lambda sys, word: [])
+    code, out, _ = run_cli(
+        capsys, "simulate", fixture_path("example3.json"),
+        fixture_path("example3_word.json"), "--compare-lss",
+    )
+    assert code == 1
+    assert json.loads(out)["lss_agrees"] is False
 
 
 def test_to_lss_and_iso_roundtrip(capsys, tmp_path):

@@ -1,4 +1,3 @@
-import random
 from datetime import timedelta
 from fractions import Fraction
 
@@ -6,7 +5,6 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_fraction
 from oracles import groebner_sympy, multipoly_to_sympy
 from sarxid import (
     MonomialOrder,

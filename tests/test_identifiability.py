@@ -1,5 +1,4 @@
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -8,9 +7,9 @@ import sympy
 from conftest import fixture_path, rand_fraction
 from oracles import groebner_sympy, multipoly_to_sympy
 from sarxid import (
+    InputError,
     MonomialOrder,
     MultiPoly,
-    ParamError,
     PolyParametrization,
     check_strong_minimality,
     genericity_witness,
@@ -134,7 +133,7 @@ def test_procedure_rejects_parameterless_family():
         vars=(), ny=1, nu=1, p=1, m=1,
         modes={"1": (MultiPoly.constant((), 1), MultiPoly.constant((), 1))},
     )
-    with pytest.raises(ParamError):
+    with pytest.raises(InputError):
         procedure1(par)
 
 

@@ -1,4 +1,3 @@
-import random
 from datetime import timedelta
 from fractions import Fraction
 
@@ -14,6 +13,14 @@ from sarxid.linalg import kron
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):
     return RatMatrix([[rand_fraction(rng, lo, hi) for _ in range(cols)] for _ in range(rows)])
+
+
+def test_entries_are_exact_fractions():
+    third = Fraction(1, 3)
+    m = RatMatrix([[2, "-3/2", "0.25", third]])
+    assert m.row(0) == (2, Fraction(-3, 2), Fraction(1, 4), third)
+    assert all(type(x) is Fraction for x in m.row(0))
+    assert m[0, 3] is third
 
 
 def test_rank_matches_minor_enumeration(rng):

@@ -1,5 +1,4 @@
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +6,8 @@ import pytest
 from conftest import fixture_path, random_lss, random_mimo_model, random_siso_model
 from oracles import brute_force_reachable, brute_force_unobservable
 from sarxid import (
+    InputError,
     Lss,
-    LssError,
     LssMode,
     RatMatrix,
     SarxModel,
@@ -231,5 +230,5 @@ def test_shape_mismatch_rejected(rng):
         },
         x0=RatMatrix.zeros(a.n + 1, 1),
     )
-    with pytest.raises(LssError):
+    with pytest.raises(InputError):
         find_isomorphisms(a, b)

@@ -1,12 +1,11 @@
-import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import fixture_path, random_siso_model, zpoly
 from sarxid import (
+    InputError,
     RatMatrix,
-    SarxError,
     SarxModel,
     arx_is_minimal,
     associated_lss,
@@ -165,7 +164,7 @@ def test_condition_b_scalar_requires_nonzero_divisor():
         ny=1, nu=1, p=1, m=1,
         modes={"1": RatMatrix([[1, 0]]), "2": RatMatrix([[1, 1]])},
     )
-    with pytest.raises(SarxError):
+    with pytest.raises(InputError):
         condition_b_scalar(m, "1", "2")
 
 
@@ -174,6 +173,6 @@ def test_theorem2_rejects_mimo():
         ny=1, nu=1, p=2, m=1,
         modes={"1": RatMatrix([[1, 0, 1], [0, 1, 1]])},
     )
-    with pytest.raises(SarxError):
+    with pytest.raises(InputError):
         theorem2_polynomials(m)
 

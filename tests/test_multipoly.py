@@ -1,7 +1,9 @@
-import random
+from datetime import timedelta
 from fractions import Fraction
 
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_fraction
 from oracles import multipoly_to_sympy
@@ -31,6 +33,33 @@ def test_ring_axioms_against_sympy(rng):
         assert multipoly_to_sympy(f - g, SYMS) == sympy.expand(
             multipoly_to_sympy(f, SYMS) - multipoly_to_sympy(g, SYMS)
         )
+
+
+# derandomized, so that the tier-1 gate sees the same examples on every run
+properties = settings(max_examples=60, deadline=timedelta(seconds=10), derandomize=True)
+
+# int coefficients are converted by the constructor, Fractions kept as they are
+coefficients = st.one_of(
+    st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=3)
+)
+polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * len(VARS)), coefficients, max_size=4
+).map(lambda terms: MultiPoly(VARS, terms))
+
+
+@properties
+@given(polys, polys, polys)
+def test_ring_axioms_property(f, g, h):
+    assert (f + g) + h == f + (g + h)
+    assert f + g == g + f
+    assert (f * g) * h == f * (g * h)
+    assert f * g == g * f
+    assert f * (g + h) == f * g + f * h
+    assert f - f == MultiPoly.zero(VARS)
+    assert f * MultiPoly.constant(VARS, 1) == f
+    assert multipoly_to_sympy(f * g, SYMS) == sympy.expand(
+        multipoly_to_sympy(f, SYMS) * multipoly_to_sympy(g, SYMS)
+    )
 
 
 def test_power_matches_repeated_product(rng):

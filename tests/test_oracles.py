@@ -3,7 +3,6 @@
 These run before the oracles are trusted to certify the library.
 """
 
-import random
 from fractions import Fraction
 
 import sympy

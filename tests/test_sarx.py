@@ -1,16 +1,15 @@
 import json
-import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from conftest import fixture_path, random_mimo_model, random_siso_model
+from conftest import random_mimo_model, random_siso_model
 from oracles import mimo_trace_oracle, siso_trace_oracle, unipoly_to_sympy
 from sarxid import (
     HybridWord,
+    InputError,
     RatMatrix,
-    SarxError,
     SarxModel,
     arx_is_minimal,
     equivalent_on_samples,
@@ -22,11 +21,11 @@ from sarxid.sarx import random_word
 
 
 def test_model_validation():
-    with pytest.raises(SarxError):
+    with pytest.raises(InputError):
         SarxModel(ny=1, nu=2, p=1, m=1, modes={"1": RatMatrix([[1, 1, 1]])})
-    with pytest.raises(SarxError):
+    with pytest.raises(InputError):
         SarxModel(ny=2, nu=1, p=1, m=1, modes={})
-    with pytest.raises(SarxError):
+    with pytest.raises(InputError):
         SarxModel(ny=2, nu=1, p=1, m=1, modes={"1": RatMatrix([[1, 1]])})
 
 
