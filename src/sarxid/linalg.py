@@ -130,6 +130,8 @@ class RatMatrix:
             raise ValueError(
                 "shape mismatch for product: %s @ %s" % (self.shape, other.shape)
             )
+        if not self.rows:
+            return RatMatrix.zeros(0, other.cols)
         bt = list(zip(*other._data)) if other._data else []
         return RatMatrix(
             [

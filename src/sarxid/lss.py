@@ -216,11 +216,59 @@ class IsoSolution:
 def find_isomorphisms(a: Lss, b: Lss, seed=0) -> IsoSolution:
     """Solve {S A_q = A'_q S, S B_q = B'_q, C'_q S = C_q, S x0 = x0'} for S.
 
-    The unknown S is n x n.  A solution family is classified by sampling one
-    generic point and certifying invertibility with an exact determinant.
+    A solution's graph {(x, Sx)} is invariant under diag(A_q, A'_q) and holds
+    (x0, x0') and (B_q e_j, B'_q e_j), so it holds their closure: all of it
+    when a is span-reachable.  Routes in order: that graph; the graph of S^T
+    from the C rows when b is observable; the Kronecker system in n^2 unknowns.
     """
     if (a.n, a.m, a.p) != (b.n, b.m, b.p) or a.labels != b.labels:
         raise InputError("systems must share dimensions and mode labels")
+    modes = [(a.modes[q], b.modes[q]) for q in a.labels]
+    seeds = [(a.x0.col(0), b.x0.col(0))]
+    seeds += [(ma.b.col(j), mb.b.col(j)) for ma, mb in modes for j in range(a.m)]
+    s = _graph_map(a.n, seeds, [(ma.a, mb.a) for ma, mb in modes])
+    if s is None:
+        seeds = [pair for ma, mb in modes for pair in zip(mb.c.to_lists(), ma.c.to_lists())]
+        s = _graph_map(a.n, seeds, [(mb.a.transpose(), ma.a.transpose()) for ma, mb in modes])
+        if s is None:
+            return _kronecker_solve(a, b, seed)
+        s = s.transpose()
+    if s @ a.x0 != b.x0 or any(
+        s @ ma.a != mb.a @ s or s @ ma.b != mb.b or mb.c @ s != ma.c for ma, mb in modes
+    ):
+        return IsoSolution(kind="none", witness=None, family_dim=-1)
+    return _unique(s)
+
+
+def _graph_map(n, pairs, maps):
+    """The only T whose graph can hold the closure W of the pairs (u, Tu) under diag(M, M').
+
+    None when the first halves of W do not span Q^n.  Else row i of W's rref is
+    (e_i, T e_i); a W of more than n rows is no graph, and T fails the exact check.
+    """
+    z = [_ZERO] * n
+    diags = [RatMatrix([r + z for r in m.to_lists()] + [z + r for r in m2.to_lists()])
+             for m, m2 in maps]
+    w = invariant_closure(2 * n, [list(u) + list(v) for u, v in pairs], diags).basis_rows_matrix()
+    if sum(any(w.row(i)[:n]) for i in range(w.rows)) < n:
+        return None
+    return RatMatrix([w.row(i)[n:] for i in range(n)]).transpose()
+
+
+def _unique(s):
+    """Classify S, the only solution."""
+    if s.determinant() == 0:
+        return IsoSolution(kind="none", witness=None, family_dim=0)
+    if s == RatMatrix.identity(s.rows):
+        return IsoSolution(kind="unique-identity", witness=s, family_dim=0)
+    return IsoSolution(kind="unique-other", witness=s, family_dim=0)
+
+
+def _kronecker_solve(a: Lss, b: Lss, seed=0) -> IsoSolution:
+    """The whole solution set, from the linear system in the n^2 entries of S.
+
+    A family is classified by one generic point and an exact determinant.
+    """
     n = a.n
     eye = RatMatrix.identity(n)
 
@@ -247,12 +295,7 @@ def find_isomorphisms(a: Lss, b: Lss, seed=0) -> IsoSolution:
         return RatMatrix([v.col(0)[i * n : (i + 1) * n] for i in range(n)])
 
     if not kernel:
-        s = unflatten(particular)
-        if s.determinant() == 0:
-            return IsoSolution(kind="none", witness=None, family_dim=0)
-        if s == eye:
-            return IsoSolution(kind="unique-identity", witness=s, family_dim=0)
-        return IsoSolution(kind="unique-other", witness=s, family_dim=0)
+        return _unique(unflatten(particular))
 
     rng = random.Random(seed)
     witness = None

@@ -1,11 +1,15 @@
 import json
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fixture_path, random_lss, random_mimo_model, random_siso_model
 from oracles import brute_force_reachable, brute_force_unobservable
 from sarxid import (
+    HybridWord,
     InputError,
     Lss,
     LssMode,
@@ -20,6 +24,7 @@ from sarxid import (
     solve_affine,
     unobservable_space,
 )
+from sarxid import lss
 from sarxid.sarx import random_word
 
 
@@ -49,6 +54,32 @@ def test_embedding_trace_equivalence(rng):
         sys = associated_lss(m)
         w = random_word(m.labels, m.m, 15, rng)
         assert simulate_lss(sys, w) == simulate_sarx(m, w)
+
+
+properties = settings(max_examples=40, deadline=timedelta(seconds=10), derandomize=True)
+
+coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def models_and_words(draw):
+    """A SISO or MIMO model of type (ny, nu) with 1-3 modes, and a word over its modes."""
+    ny = draw(st.integers(1, 3))
+    nu = draw(st.integers(1, ny))
+    p, m = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
+    labels = [str(q) for q in range(1, draw(st.integers(1, 3)) + 1)]
+    row = st.lists(coefficients, min_size=ny * p + nu * m, max_size=ny * p + nu * m)
+    modes = {q: RatMatrix(draw(st.lists(row, min_size=p, max_size=p))) for q in labels}
+    inputs = st.lists(coefficients, min_size=m, max_size=m)
+    steps = draw(st.lists(st.tuples(st.sampled_from(labels), inputs), min_size=1, max_size=12))
+    return SarxModel(ny=ny, nu=nu, p=p, m=m, modes=modes), HybridWord(steps)
+
+
+@properties
+@given(models_and_words())
+def test_embedding_trace_equivalence_property(model_and_word):
+    model, w = model_and_word
+    assert simulate_sarx(model, w) == simulate_lss(associated_lss(model), w)
 
 
 def test_embedding_state_is_regressor(rng):
@@ -162,6 +193,16 @@ def conjugate(sys, t):
     )
 
 
+def perturbed(sys):
+    """The system with 1 added to A_1[0, 0]: trace(A_1) moves, so no S makes it similar."""
+    q = sys.labels[0]
+    a = sys.modes[q].a.to_lists()
+    a[0][0] += 1
+    modes = dict(sys.modes)
+    modes[q] = LssMode(a=RatMatrix(a), b=sys.modes[q].b, c=sys.modes[q].c)
+    return Lss(n=sys.n, m=sys.m, p=sys.p, modes=modes, x0=sys.x0)
+
+
 def test_isomorphism_found_under_conjugation(rng):
     # an embedded SISO model (x0 = 0), then every input/output width with x0 != 0
     systems = [associated_lss(random_siso_model(rng, nonzero_top=True))]
@@ -170,7 +211,7 @@ def test_isomorphism_found_under_conjugation(rng):
         while (sys.m, sys.p) != (m, p) or sys.x0.is_zero():
             sys = random_lss(rng)
         systems.append(sys)
-    # no inputs at all: every B_q is n x 0
+    # no inputs at all (every B_q is n x 0), and no outputs at all (every C_q is 0 x n)
     sys = systems[-1]
     systems.append(Lss(
         n=sys.n, m=0, p=sys.p, x0=sys.x0,
@@ -178,8 +219,18 @@ def test_isomorphism_found_under_conjugation(rng):
             q: LssMode(a=md.a, b=RatMatrix.zeros(sys.n, 0), c=md.c) for q, md in sys.modes.items()
         },
     ))
+    systems.append(Lss(
+        n=sys.n, m=sys.m, p=0, x0=sys.x0,
+        modes={
+            q: LssMode(a=md.a, b=md.b, c=RatMatrix.zeros(0, sys.n)) for q, md in sys.modes.items()
+        },
+    ))
     for sys in systems:
         conj = conjugate(sys, random_invertible(rng, sys.n))
+        # the graph routes and the Kronecker system give the same solution set
+        for other in (sys, conj, perturbed(conj)):
+            reference = lss._kronecker_solve(sys, other, seed=3)
+            assert find_isomorphisms(sys, other, seed=3) == reference
         sol = find_isomorphisms(sys, conj)
         assert sol.kind in ("unique-other", "unique-identity", "affine-family")
         assert sol.witness is not None
@@ -190,6 +241,67 @@ def test_isomorphism_found_under_conjugation(rng):
             assert s @ sys.modes[q].b == conj.modes[q].b
             assert conj.modes[q].c @ s == sys.modes[q].c
         assert s @ sys.x0 == conj.x0
+
+
+def test_kronecker_system_only_when_neither_graph_route_applies(rng, monkeypatch):
+    calls = []
+
+    def counting_solve_affine(*args):
+        calls.append(args)
+        return solve_affine(*args)
+
+    monkeypatch.setattr(lss, "solve_affine", counting_solve_affine)
+
+    def routed(a, b, expected_calls):
+        calls.clear()
+        sol = find_isomorphisms(a, b)
+        assert len(calls) == expected_calls
+        return sol
+
+    # span-reachable: the reachable graph
+    sys = associated_lss(SarxModel.load(fixture_path("example3.json")))
+    assert routed(sys, sys, 0).kind == "unique-identity"
+
+    # block upper-triangular, B and x0 in the first half: observable, not span-reachable
+    def block_triangular(n=4, r=2):
+        def small():
+            return Fraction(rng.randint(-2, 2))
+
+        modes = {
+            q: LssMode(
+                a=RatMatrix([[small() if i < r or j >= r else 0 for j in range(n)]
+                             for i in range(n)]),
+                b=RatMatrix([[small() if i < r else 0] for i in range(n)]),
+                c=RatMatrix([[small() for _ in range(n)]]),
+            )
+            for q in ("1", "2")
+        }
+        return Lss(n=n, m=1, p=1, modes=modes, x0=RatMatrix.zeros(n, 1))
+
+    sys = block_triangular()
+    while unobservable_space(sys).dim:
+        sys = block_triangular()
+    assert reachable_span(sys).dim < sys.n
+    conj = conjugate(sys, random_invertible(rng, sys.n))
+    sol = routed(sys, conj, 0)
+    assert sol.kind in ("unique-other", "unique-identity")
+    assert sol == lss._kronecker_solve(sys, conj)
+
+    # B = 0 and x0 = 0 reach nothing; C annihilates e_3, which every A_q keeps
+    # in its own span, so e_3 is unobservable too: only the Kronecker system is left
+    modes = {
+        q: LssMode(
+            a=RatMatrix([[a, b, 0], [c, d, 0], [0, 0, e]]),
+            b=RatMatrix.zeros(3, 1),
+            c=RatMatrix([[f, g, 0]]),
+        )
+        for q, (a, b, c, d, e, f, g) in (("1", (1, 2, 0, 1, 3, 1, 0)), ("2", (0, 1, 1, 1, -1, 0, 1)))
+    }
+    sys = Lss(n=3, m=1, p=1, modes=modes, x0=RatMatrix.zeros(3, 1))
+    assert reachable_span(sys).dim == 0 and unobservable_space(sys).dim == 1
+    sol = routed(sys, conjugate(sys, random_invertible(rng, 3)), 1)
+    assert sol.family_dim >= 1
+    assert sol.witness is not None and sol.witness.determinant() != 0
 
 
 def test_no_isomorphism_between_inequivalent_systems():
