@@ -27,7 +27,6 @@ from .lss import (
     LssMode,
     associated_lss,
     find_isomorphisms,
-    invariant_closure,
     is_minimal_lss,
     reachable_span,
     simulate_lss,

@@ -191,5 +191,9 @@ def elimination_ideal(generators, drop):
 
 
 def ideals_equal(gens_a, gens_b, order: MonomialOrder) -> bool:
-    """Ideal equality: the reduced Groebner basis of an ideal is unique."""
+    """Ideal equality: the reduced Groebner basis of an ideal is unique.
+
+    Acceptance criterion 03 compares ideals with it, and
+    `test_ideals_equal_by_mutual_reduction` checks it.
+    """
     return buchberger(gens_a, order) == buchberger(gens_b, order)

@@ -234,6 +234,11 @@ def procedure1(par: PolyParametrization) -> IdentifiableRegion:
 
 
 def verify_region_membership(region: IdentifiableRegion, theta) -> bool:
+    """Whether some polynomial of S is nonzero at theta.
+
+    `test_region_polynomials_certify_strong_minimality` checks that members
+    instantiate to strongly minimal models.
+    """
     theta = [Fraction(x) for x in theta]
     if len(theta) != len(region.vars):
         raise InputError("parameter length %d != %d" % (len(theta), len(region.vars)))

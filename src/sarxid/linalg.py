@@ -2,8 +2,9 @@
 
 Dense matrices of Fractions.  One elimination over Fraction, `_insert`, adds
 a row to a reduced echelon basis and is the only one: rref, rank, kernel,
-determinant, every linear solve, `Subspace` and `lss.invariant_closure` read
-their answer off it, and each solve reduces its matrix once.
+determinant and every linear solve read their answer off it, and each solve
+reduces its matrix once.  `Subspace` is the one subspace builder: the span
+of some vectors, closed under some maps, by a worklist over `_insert`.
 """
 
 from __future__ import annotations
@@ -22,25 +23,22 @@ class RatMatrix:
 
     __slots__ = ("rows", "cols", "_data")
 
-    def __init__(self, data):
+    def __init__(self, data, cols=0):
+        """data: a list of rows; cols: the column count when there are no rows."""
         data = [tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in data]
         if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
+            cols = len(data[0])
+            if any(len(row) != cols for row in data):
                 raise ValueError("ragged rows")
-        else:
-            width = 0
         self.rows = len(data)
-        self.cols = width
+        self.cols = cols
         self._data = tuple(data)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zeros(cls, rows, cols):
-        m = cls([[_ZERO] * cols for _ in range(rows)])
-        m.cols = cols  # the column count of a zero-row matrix
-        return m
+        return cls([[_ZERO] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n):
@@ -48,11 +46,7 @@ class RatMatrix:
 
     @classmethod
     def column(cls, entries):
-        return cls([[x] for x in entries])
-
-    @classmethod
-    def row_vector(cls, entries):
-        return cls([list(entries)])
+        return cls([[x] for x in entries], 1)
 
     @classmethod
     def from_strings(cls, data):
@@ -71,9 +65,6 @@ class RatMatrix:
 
     def col(self, j):
         return tuple(self._data[i][j] for i in range(self.rows))
-
-    def column_matrix(self, j):
-        return RatMatrix.column(self.col(j))
 
     def to_lists(self):
         return [list(row) for row in self._data]
@@ -132,7 +123,8 @@ class RatMatrix:
             )
         if not self.rows:
             return RatMatrix.zeros(0, other.cols)
-        bt = list(zip(*other._data)) if other._data else []
+        # an (n x 0) @ (0 x k) product is the n x k zero matrix
+        bt = list(zip(*other._data)) if other.rows else [()] * other.cols
         return RatMatrix(
             [
                 [sum((a * b for a, b in zip(row, colb)), _ZERO) for colb in bt]
@@ -169,29 +161,11 @@ class RatMatrix:
     # -- stacking -----------------------------------------------------
 
     @staticmethod
-    def hstack(blocks):
-        blocks = [b for b in blocks]
-        if not blocks:
-            return RatMatrix([])
-        rows = blocks[0].rows
-        if any(b.rows != rows for b in blocks):
-            raise ValueError("hstack row mismatch")
-        return RatMatrix(
-            [sum((list(b.row(i)) for b in blocks), []) for i in range(rows)]
-        )
-
-    @staticmethod
     def vstack(blocks):
-        blocks = [b for b in blocks]
-        if not blocks:
-            return RatMatrix([])
-        cols = blocks[0].cols
+        cols = blocks[0].cols if blocks else 0
         if any(b.cols != cols for b in blocks):
             raise ValueError("vstack column mismatch")
-        data = []
-        for b in blocks:
-            data.extend(b.to_lists())
-        return RatMatrix(data)
+        return RatMatrix([row for b in blocks for row in b._data], cols)
 
     # -- elimination --------------------------------------------------
 
@@ -291,7 +265,7 @@ def solve_affine(a: RatMatrix, b: RatMatrix):
     """
     if a.rows != b.rows or b.cols != 1:
         raise ValueError("shape mismatch in solve_affine")
-    red, pivots = RatMatrix.hstack([a, b]).rref()
+    red, pivots = RatMatrix([ra + rb for ra, rb in zip(a._data, b._data)]).rref()
     if a.cols in pivots:
         return None
     x = [_ZERO] * a.cols
@@ -308,14 +282,19 @@ def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 
 
 class Subspace:
-    """Subspace of Q^n held in canonical rref-row form."""
+    """Smallest subspace of Q^n holding the vectors and invariant under the maps.
+
+    Held in canonical rref-row form.  A worklist inserts each vector into a
+    reduced echelon basis of at most n rows; only a vector that is new to the
+    span is pushed through the maps.
+    """
 
     __slots__ = ("ambient_dim", "_basis")
 
-    def __init__(self, ambient_dim, vectors=()):
-        """vectors: iterable of n x 1 column matrices (or coordinate tuples)."""
+    def __init__(self, ambient_dim, vectors=(), maps=()):
+        """vectors: n x 1 column matrices or coordinate sequences; maps: n x n RatMatrix."""
         self.ambient_dim = ambient_dim
-        basis = []
+        work = []
         for v in vectors:
             if isinstance(v, RatMatrix):
                 if v.shape != (ambient_dim, 1):
@@ -323,7 +302,14 @@ class Subspace:
                 v = v.col(0)
             elif len(v) != ambient_dim:
                 raise ValueError("vector length mismatch")
-            _insert(basis, [Fraction(x) for x in v])
+            work.append([Fraction(x) for x in v])
+        rows = [m.to_lists() for m in maps]
+        basis = []
+        while work and len(basis) < ambient_dim:
+            found = _insert(basis, work.pop())
+            if found is not None:
+                v = found[2]
+                work.extend([sum(a * b for a, b in zip(r, v)) for r in m] for m in rows)
         self._basis = tuple((p, tuple(row)) for p, row in basis)
 
     @property
@@ -331,12 +317,13 @@ class Subspace:
         return len(self._basis)
 
     def basis_rows_matrix(self):
-        if not self._basis:
-            return RatMatrix.zeros(0, self.ambient_dim)
-        return RatMatrix([row for _, row in self._basis])
+        return RatMatrix([row for _, row in self._basis], self.ambient_dim)
 
-    def contains(self, v: RatMatrix):
-        return _insert(list(self._basis), v.col(0)) is None
+    def annihilator(self):
+        """{x : v . x = 0 for every v in the subspace}, read off the reduced rows."""
+        pivots = [p for p, _ in self._basis]
+        null = _null_vectors(self.basis_rows_matrix(), pivots, self.ambient_dim)
+        return Subspace(self.ambient_dim, null)
 
     def __eq__(self, other):
         return (

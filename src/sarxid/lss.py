@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import RatMatrix, Subspace, _insert, kron, solve_affine
+from .linalg import RatMatrix, Subspace, kron, solve_affine
 from .rationals import InputError, load_json, malformed, parse_int
 from .sarx import HybridWord, SarxModel
 
@@ -134,31 +134,13 @@ def simulate_lss(sys: Lss, word: HybridWord):
     return outputs
 
 
-def invariant_closure(n, seeds, maps) -> Subspace:
-    """Smallest subspace of Q^n containing the seeds and invariant under the maps.
-
-    seeds are coordinate sequences and maps are n x n RatMatrix.  A worklist
-    inserts each vector into a reduced echelon basis of at most n rows; only
-    a vector that is new to the span is pushed through the maps.
-    """
-    rows = [m.to_lists() for m in maps]
-    basis = []
-    work = [[Fraction(x) for x in v] for v in seeds]
-    while work and len(basis) < n:
-        found = _insert(basis, work.pop())
-        if found is not None:
-            v = found[2]
-            work.extend([sum(a * b for a, b in zip(r, v)) for r in m] for m in rows)
-    return Subspace(n, [row for _, row in basis])
-
-
 def reachable_span(sys: Lss) -> Subspace:
     """Smallest subspace containing x0 and all B columns, invariant under every A_q."""
     seeds = [sys.x0.col(0)]
     for q in sys.labels:
         b = sys.modes[q].b
         seeds.extend(b.col(j) for j in range(b.cols))
-    return invariant_closure(sys.n, seeds, [sys.modes[q].a for q in sys.labels])
+    return Subspace(sys.n, seeds, [sys.modes[q].a for q in sys.labels])
 
 
 def unobservable_space(sys: Lss) -> Subspace:
@@ -168,10 +150,8 @@ def unobservable_space(sys: Lss) -> Subspace:
     containing the rows of every C_q.
     """
     seeds = [row for q in sys.labels for row in sys.modes[q].c.to_lists()]
-    observable = invariant_closure(
-        sys.n, seeds, [sys.modes[q].a.transpose() for q in sys.labels]
-    )
-    return Subspace(sys.n, observable.basis_rows_matrix().kernel_basis())
+    observable = Subspace(sys.n, seeds, [sys.modes[q].a.transpose() for q in sys.labels])
+    return observable.annihilator()
 
 
 @dataclass(frozen=True)
@@ -249,7 +229,7 @@ def _graph_map(n, pairs, maps):
     z = [_ZERO] * n
     diags = [RatMatrix([r + z for r in m.to_lists()] + [z + r for r in m2.to_lists()])
              for m, m2 in maps]
-    w = invariant_closure(2 * n, [list(u) + list(v) for u, v in pairs], diags).basis_rows_matrix()
+    w = Subspace(2 * n, [list(u) + list(v) for u, v in pairs], diags).basis_rows_matrix()
     if sum(any(w.row(i)[:n]) for i in range(w.rows)) < n:
         return None
     return RatMatrix([w.row(i)[n:] for i in range(n)]).transpose()

@@ -118,7 +118,10 @@ def theorem2_polynomials(model: SarxModel) -> Theorem2Data:
 
 
 def arx_is_minimal(model: SarxModel, q) -> bool:
-    """Lone-mode ARX minimality: numerator N_q and denominator chi_q coprime."""
+    """Lone-mode ARX minimality: numerator N_q and denominator chi_q coprime.
+
+    `test_transfer_minimality_matches_sympy_gcd` checks it against sympy.
+    """
     data = theorem2_polynomials(model)
     return is_coprime(data.numerator[q], data.chi[q])
 

@@ -1,8 +1,9 @@
 """Sparse multivariate polynomials over the rationals.
 
-Terms are a dict mapping exponent tuples to nonzero Fractions.  Monomial
-orders (lex, graded-reverse-lex, block elimination orders) are separate
-objects so the same polynomial can be viewed under different orders.
+Terms are a dict mapping exponent tuples to nonzero Fractions.  The one
+monomial order is graded reverse lex, optionally with a block of variables
+to eliminate; it is a separate object, so the same polynomial can be viewed
+under the plain and the elimination order.
 """
 
 from __future__ import annotations
@@ -14,57 +15,50 @@ from .rationals import format_rational, parse_int, parse_rational
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# The largest exponent an input file may hold.  Every analysis raises the
+# parameters to their exponents exactly (param-generic evaluates theta^e at
+# sampled theta), so the work grows with the exponent without bound: at 10^9
+# one evaluation does not finish.  The paper's families have degree <= 2.
+MAX_EXPONENT = 64
+
 
 def _grevlex_key(exp):
     return (sum(exp), tuple(-e for e in reversed(exp)))
 
 
 class MonomialOrder:
-    """Total order on exponent tuples, compatible with multiplication.
+    """Graded reverse lex on exponent tuples, or its elimination variant.
 
-    kind is one of "lex", "grevlex", "elim"; for "elim", the first `block`
-    variables (after applying `perm`) dominate: any monomial involving them
-    beats any monomial that does not.  Larger key = larger monomial.
+    With `drop`, any monomial involving a dropped variable beats any monomial
+    that does not, and each block is compared by grevlex.  Larger key =
+    larger monomial.
     """
 
-    __slots__ = ("kind", "nvars", "block", "perm")
+    __slots__ = ("drop", "keep")
 
-    def __init__(self, kind, nvars, block=0, perm=None):
-        if kind not in ("lex", "grevlex", "elim"):
-            raise ValueError("unknown order kind %r" % kind)
-        self.kind = kind
-        self.nvars = nvars
-        self.block = block
-        self.perm = tuple(perm) if perm is not None else tuple(range(nvars))
-        if sorted(self.perm) != list(range(nvars)):
-            raise ValueError("perm must be a permutation of 0..nvars-1")
-        if kind == "elim" and not (0 < block < nvars):
-            raise ValueError("elimination block must split the variables")
+    def __init__(self, nvars, drop=()):
+        self.drop = tuple(sorted(set(drop)))
+        self.keep = tuple(i for i in range(nvars) if i not in self.drop)
 
     @classmethod
-    def lex(cls, nvars, perm=None):
-        return cls("lex", nvars, perm=perm)
-
-    @classmethod
-    def grevlex(cls, nvars, perm=None):
-        return cls("grevlex", nvars, perm=perm)
+    def grevlex(cls, nvars):
+        return cls(nvars)
 
     @classmethod
     def elimination(cls, nvars, drop):
         """Block order ranking the variables in `drop` strictly above the rest."""
-        drop = sorted(set(drop))
-        keep = [i for i in range(nvars) if i not in drop]
-        if not drop or not keep:
+        order = cls(nvars, drop)
+        if not (order.drop and order.keep):
             raise ValueError("elimination split must be proper")
-        return cls("elim", nvars, block=len(drop), perm=tuple(drop + keep))
+        return order
 
     def key(self, exp):
-        e = tuple(exp[i] for i in self.perm)
-        if self.kind == "lex":
-            return e
-        if self.kind == "grevlex":
-            return _grevlex_key(e)
-        return (_grevlex_key(e[: self.block]), _grevlex_key(e[self.block :]))
+        if not self.drop:
+            return _grevlex_key(exp)
+        return (
+            _grevlex_key([exp[i] for i in self.drop]),
+            _grevlex_key([exp[i] for i in self.keep]),
+        )
 
 
 def _mono_mul(a, b):
@@ -125,12 +119,6 @@ class MultiPoly:
 
     def is_zero(self):
         return not self.terms
-
-    def is_constant(self):
-        return all(sum(exp) == 0 for exp in self.terms)
-
-    def constant_value(self):
-        return self.terms.get(tuple([0] * len(self.vars)), _ZERO)
 
     def total_degree(self):
         if not self.terms:
@@ -199,12 +187,7 @@ class MultiPoly:
             k >>= 1
         return result
 
-    # -- leading data -------------------------------------------------
-
-    def leading_monomial(self, order: MonomialOrder):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+    # -- ordered terms ------------------------------------------------
 
     def sorted_terms(self, order: MonomialOrder):
         return sorted(self.terms.items(), key=lambda kv: order.key(kv[0]), reverse=True)
@@ -305,6 +288,8 @@ class MultiPoly:
             exp = tuple(parse_int(e) for e in t["e"])
             if any(e < 0 for e in exp):
                 raise ValueError("negative exponent in %r" % (t["e"],))
+            if any(e > MAX_EXPONENT for e in exp):
+                raise ValueError("exponent above %d in %r" % (MAX_EXPONENT, t["e"]))
             terms[exp] = terms.get(exp, _ZERO) + parse_rational(t["c"])
         return cls(vars, terms)
 

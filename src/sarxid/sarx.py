@@ -61,17 +61,6 @@ class SarxModel:
             raise InputError("scalar coefficient access requires a SISO model")
         return self.modes[q][0, i - 1]
 
-    def block(self, q, i):
-        """Block h_q^i (p x p for i <= n_y, else p x m), 1-based."""
-        h = self.modes[q]
-        if i <= self.ny:
-            start = (i - 1) * self.p
-            width = self.p
-        else:
-            start = self.ny * self.p + (i - self.ny - 1) * self.m
-            width = self.m
-        return RatMatrix([[h[r, start + c] for c in range(width)] for r in range(self.p)])
-
     # -- serialization ------------------------------------------------
 
     def to_json_dict(self):

@@ -6,7 +6,7 @@ word enumeration, or sympy) so that agreement is meaningful evidence.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import sympy
 
@@ -148,17 +148,24 @@ def siso_trace_oracle(model, word):
 
 def mimo_trace_oracle(model, word):
     """Blockwise recurrence y_t = sum_j H^j y_{t-j} + sum_j H^(ny+j) u_{t-j}."""
-    ny, nu, p = model.ny, model.nu, model.p
+    ny, nu, p, m = model.ny, model.nu, model.p, model.m
+
+    def block(q, i):
+        """H_q^i, 1-based: p x p for i <= ny, else p x m."""
+        start, width = ((i - 1) * p, p) if i <= ny else (ny * p + (i - ny - 1) * m, m)
+        h = model.modes[q]
+        return RatMatrix([[h[r, start + c] for c in range(width)] for r in range(p)])
+
     ys = []
     us = []
     for q, u in word:
         acc = RatMatrix.zeros(p, 1)
         for j in range(1, ny + 1):
             if len(ys) - j >= 0:
-                acc = acc + model.block(q, j) @ RatMatrix.column(ys[len(ys) - j])
+                acc = acc + block(q, j) @ RatMatrix.column(ys[len(ys) - j])
         for j in range(1, nu + 1):
             if len(us) - j >= 0:
-                acc = acc + model.block(q, ny + j) @ RatMatrix.column(us[len(us) - j])
+                acc = acc + block(q, ny + j) @ RatMatrix.column(us[len(us) - j])
         ys.append(tuple(acc[i, 0] for i in range(p)))
         us.append(u)
     return ys
@@ -171,7 +178,7 @@ def brute_force_reachable(sys, max_len=None) -> Subspace:
     seeds = [] if sys.x0.is_zero() else [sys.x0]
     for q in sys.labels:
         b = sys.modes[q].b
-        seeds.extend(b.column_matrix(j) for j in range(b.cols))
+        seeds.extend(RatMatrix.column(b.col(j)) for j in range(b.cols))
     vectors = list(seeds)
     frontier = list(seeds)
     for _ in range(max_len):
@@ -190,3 +197,63 @@ def brute_force_unobservable(sys, max_len=None) -> Subspace:
         frontier = [r @ sys.modes[q].a for r in frontier for q in sys.labels]
         rows.extend(frontier)
     return Subspace(sys.n, RatMatrix.vstack(rows).kernel_basis())
+
+
+def theorem2_witnesses_sympy(model):
+    """First witness pairs of conditions A and B (or None), over QQ with sympy.
+
+    Each polynomial comes from its defining property, not from the library's
+    recursions: chi_q and upsilon_q from the coefficients, and phi_(qh,q) as
+    the polynomial of degree < nu with phi(A_qh) e_1 = A_q^nu B, solved on the
+    Krylov vectors of A_qh built here from the companion structure.
+    Coprimality is sympy's gcd over QQ.
+    """
+    ny, nu = model.ny, model.nu
+    n = ny + nu
+    z = sympy.Symbol("z")
+    h = {
+        q: [sympy.Rational(c.numerator, c.denominator) for c in model.modes[q].row(0)]
+        for q in model.labels
+    }
+
+    def companion(hq):
+        a = sympy.zeros(n, n)
+        a[0, :] = sympy.Matrix([hq])
+        for i in list(range(1, ny)) + list(range(ny + 1, n)):
+            a[i, i - 1] = 1
+        return a
+
+    a = {q: companion(hq) for q, hq in h.items()}
+    e1, b = sympy.eye(n)[:, 0], sympy.eye(n)[:, ny]
+    ups = {
+        q: sympy.Poly(sum(hq[j - 1] * z ** (ny - j) for j in range(1, ny + 1)), z, domain="QQ")
+        for q, hq in h.items()
+    }
+    chi = {q: sympy.Poly(z**ny, z, domain="QQ") - ups[q] for q in h}
+
+    def phi(qh, q):
+        krylov = sympy.Matrix.hstack(*[a[qh] ** k * e1 for k in range(nu)])
+        coeffs = krylov.gauss_jordan_solve(a[q] ** nu * b)[0]
+        return sympy.Poly(sum(c * z**k for k, c in enumerate(coeffs)), z, domain="QQ")
+
+    def coprime(f, g):
+        return f.gcd(g).degree() == 0
+
+    def condition_a(q0, q1):
+        p = phi(q0, q1)
+        return not p.is_zero and coprime(chi[q0], p)
+
+    def condition_b(q2, q3):
+        top2 = h[q2][n - 1]
+        return (
+            top2 != 0
+            and not ups[q3].is_zero
+            and coprime(ups[q3], chi[q2])
+            and h[q3][ny - 1] - h[q3][n - 1] * h[q2][ny - 1] / top2 != 0
+        )
+
+    pairs = list(permutations(model.labels, 2))
+    return (
+        next((pair for pair in pairs if condition_a(*pair)), None),
+        next((pair for pair in pairs if condition_b(*pair)), None),
+    )

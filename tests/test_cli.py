@@ -1,6 +1,8 @@
 import argparse
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,6 +11,8 @@ import pytest
 from conftest import fixture_path
 from sarxid import MultiPoly, cli, groebner
 from sarxid.cli import main
+
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -113,6 +117,23 @@ def test_negative_exponent_is_refused(capsys, tmp_path):
         assert code == 2, cmd
         assert out == ""
         assert err.startswith("error: ") and "negative exponent" in err
+
+
+def test_huge_exponent_is_refused_at_once(tmp_path):
+    # at 10^9, param-generic would raise each sampled theta to that power; a
+    # child process, so that a run without the exponent cap can be stopped
+    term = {"terms": [{"c": "1", "e": [10**9]}]}
+    one = {"terms": [{"c": "1", "e": [0]}]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(
+        {"vars": ["t"], "ny": 1, "nu": 1, "p": 1, "m": 1, "modes": {"1": [term, one]}}
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sarxid", "param-generic", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=1,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "exponent above" in proc.stderr
 
 
 def test_output_is_deterministic(capsys):

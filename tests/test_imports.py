@@ -5,6 +5,7 @@ No linter is a dependency of this project, so this AST scan is the check.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -40,3 +41,95 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: "%s/%s" % (p.parent.name, p.name))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# -- the library's surface: every definition is used, or names its check ----
+
+PACKAGE = sorted(p for p in (ROOT / "src" / "sarxid").glob("*.py") if p.name != "__init__.py")
+TESTS = {
+    node.name
+    for p in (ROOT / "tests").glob("test_*.py")
+    for node in ast.walk(ast.parse(p.read_text()))
+    if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
+}
+
+
+def definitions(tree):
+    """Module-level functions and classes, and the methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef):
+                        yield "%s.%s" % (node.name, sub.name), sub
+
+
+def names_a_check(doc, tests):
+    """Whether the docstring names a test in `tests`, or an acceptance criterion."""
+    criteria = {n.split("_")[2] for n in tests if n.startswith("test_criterion_")}
+    return any(t in tests for t in re.findall(r"\btest_\w+", doc)) or any(
+        c.zfill(2) in criteria for c in re.findall(r"[Cc]riterion (\d+)", doc)
+    )
+
+
+def unchecked_surface(sources, tests):
+    """Non-dunder definitions that no module references by name and whose
+    docstring names no test of `tests` that checks them.
+
+    sources maps a module name to its source text.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(
+        "%s.%s" % (module, qualname)
+        for module, tree in trees.items()
+        for qualname, node in definitions(tree)
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used
+        and not names_a_check(ast.get_docstring(node) or "", tests)
+    )
+
+
+def test_surface_scan_finds_an_unchecked_definition():
+    source = '''
+def used():
+    """Nothing to say."""
+
+
+def dead():
+    pass
+
+
+def proven():
+    """`test_proven` checks it."""
+
+
+def misnamed():
+    """`test_missing` checks it."""
+
+
+def audited():
+    """Acceptance criterion 3 checks it."""
+
+
+class Box:
+    def __eq__(self, other):
+        return used()
+
+    def size(self):
+        return Box().__eq__(self)
+'''
+    tests = {"test_proven", "test_criterion_03_region"}
+    assert unchecked_surface({"m": source}, tests) == ["m.Box.size", "m.dead", "m.misnamed"]
+
+
+def test_every_definition_is_used_or_names_its_check():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert unchecked_surface(sources, TESTS) == []

@@ -82,6 +82,13 @@ def test_embedding_trace_equivalence_property(model_and_word):
     assert simulate_sarx(model, w) == simulate_lss(associated_lss(model), w)
 
 
+def test_simulate_without_inputs():
+    # m = 0: B is n x 0 and every input is the empty vector
+    swap = LssMode(a=RatMatrix([[0, 1], [1, 0]]), b=RatMatrix.zeros(2, 0), c=RatMatrix([[1, 0]]))
+    sys = Lss(n=2, m=0, p=1, modes={"1": swap}, x0=RatMatrix.column([1, 2]))
+    assert simulate_lss(sys, HybridWord([("1", [])] * 3)) == [(1,), (2,), (1,)]
+
+
 def test_embedding_state_is_regressor(rng):
     from sarxid.sarx import regressor
 
@@ -112,7 +119,7 @@ def shift_chain(n, order):
         modes[str(i + 1)] = LssMode(
             a=RatMatrix(a),
             b=RatMatrix.column([1] + [0] * (n - 1)),
-            c=RatMatrix.row_vector([0] * (n - 1) + [1]),
+            c=RatMatrix([[0] * (n - 1) + [1]]),
         )
     return Lss(n=n, m=1, p=1, modes=modes, x0=RatMatrix.zeros(n, 1))
 
@@ -179,10 +186,10 @@ def random_invertible(rng, n):
 def conjugate(sys, t):
     """The system in the coordinates x' = T x."""
     n = sys.n
-    t_inv = RatMatrix.hstack(
-        [solve_affine(t, RatMatrix.column([1 if i == j else 0 for i in range(n)]))[0]
+    t_inv = RatMatrix(
+        [solve_affine(t, RatMatrix.column([1 if i == j else 0 for i in range(n)]))[0].col(0)
          for j in range(n)]
-    )
+    ).transpose()
     return Lss(
         n=n, m=sys.m, p=sys.p,
         modes={

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import fixture_path, random_siso_model, zpoly
+from oracles import theorem2_witnesses_sympy
 from sarxid import (
     InputError,
     RatMatrix,
@@ -81,6 +83,24 @@ def test_sufficiency_soundness_sweep(rng):
     assert checked > 0
 
 
+def test_condition_witnesses_match_sympy():
+    """Conditions A and B pick the witness pairs that sympy picks over QQ.
+
+    A soundness sweep cannot catch a coprimality test that always says yes:
+    random models that fail only coprimality are not met.  Witnesses differ
+    on such a test: with is_coprime always True, 6 of these 200 reports move.
+    """
+    rng = random.Random(0)
+    for _ in range(200):
+        ny = rng.randint(1, 3)
+        nu = rng.randint(1, ny)
+        modes = {q: RatMatrix([[rng.randint(-3, 3) for _ in range(ny + nu)]]) for q in "123"}
+        model = SarxModel(ny=ny, nu=nu, p=1, m=1, modes=modes)
+        data = theorem2_polynomials(model)
+        report = (check_condition_a(data), check_condition_b(data, model))
+        assert report == theorem2_witnesses_sympy(model), model.to_json_dict()
+
+
 def test_psi_d_phi_identities(rng):
     for _ in range(40):
         m = random_siso_model(rng)
@@ -132,11 +152,11 @@ def test_row_span_and_shift_identities(rng):
         n = sys.n
         for q in m.labels:
             aq = sys.modes[q].a
-            e_ny = RatMatrix.row_vector([1 if j == m.ny - 1 else 0 for j in range(n)])
+            e_ny = RatMatrix([[1 if j == m.ny - 1 else 0 for j in range(n)]])
             rows = [e_ny @ aq.power(j) for j in range(m.ny + m.nu)]
             assert RatMatrix.vstack(rows).rank() == n
             for i in range(1, m.ny + 1):
-                ei = RatMatrix.row_vector([1 if j == i - 1 else 0 for j in range(n)])
+                ei = RatMatrix([[1 if j == i - 1 else 0 for j in range(n)]])
                 assert ei == e_ny @ aq.power(m.ny - i)
 
 
@@ -148,13 +168,13 @@ def test_gamma_row_identities(rng):
         n = sys.n
         for q in m.labels:
             aq = sys.modes[q].a
-            e_ny = RatMatrix.row_vector([1 if j == m.ny - 1 else 0 for j in range(n)])
+            e_ny = RatMatrix([[1 if j == m.ny - 1 else 0 for j in range(n)]])
             chi_a = eval_matrix(data.chi[q], aq)
             gammas = gamma_polynomials(m, q)
             assert gammas[0] == (1 / m.coeff(q, m.ny + m.nu)) * zpoly(*[0] * (m.nu - 1), 1)
             for j, g in enumerate(gammas, start=1):
-                lhs = RatMatrix.row_vector(
-                    [1 if k == m.ny + j - 1 else 0 for k in range(n)]
+                lhs = RatMatrix(
+                    [[1 if k == m.ny + j - 1 else 0 for k in range(n)]]
                 )
                 assert lhs == e_ny @ chi_a @ eval_matrix(g, aq)
 
