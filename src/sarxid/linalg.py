@@ -3,8 +3,11 @@
 Dense matrices of Fractions.  One elimination over Fraction, `_insert`, adds
 a row to a reduced echelon basis and is the only one: rref, rank, kernel,
 determinant and every linear solve read their answer off it, and each solve
-reduces its matrix once.  `Subspace` is the one subspace builder: the span
-of some vectors, closed under some maps, by a worklist over `_insert`.
+reduces its matrix once.  One product, `sparse_apply`, applies a matrix read
+once as sparse rows to a vector: `@`, the subspace closure and the state
+update of `lss.simulate_lss` all go through it.  `Subspace` is the one
+subspace builder: the span of some vectors, closed under some maps, by a
+worklist over `_insert`.
 """
 
 from __future__ import annotations
@@ -121,16 +124,11 @@ class RatMatrix:
             raise ValueError(
                 "shape mismatch for product: %s @ %s" % (self.shape, other.shape)
             )
-        if not self.rows:
-            return RatMatrix.zeros(0, other.cols)
-        # an (n x 0) @ (0 x k) product is the n x k zero matrix
-        bt = list(zip(*other._data)) if other.rows else [()] * other.cols
-        return RatMatrix(
-            [
-                [sum((a * b for a, b in zip(row, colb)), _ZERO) for colb in bt]
-                for row in self._data
-            ]
-        )
+        rows = sparse_rows(self._data)
+        # column j of the product is the rows applied to column j of other; the
+        # transposes keep every zero shape, (n x 0) @ (0 x k) included
+        out = [sparse_apply(rows, colb) for colb in other.transpose()._data]
+        return RatMatrix(out, self.rows).transpose()
 
     def transpose(self):
         if not (self.rows and self.cols):
@@ -241,6 +239,28 @@ def _insert(basis, v):
     return pivot, lead, v
 
 
+def sparse_rows(rows):
+    """Per row, its nonzero (column, value) entries, with a value 1 kept as None."""
+    return [[(j, None if x == 1 else x) for j, x in enumerate(row) if x] for row in rows]
+
+
+def sparse_apply(rows, v):
+    """The one product: the matrix with these `sparse_rows`, applied to the vector v.
+
+    A zero entry of v is skipped and a 1 of the matrix adds v's entry
+    unmultiplied; the skipped terms are exactly zero.
+    """
+    out = []
+    for row in rows:
+        s = _ZERO
+        for j, a in row:
+            x = v[j]
+            if x:
+                s += x if a is None else a * x
+        out.append(s)
+    return out
+
+
 def _null_vectors(red, pivots, cols):
     """Kernel basis read off a reduced form whose first `cols` columns are an rref."""
     basis = []
@@ -303,13 +323,12 @@ class Subspace:
             elif len(v) != ambient_dim:
                 raise ValueError("vector length mismatch")
             work.append([Fraction(x) for x in v])
-        rows = [m.to_lists() for m in maps]
+        rows = [sparse_rows(m._data) for m in maps]
         basis = []
         while work and len(basis) < ambient_dim:
             found = _insert(basis, work.pop())
             if found is not None:
-                v = found[2]
-                work.extend([sum(a * b for a, b in zip(r, v)) for r in m] for m in rows)
+                work.extend(sparse_apply(m, found[2]) for m in rows)
         self._basis = tuple((p, tuple(row)) for p, row in basis)
 
     @property

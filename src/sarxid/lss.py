@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import RatMatrix, Subspace, kron, solve_affine
+from .linalg import RatMatrix, Subspace, kron, solve_affine, sparse_apply, sparse_rows
 from .rationals import InputError, load_json, malformed, parse_int
 from .sarx import HybridWord, SarxModel
 
@@ -120,17 +120,24 @@ def associated_lss(model: SarxModel) -> Lss:
 
 def simulate_lss(sys: Lss, word: HybridWord):
     """Output trace y_t = C_{q_t} x_t with x_{t+1} = A_{q_t} x_t + B_{q_t} u_t."""
-    x = sys.x0
+    # per mode, the sparse rows of C_q, and of [A_q | B_q] to apply to (x, u)
+    modes = {
+        q: (
+            sparse_rows(md.c.to_lists()),
+            sparse_rows([ra + rb for ra, rb in zip(md.a.to_lists(), md.b.to_lists())]),
+        )
+        for q, md in sys.modes.items()
+    }
+    x = sys.x0.col(0)
     outputs = []
     for q, u in word:
-        if q not in sys.modes:
+        if q not in modes:
             raise InputError("unknown mode label %r" % q)
         if len(u) != sys.m:
             raise InputError("input dimension %d != m=%d" % (len(u), sys.m))
-        md = sys.modes[q]
-        y = md.c @ x
-        outputs.append(tuple(y[i, 0] for i in range(sys.p)))
-        x = md.a @ x + md.b @ RatMatrix.column(u)
+        c, ab = modes[q]
+        outputs.append(tuple(sparse_apply(c, x)))
+        x = sparse_apply(ab, [*x, *u])
     return outputs
 
 

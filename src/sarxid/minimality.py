@@ -117,12 +117,11 @@ def theorem2_polynomials(model: SarxModel) -> Theorem2Data:
     )
 
 
-def arx_is_minimal(model: SarxModel, q) -> bool:
+def arx_is_minimal(data: Theorem2Data, q) -> bool:
     """Lone-mode ARX minimality: numerator N_q and denominator chi_q coprime.
 
     `test_transfer_minimality_matches_sympy_gcd` checks it against sympy.
     """
-    data = theorem2_polynomials(model)
     return is_coprime(data.numerator[q], data.chi[q])
 
 
@@ -282,7 +281,7 @@ def sarx_minimality_sufficient(model: SarxModel):
         raise InputError("minimality certificates are defined for SISO models")
     data = theorem2_polynomials(model)
     for q in model.labels:
-        if is_coprime(data.numerator[q], data.chi[q]):
+        if arx_is_minimal(data, q):
             return ("minimal-certified", "mode %s has a minimal ARX subsystem" % q)
     if check_strong_minimality(model, method="exact-rank").strong_minimal:
         return ("minimal-certified", "the associated switched state-space system is minimal")

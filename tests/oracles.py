@@ -15,6 +15,20 @@ from sarxid import Z_RING, MultiPoly, RatMatrix, Subspace
 _ZERO = Fraction(0)
 
 
+def to_sympy(m: RatMatrix):
+    return sympy.Matrix(
+        m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator) for x in sum(m.to_lists(), [])]
+    )
+
+
+def from_sympy(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
+def matrix_from_sympy(m) -> RatMatrix:
+    return RatMatrix([[from_sympy(x) for x in m.row(i)] for i in range(m.rows)], m.cols)
+
+
 def rank_by_minors(m: RatMatrix) -> int:
     """Largest k with a nonzero k x k minor, by exhaustive enumeration."""
     def det(rows, cols):

@@ -78,8 +78,8 @@ def test_criterion_02_counterexample_discrimination():
     assert verdict.unobservable_dim > 0
     good = SarxModel.load(fixture_path("example3.json"))
     assert check_strong_minimality(good).strong_minimal is True
-    assert not arx_is_minimal(good, "1")
-    assert not arx_is_minimal(good, "2")
+    assert not arx_is_minimal(theorem2_polynomials(good), "1")
+    assert not arx_is_minimal(theorem2_polynomials(good), "2")
     assert time.monotonic() - start < 1.0
 
 

@@ -1,12 +1,11 @@
 from datetime import timedelta
 from fractions import Fraction
 
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_fraction
-from oracles import rank_by_minors
+from oracles import from_sympy, matrix_from_sympy, rank_by_minors, to_sympy
 from sarxid import RatMatrix, Subspace, solve_affine
 from sarxid.linalg import kron
 
@@ -127,20 +126,10 @@ properties = settings(max_examples=60, deadline=timedelta(seconds=10), derandomi
 entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
-def matrices(rows, cols):
+def matrices(rows, cols, elements=entries):
     return st.lists(
-        st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
-    ).map(RatMatrix)
-
-
-def to_sympy(m):
-    return sympy.Matrix(
-        m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator) for x in sum(m.to_lists(), [])]
-    )
-
-
-def from_sympy(x):
-    return Fraction(int(x.p), int(x.q))
+        st.lists(elements, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(lambda data: RatMatrix(data, cols))
 
 
 @st.composite
@@ -173,7 +162,7 @@ def test_determinant_matches_sympy(m):
 def test_rref_is_idempotent_and_rank_revealing(m):
     red, pivots = m.rref()
     ref, ref_pivots = to_sympy(m).rref()
-    assert red == RatMatrix([[from_sympy(x) for x in ref.row(i)] for i in range(ref.rows)])
+    assert red == matrix_from_sympy(ref)
     assert tuple(pivots) == ref_pivots
     assert red.rref() == (red, pivots)
 
@@ -196,6 +185,23 @@ def test_solve_affine_reads_kernel_off_one_reduction(system):
     assert [v.col(0) for v in kernel] == [
         tuple(from_sympy(e) for e in v) for v in to_sympy(a).nullspace()
     ]
+
+
+# half the entries are 0 or 1, so the product skips both often
+sparse_entries = st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), entries)
+
+
+@properties
+@given(st.tuples(*[st.integers(0, 4)] * 3).flatmap(
+    lambda d: st.tuples(matrices(d[0], d[1], sparse_entries), matrices(d[1], d[2], sparse_entries))
+))
+def test_product_matches_sympy(ab):
+    # shapes from 0 to 4 take in the n x 0 @ 0 x k zero product and 0-row operands
+    a, b = ab
+    c = a @ b
+    assert c.shape == (a.rows, b.cols)
+    assert c == matrix_from_sympy(to_sympy(a) * to_sympy(b))
+    assert all(type(x) is Fraction for row in c.to_lists() for x in row)
 
 
 @properties

@@ -3,11 +3,16 @@ from datetime import timedelta
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_path, random_lss, random_mimo_model, random_siso_model
-from oracles import brute_force_reachable, brute_force_unobservable
+from oracles import (
+    brute_force_reachable,
+    brute_force_unobservable,
+    matrix_from_sympy,
+    to_sympy,
+)
 from sarxid import (
     HybridWord,
     InputError,
@@ -80,6 +85,48 @@ def models_and_words(draw):
 def test_embedding_trace_equivalence_property(model_and_word):
     model, w = model_and_word
     assert simulate_sarx(model, w) == simulate_lss(associated_lss(model), w)
+
+
+@st.composite
+def conjugate_pairs(draw):
+    """A companion embedding with x0 != 0, its conjugate by an invertible T, and a word.
+
+    The conjugate, A' = T A T^-1, B' = T B, C' = C T^-1 and x0' = T x0, is
+    built in sympy; its matrices are dense where the embedding's are sparse.
+    """
+    model, w = draw(models_and_words())
+    sys = associated_lss(model)
+    n = sys.n
+    rng = draw(st.randoms(use_true_random=False))
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    x0 = RatMatrix.column([entry() for _ in range(n)])
+    assume(not x0.is_zero())
+    t = to_sympy(RatMatrix([[entry() for _ in range(n)] for _ in range(n)]))
+    assume(t.det() != 0)
+    t_inv = t.inv()
+    sys = Lss(n=n, m=sys.m, p=sys.p, modes=sys.modes, x0=x0)
+    conj = Lss(
+        n=n, m=sys.m, p=sys.p, x0=matrix_from_sympy(t * to_sympy(x0)),
+        modes={
+            q: LssMode(
+                a=matrix_from_sympy(t * to_sympy(md.a) * t_inv),
+                b=matrix_from_sympy(t * to_sympy(md.b)),
+                c=matrix_from_sympy(to_sympy(md.c) * t_inv),
+            )
+            for q, md in sys.modes.items()
+        },
+    )
+    return sys, conj, w
+
+
+@properties
+@given(conjugate_pairs())
+def test_trace_is_invariant_under_conjugation(case):
+    sys, conj, w = case
+    assert simulate_lss(conj, w) == simulate_lss(sys, w)
 
 
 def test_simulate_without_inputs():

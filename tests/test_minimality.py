@@ -65,8 +65,8 @@ def test_counterexample_not_strongly_minimal():
 
 
 def test_strong_minimality_despite_nonminimal_arx_modes(reference_model):
-    assert not arx_is_minimal(reference_model, "1")
-    assert not arx_is_minimal(reference_model, "2")
+    assert not arx_is_minimal(theorem2_polynomials(reference_model), "1")
+    assert not arx_is_minimal(theorem2_polynomials(reference_model), "2")
     status, reason = sarx_minimality_sufficient(reference_model)
     assert status == "minimal-certified"
     assert "state-space" in reason

@@ -69,12 +69,12 @@ def test_transfer_minimality_matches_sympy_gcd(rng):
         data = theorem2_polynomials(m)
         for q in m.labels:
             if data.numerator[q].is_zero():
-                assert not arx_is_minimal(m, q)
+                assert not arx_is_minimal(data, q)
                 continue
             g = sympy.gcd(
                 unipoly_to_sympy(data.numerator[q], z), unipoly_to_sympy(data.chi[q], z), z
             )
-            assert arx_is_minimal(m, q) == (sympy.degree(g, z) == 0)
+            assert arx_is_minimal(data, q) == (sympy.degree(g, z) == 0)
 
 
 def test_transfer_denominator_is_monic_char_style(rng):
