@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 from .groebner import buchberger, elimination_ideal
 from .linalg import RatMatrix
@@ -139,8 +138,6 @@ def symbolic_theorem2(par: PolyParametrization) -> Theorem2Data:
     z is the last variable.  Specializing the parameters gives the data of
     the instantiated model, because both come from the same recursion.
     """
-    if not par.is_siso():
-        raise InputError("symbolic coprimality data requires SISO")
     if Z_RING[0] in par.vars:
         raise InputError('parameter variable named "z" collides with the indeterminate')
     ring = par.vars + Z_RING
@@ -148,8 +145,7 @@ def symbolic_theorem2(par: PolyParametrization) -> Theorem2Data:
         q: [par.coeff_poly(q, j).embed(ring) for j in range(1, par.ny + par.nu + 1)]
         for q in par.labels
     }
-    z = MultiPoly.variable(ring, len(par.vars))
-    return _theorem2(par.ny, par.nu, h, z, MultiPoly.constant(ring, 1))
+    return _theorem2(par.ny, par.nu, h, ring)
 
 
 @dataclass(frozen=True)
@@ -165,7 +161,7 @@ class IdentifiableRegion:
     s_b: dict  # per ordered pair: scaled generators entering I_B
 
     def is_empty(self):
-        return all(f.is_zero() for f in self.s)
+        return not self.s
 
     def to_json_dict(self):
         def fmt(polys):
@@ -191,9 +187,9 @@ def procedure1(par: PolyParametrization) -> IdentifiableRegion:
 
     Per ordered pair of distinct modes, eliminate z from the reachability
     ideal (chi with the advanced phi) and from the observability ideal (chi
-    with the other mode's upsilon, scaled by the leading-coefficient
-    polynomial Q), then return the reduced Groebner basis of the product of
-    the two combined ideals.
+    with the other mode's upsilon, scaled by the pair's condition-B scale
+    `b_scale`), then return the reduced Groebner basis of the product of the
+    two combined ideals.
     """
     if not par.vars:
         raise InputError("region computation needs at least one parameter")
@@ -201,20 +197,16 @@ def procedure1(par: PolyParametrization) -> IdentifiableRegion:
     d = len(par.vars)
     param_order = MonomialOrder.grevlex(d)
 
-    ny, nu = par.ny, par.nu
     s_a = {}
     s_b_raw = {}
     s_b = {}
-    for q, qh in permutations(sym.labels, 2):
-        s_a[(q, qh)] = elimination_ideal([sym.chi[q], sym.phi_next[(q, qh)]], [d])
+    for pair in sym.pairs:
+        q, qh = pair
+        s_a[pair] = elimination_ideal([sym.chi[q], sym.phi_next[pair]], [d])
         raw = elimination_ideal([sym.chi[q], sym.upsilon[qh]], [d])
-        s_b_raw[(q, qh)] = raw
-        n_q_top = par.coeff_poly(q, ny + nu)
-        scale = n_q_top * (
-            par.coeff_poly(qh, ny) * n_q_top
-            - par.coeff_poly(q, ny) * par.coeff_poly(qh, ny + nu)
-        )
-        s_b[(q, qh)] = [f * scale for f in raw]
+        s_b_raw[pair] = raw
+        scale = sym.b_scale[pair].restrict(range(d))
+        s_b[pair] = [f * scale for f in raw]
 
     gens_a = [f for polys in s_a.values() for f in polys]
     gens_b = [f for polys in s_b.values() for f in polys]
@@ -289,6 +281,8 @@ def injectivity_probe(par: PolyParametrization, trials=100, seed=0) -> Injectivi
     polynomials the probe samples parameter pairs and sign flips; absence of
     a collision is inconclusive.
     """
+    if trials < 1:
+        raise InputError("need at least one trial, got %d" % trials)
     linear = _affine_linear_part(par)
     if linear is not None:
         if linear.rank() == par.dim:
@@ -316,6 +310,8 @@ def genericity_witness(par: PolyParametrization, samples=20, seed=0):
     A single witness certifies generic strong minimality of the family.
     Returns (theta or None, attempts).
     """
+    if samples < 1:
+        raise InputError("need at least one sample, got %d" % samples)
     rng = random.Random(seed)
     for attempt in range(1, samples + 1):
         theta = _draw_theta(rng, par.dim)

@@ -30,20 +30,25 @@ class Theorem2Data:
     """Polynomial data backing the sufficient strong-minimality conditions.
 
     Polynomials are MultiPoly in z over the ring of the coefficients h_q^j:
-    in Z_RING for one model, in the parameters and z for a family.
+    in Z_RING for one model, in the parameters and z for a family.  A pair
+    key (q, qh) names first the mode q whose chi is tested; t_q = h_q^(ny+nu).
 
+    pairs            the ordered pairs of distinct modes, in witness search order
     chi[q]           monic z^ny - sum h_q^j z^(ny-j)
     upsilon[q]       sum_{j<=ny} h_q^j z^(ny-j)
     numerator[q]     sum_{j<=nu} h_q^(ny+j) z^(nu-j)
     d[q][j]          the first ny entries of A_q^j e_1, j = 0..nu (the rest are 0)
-    psi[(qh,q)][j]   monic degree-j polynomials with psi_j(A_qh) e_1 = A_q^j e_1
-    phi[(qh,q)]      sum_j h_q^(ny+j) psi_(nu-j); phi(A_qh) e_1 = A_q^nu B
-    phi_next[(qh,q)] sum_j h_q^(ny+j) psi_(nu-j+1); represents A_q^(nu+1) B
+    psi[(q,qh)][j]   monic degree-j polynomials with psi_j(A_q) e_1 = A_qh^j e_1
+    phi[(q,qh)]      sum_j h_qh^(ny+j) psi_(nu-j); phi(A_q) e_1 = A_qh^nu B
+    phi_next[(q,qh)] sum_j h_qh^(ny+j) psi_(nu-j+1); represents A_qh^(nu+1) B
+    b_scale[(q,qh)]  t_q (h_qh^ny t_q - h_q^ny t_qh) = t_q^2 condition_b_scalar
+
+    psi, phi and phi_next hold q = qh too; b_scale holds only `pairs`.
     """
 
     ny: int
     nu: int
-    labels: tuple
+    pairs: tuple
     chi: dict
     upsilon: dict
     numerator: dict
@@ -51,6 +56,7 @@ class Theorem2Data:
     psi: dict
     phi: dict
     phi_next: dict
+    b_scale: dict
 
 
 def _horner(lead, coeffs, z):
@@ -60,14 +66,16 @@ def _horner(lead, coeffs, z):
     return lead
 
 
-def _theorem2(ny, nu, h, z, one) -> Theorem2Data:
+def _theorem2(ny, nu, h, ring) -> Theorem2Data:
     """The Theorem-2 recursions over any coefficient ring.
 
-    h maps each mode label to its coefficients h_q^1..h_q^(ny+nu); z and one
-    are the indeterminate and the unit of the polynomial ring.  Only +, *
-    and Horner steps are used, so the same code builds the data of one model
+    h maps each mode label to its coefficients h_q^1..h_q^(ny+nu); the
+    polynomials live in `ring`, whose last variable is z.  Only +, * and
+    Horner steps are used, so the same code builds the data of one model
     and, symbolically, of a whole parametrized family.
     """
+    z = MultiPoly.variable(ring, len(ring) - 1)
+    one = MultiPoly.constant(ring, 1)
     zero = one * 0
     labels = tuple(h)
     chi, upsilon, numerator, d = {}, {}, {}, {}
@@ -81,20 +89,26 @@ def _theorem2(ny, nu, h, z, one) -> Theorem2Data:
             seq.append((sum(c * x for c, x in zip(hq, prev)),) + prev[:-1])
         d[q] = seq
     psi, phi, phi_next = {}, {}, {}
-    for qh in labels:
-        for q in labels:
-            diff = [a - b for a, b in zip(h[q][:ny], h[qh][:ny])]
+    for q in labels:
+        for qh in labels:
+            diff = [a - b for a, b in zip(h[qh][:ny], h[q][:ny])]
             seq = [one]
             for j in range(nu):
-                seq.append(z * seq[-1] + sum(c * x for c, x in zip(diff, d[q][j])))
-            num = h[q][ny:]
-            psi[(qh, q)] = seq
-            phi[(qh, q)] = sum((c * p for c, p in zip(num, reversed(seq[:-1]))), zero)
-            phi_next[(qh, q)] = sum((c * p for c, p in zip(num, reversed(seq[1:]))), zero)
+                seq.append(z * seq[-1] + sum(c * x for c, x in zip(diff, d[qh][j])))
+            num = h[qh][ny:]
+            psi[(q, qh)] = seq
+            phi[(q, qh)] = sum((c * p for c, p in zip(num, reversed(seq[:-1]))), zero)
+            phi_next[(q, qh)] = sum((c * p for c, p in zip(num, reversed(seq[1:]))), zero)
+    pairs = tuple(permutations(labels, 2))
+    t = {q: hq[-1] for q, hq in h.items()}
+    b_scale = {
+        (q, qh): one * (t[q] * (h[qh][ny - 1] * t[q] - h[q][ny - 1] * t[qh]))
+        for q, qh in pairs
+    }
     return Theorem2Data(
         ny=ny,
         nu=nu,
-        labels=labels,
+        pairs=pairs,
         chi=chi,
         upsilon=upsilon,
         numerator=numerator,
@@ -102,19 +116,16 @@ def _theorem2(ny, nu, h, z, one) -> Theorem2Data:
         psi=psi,
         phi=phi,
         phi_next=phi_next,
+        b_scale=b_scale,
     )
 
 
 def theorem2_polynomials(model: SarxModel) -> Theorem2Data:
-    if not model.is_siso():
-        raise InputError("coprimality conditions are defined for SISO models")
     h = {
         q: [model.coeff(q, j) for j in range(1, model.ny + model.nu + 1)]
         for q in model.labels
     }
-    return _theorem2(
-        model.ny, model.nu, h, MultiPoly.variable(Z_RING, 0), MultiPoly.constant(Z_RING, 1)
-    )
+    return _theorem2(model.ny, model.nu, h, Z_RING)
 
 
 def arx_is_minimal(data: Theorem2Data, q) -> bool:
@@ -148,12 +159,9 @@ def gamma_polynomials(model: SarxModel, q):
 
 
 def check_condition_a(data: Theorem2Data):
-    """First pair (q0, q1), q0 != q1, with chi_q0 coprime to phi_(q0,q1), or None."""
-    for q0, q1 in permutations(data.labels, 2):
-        p = data.phi[(q0, q1)]
-        if p.is_zero():
-            continue
-        if is_coprime(data.chi[q0], p):
+    """First pair (q0, q1) with chi_q0 coprime to phi_(q0,q1), or None."""
+    for q0, q1 in data.pairs:
+        if is_coprime(data.chi[q0], data.phi[(q0, q1)]):
             return (q0, q1)
     return None
 
@@ -167,16 +175,10 @@ def condition_b_scalar(model: SarxModel, q2, q3):
     return model.coeff(q3, ny) - model.coeff(q3, ny + nu) * model.coeff(q2, ny) / top2
 
 
-def check_condition_b(data: Theorem2Data, model: SarxModel):
-    """First pair (q2, q3), q2 != q3, passing all three clauses, or None."""
-    ny, nu = model.ny, model.nu
-    for q2, q3 in permutations(data.labels, 2):
-        if model.coeff(q2, ny + nu) == 0:
-            continue
-        ups = data.upsilon[q3]
-        if ups.is_zero() or not is_coprime(ups, data.chi[q2]):
-            continue
-        if condition_b_scalar(model, q2, q3) != 0:
+def check_condition_b(data: Theorem2Data):
+    """First pair (q2, q3) with b_scale nonzero and upsilon_q3 coprime to chi_q2, or None."""
+    for q2, q3 in data.pairs:
+        if not data.b_scale[(q2, q3)].is_zero() and is_coprime(data.upsilon[q3], data.chi[q2]):
             return (q2, q3)
     return None
 
@@ -241,7 +243,7 @@ def check_strong_minimality(model: SarxModel, method="exact-rank") -> Minimality
     if method in ("theorem2", "both"):
         data = theorem2_polynomials(model)
         wa = check_condition_a(data)
-        wb = check_condition_b(data, model)
+        wb = check_condition_b(data)
         if wb is not None:
             value = condition_b_scalar(model, *wb)
         sufficient = wa is not None and wb is not None
@@ -277,8 +279,6 @@ def sarx_minimality_sufficient(model: SarxModel):
     minimal or the model is strongly minimal; otherwise ("unknown", None).
     Plain minimality has no complete decision procedure here.
     """
-    if not model.is_siso():
-        raise InputError("minimality certificates are defined for SISO models")
     data = theorem2_polynomials(model)
     for q in model.labels:
         if arx_is_minimal(data, q):

@@ -129,7 +129,7 @@ def test_criterion_05_sufficiency_soundness_sweep():
         model = random_siso_model(rng)
         data = theorem2_polynomials(model)
         wa = check_condition_a(data)
-        wb = check_condition_b(data, model)
+        wb = check_condition_b(data)
         if wa is not None and wb is not None:
             held += 1
             assert is_minimal_lss(associated_lss(model)).minimal, (

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import fixture_path
-from sarxid import MultiPoly, cli, groebner
+from sarxid import MultiPoly, RatMatrix, SarxModel, cli, groebner
 from sarxid.cli import main
 
 SRC = Path(__file__).parent.parent / "src"
@@ -101,6 +101,14 @@ def test_malformed_input_exits_two(capsys, tmp_path):
             code, _, err = run_cli(capsys, cmd, *paths)
             assert code == 2, (cmd, raw[:4])
             assert err.startswith("error: ") and "Traceback" not in err, (cmd, raw[:4])
+
+    # a sample or trial count below 1 would draw nothing
+    for cmd, option in (("param-generic", "--samples"), ("param-injective", "--trials")):
+        for value in ("0", "-3"):
+            argv = (cmd, fixture_path("theta_squared_param.json"), option, value)
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and not out, argv
+            assert err.startswith("error: "), argv
 
 
 def test_negative_exponent_is_refused(capsys, tmp_path):
@@ -278,6 +286,16 @@ def test_param_analyze_rejects_mimo(capsys, tmp_path):
     code, _, err = run_cli(capsys, "param-analyze", path)
     assert code == 2
     assert "SISO" in err
+
+
+def test_coprimality_routes_reject_mimo(capsys, tmp_path):
+    model = SarxModel(ny=1, nu=1, p=2, m=1, modes={"1": RatMatrix([[1, 0, 1], [0, 1, 1]])})
+    path = tmp_path / "mimo.json"
+    path.write_text(json.dumps(model.to_json_dict()))
+    for argv in (("check-min", path, "--method", "theorem2"), ("check-sufficient", path)):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert "SISO" in err, argv
 
 
 def test_param_generic_and_injective(capsys):

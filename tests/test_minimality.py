@@ -43,7 +43,7 @@ def test_reference_polynomials(reference_data):
 
 def test_reference_condition_witnesses(reference_model, reference_data):
     assert check_condition_a(reference_data) == ("1", "2")
-    wb = check_condition_b(reference_data, reference_model)
+    wb = check_condition_b(reference_data)
     assert wb is not None
     assert condition_b_scalar(reference_model, "1", "2") == Fraction(-3)
 
@@ -97,7 +97,7 @@ def test_condition_witnesses_match_sympy():
         modes = {q: RatMatrix([[rng.randint(-3, 3) for _ in range(ny + nu)]]) for q in "123"}
         model = SarxModel(ny=ny, nu=nu, p=1, m=1, modes=modes)
         data = theorem2_polynomials(model)
-        report = (check_condition_a(data), check_condition_b(data, model))
+        report = (check_condition_a(data), check_condition_b(data))
         assert report == theorem2_witnesses_sympy(model), model.to_json_dict()
 
 
