@@ -49,7 +49,6 @@ from .rationals import InputError, format_rational, parse_rational
 from .sarx import (
     HybridWord,
     SarxModel,
-    equivalent_on_samples,
     reduce_trailing_zero,
     simulate_sarx,
 )

@@ -74,7 +74,7 @@ def cmd_to_lss(args):
 
 def cmd_iso(args):
     solution = find_isomorphisms(Lss.load(args.a), Lss.load(args.b), seed=args.seed)
-    return solution.to_json_dict(), solution.kind != "none"
+    return solution.to_json_dict(), solution.witness is not None
 
 
 def cmd_param_analyze(args):

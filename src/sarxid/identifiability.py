@@ -285,11 +285,11 @@ def injectivity_probe(par: PolyParametrization, trials=100, seed=0) -> Injectivi
         raise InputError("need at least one trial, got %d" % trials)
     linear = _affine_linear_part(par)
     if linear is not None:
-        if linear.rank() == par.dim:
+        kern = linear.kernel_basis()
+        if not kern:
             return InjectivityEvidence(kind="injective-affine")
-        kern = linear.kernel_basis()[0]
         theta1 = tuple(_ZERO for _ in range(par.dim))
-        theta2 = tuple(kern[i, 0] for i in range(par.dim))
+        theta2 = tuple(kern[0][i, 0] for i in range(par.dim))
         return InjectivityEvidence(kind="collision", collision=(theta1, theta2))
     rng = random.Random(seed)
     for _ in range(trials):

@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals.
 
 Dense matrices of Fractions.  One elimination over Fraction, `_insert`, adds
-a row to a reduced echelon basis and is the only one: rref, rank, kernel,
+a row to a reduced echelon basis and is the only one: rref, kernel,
 determinant and every linear solve read their answer off it, and each solve
 reduces its matrix once.  One product, `sparse_apply`, applies a matrix read
 once as sparse rows to a vector: `@`, the subspace closure and the state
@@ -79,9 +79,6 @@ class RatMatrix:
     def shape(self):
         return (self.rows, self.cols)
 
-    def is_zero(self):
-        return all(x == 0 for row in self._data for x in row)
-
     def is_square(self):
         return self.rows == self.cols
 
@@ -135,18 +132,6 @@ class RatMatrix:
             return RatMatrix.zeros(self.cols, self.rows)
         return RatMatrix(list(zip(*self._data)))
 
-    def power(self, k):
-        if not self.is_square():
-            raise ValueError("power of non-square matrix")
-        result = RatMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base
-            k >>= 1
-        return result
-
     def trace(self):
         if not self.is_square():
             raise ValueError("trace of non-square matrix")
@@ -193,9 +178,6 @@ class RatMatrix:
         """
         m, pivots, _ = self._gauss_jordan()
         return RatMatrix(m), pivots
-
-    def rank(self):
-        return len(self.rref()[1])
 
     def kernel_basis(self):
         """Basis of {x : Mx = 0} as a list of n x 1 column matrices."""

@@ -99,10 +99,6 @@ class MultiPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, vars):
-        return cls(vars)
-
-    @classmethod
     def constant(cls, vars, c):
         c = Fraction(c)
         if c == 0:

@@ -8,7 +8,6 @@ zero.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -181,33 +180,3 @@ def reduce_trailing_zero(model: SarxModel) -> SarxModel:
         for q in model.modes
     }
     return SarxModel(ny=model.ny, nu=model.nu - 1, p=1, m=1, modes=modes)
-
-
-def random_word(labels, m, horizon, rng, lo=-3, hi=3):
-    return HybridWord(
-        [
-            (rng.choice(labels), [Fraction(rng.randint(lo, hi)) for _ in range(m)])
-            for _ in range(horizon)
-        ]
-    )
-
-
-def equivalent_on_samples(a: SarxModel, b: SarxModel, trials=20, horizon=None, seed=0):
-    """Randomized necessary test for equivalence: exact trace agreement.
-
-    A `False` is a proof of inequivalence; `True` only says no sampled word
-    separated the two models.  `test_equivalent_on_samples_separates` checks both.
-    """
-    if a.p != b.p or a.m != b.m:
-        raise InputError("models have different input/output dimensions")
-    labels = sorted(set(a.labels) | set(b.labels))
-    if any(q not in a.modes or q not in b.modes for q in labels):
-        raise InputError("mode sets differ")
-    if horizon is None:
-        horizon = 2 * (max(a.ny, b.ny) + max(a.nu, b.nu)) + 2
-    rng = random.Random(seed)
-    for _ in range(trials):
-        w = random_word(labels, a.m, horizon, rng)
-        if simulate_sarx(a, w) != simulate_sarx(b, w):
-            return False
-    return True

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from sarxid import Z_RING, Lss, LssMode, MultiPoly, RatMatrix, SarxModel
+from sarxid import Z_RING, HybridWord, Lss, LssMode, MultiPoly, RatMatrix, SarxModel
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -21,8 +21,29 @@ def zpoly(*ascending_coeffs):
     return MultiPoly(Z_RING, {(k,): c for k, c in enumerate(ascending_coeffs)})
 
 
+def matrix_power(a, k):
+    """a^k by repeated products; a^0 is the identity."""
+    result = RatMatrix.identity(a.rows)
+    for _ in range(k):
+        result = result @ a
+    return result
+
+
+def rank(m):
+    return len(m.rref()[1])
+
+
 def rand_fraction(rng, lo=-5, hi=5, max_den=1):
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
+
+
+def random_word(labels, m, horizon, rng, lo=-3, hi=3):
+    return HybridWord(
+        [
+            (rng.choice(labels), [Fraction(rng.randint(lo, hi)) for _ in range(m)])
+            for _ in range(horizon)
+        ]
+    )
 
 
 def random_siso_model(rng, max_ny=3, max_modes=3, nonzero_top=False):

@@ -63,7 +63,7 @@ def charpoly_by_cofactor(a: RatMatrix) -> MultiPoly:
     def det(rows, cols):
         if len(rows) == 1:
             return entries[rows[0]][cols[0]]
-        acc = MultiPoly.zero(Z_RING)
+        acc = MultiPoly(Z_RING)
         sign = 1
         for idx, r in enumerate(rows):
             acc = acc + sign * entries[r][cols[0]] * det(
@@ -189,7 +189,7 @@ def brute_force_reachable(sys, max_len=None) -> Subspace:
     """Span of A_w v over all seeds v and words w up to the state dimension."""
     if max_len is None:
         max_len = sys.n
-    seeds = [] if sys.x0.is_zero() else [sys.x0]
+    seeds = [sys.x0] if any(sys.x0.col(0)) else []
     for q in sys.labels:
         b = sys.modes[q].b
         seeds.extend(RatMatrix.column(b.col(j)) for j in range(b.cols))

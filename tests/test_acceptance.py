@@ -9,10 +9,13 @@ from fractions import Fraction
 
 from conftest import (
     fixture_path,
+    matrix_power,
     rand_fraction,
     random_lss,
     random_mimo_model,
     random_siso_model,
+    random_word,
+    rank,
     zpoly,
 )
 from oracles import brute_force_reachable, brute_force_unobservable
@@ -44,7 +47,6 @@ from sarxid import (
     unobservable_space,
     verify_region_membership,
 )
-from sarxid.sarx import random_word
 
 SUITE_START = time.monotonic()
 
@@ -101,7 +103,7 @@ def test_criterion_03_region_computation_both_families():
     assert time.monotonic() - start < 10.0
     # the published basis for the second family; our faithful reading yields
     # the strictly smaller ideal <zeta2^3, zeta1^2 - zeta2^2, zeta1*zeta2 + zeta2^2>
-    # with the same vanishing locus {0} (see ROADMAP open item 3)
+    # with the same vanishing locus {0} (see docs/DECISIONS.md, entry 3)
     published = [zeta(2, 0), zeta(1, 1), zeta(0, 2)]
     assert ideals_equal(r2.s, published, order), (
         "second-family region basis %s differs from the published basis "
@@ -156,8 +158,8 @@ def test_criterion_06_structure_identities():
             top = model.coeff(q, model.ny + model.nu)
             if top != 0:
                 assert char_poly(aq) == zpoly(*[0] * model.nu, 1) * data.chi[q]
-                rows = [e_ny @ aq.power(j) for j in range(model.ny + model.nu)]
-                assert RatMatrix.vstack(rows).rank() == n
+                rows = [e_ny @ matrix_power(aq, j) for j in range(model.ny + model.nu)]
+                assert rank(RatMatrix.vstack(rows)) == n
                 chi_a = eval_matrix(data.chi[q], aq)
                 for j, g in enumerate(gamma_polynomials(model, q), start=1):
                     lhs = RatMatrix(
@@ -171,11 +173,11 @@ def test_criterion_06_structure_identities():
                 for j in range(model.nu + 1):
                     assert (
                         eval_matrix(data.psi[(qh, q)][j], ah) @ e1
-                        == aq.power(j) @ e1
+                        == matrix_power(aq, j) @ e1
                     )
                 assert (
                     eval_matrix(data.phi[(qh, q)], ah) @ e1
-                    == aq.power(model.nu) @ sys.modes[q].b
+                    == matrix_power(aq, model.nu) @ sys.modes[q].b
                 )
 
 

@@ -215,6 +215,20 @@ def one_state_lss(c):
     return {"n": 1, "m": 1, "p": 1, "modes": {"1": mode}, "x0": ["0"]}
 
 
+def silent_lss(a):
+    """n = 2, one mode, B = 0, C = 0, x0 = 0: every S with S A = A' S solves."""
+    mode = {"A": a, "B": [["0"], ["0"]], "C": [["0", "0"]]}
+    return {"n": 2, "m": 1, "p": 1, "modes": {"1": mode}, "x0": ["0", "0"]}
+
+
+# a nilpotent A against A = 0: not similar, yet an affine family of solutions,
+# every one of them singular
+SILENT = {
+    "nil.json": silent_lss([["0", "1"], ["0", "0"]]),
+    "zero.json": silent_lss([["0", "0"], ["0", "0"]]),
+}
+
+
 # (exit code, argv, files written to tmp_path) for the verdicts the tests
 # above do not pin; together they give every subcommand a pinned exit code
 EXIT_CODES = [
@@ -224,6 +238,8 @@ EXIT_CODES = [
     (0, ["iso", "a.json", "a.json"], {"a.json": one_state_lss("1")}),
     (1, ["iso", "a.json", "b.json"],
      {"a.json": one_state_lss("1"), "b.json": one_state_lss("2")}),
+    (1, ["iso", "nil.json", "zero.json"], SILENT),
+    (1, ["iso", "zero.json", "nil.json"], SILENT),
     (1, ["param-analyze", "theta_squared_param.json"], {}),
     (0, ["param-injective", "example8_first_family.json"], {}),
     (1, ["param-injective", "example2_param.json"], {}),

@@ -50,7 +50,7 @@ def test_normal_form_certifies_membership(rng):
             continue
         gb = buchberger(gens, order)
         # random combination of generators must reduce to zero
-        combo = MultiPoly.zero(VARS)
+        combo = MultiPoly(VARS)
         for g in gens:
             combo = combo + random_mpoly(rng, nterms=2, max_exp=1) * g
         assert normal_form(combo, gb, order).is_zero()
@@ -109,7 +109,7 @@ def test_ideal_contains_and_unit_zero():
     assert not normal_form(y, gb, order).is_zero()
     assert gb != [MultiPoly.constant(vars, 1)]
     assert buchberger([x, x + 1], order) == [MultiPoly.constant(vars, 1)]
-    assert buchberger([MultiPoly.zero(vars)], order) == []
+    assert buchberger([MultiPoly(vars)], order) == []
 
 
 def test_ideals_equal_by_mutual_reduction():
@@ -188,7 +188,7 @@ def test_basis_invariant_under_appended_combination(gens, kind, data):
     order = PROPERTY_ORDERS[kind]
     gb = buchberger(gens, order)
     assert_reduced(gb, order)
-    combo = MultiPoly.zero(VARS)
+    combo = MultiPoly(VARS)
     for g in gens:
         combo = combo + data.draw(polys(max_terms=2, max_exp=1)) * g
     assert buchberger(gens + [combo], order) == gb

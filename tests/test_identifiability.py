@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,11 +12,14 @@ from sarxid import (
     MonomialOrder,
     MultiPoly,
     PolyParametrization,
+    buchberger,
+    check_condition_b,
     check_strong_minimality,
     genericity_witness,
     identifiability_verdict,
     ideals_equal,
     injectivity_probe,
+    is_coprime,
     procedure1,
     symbolic_theorem2,
     theorem2_polynomials,
@@ -113,11 +117,61 @@ def test_first_family_region(first_family):
     assert not verify_region_membership(region, (1, -1))
 
 
+def test_second_family_region_is_the_unscaled_b_ideal_times_the_maximal_ideal():
+    # the facts of docs/DECISIONS.md entry 3, behind acceptance criterion 03
+    par = PolyParametrization.load(fixture_path("example8_second_family.json"))
+    region = procedure1(par)
+    order = MonomialOrder.grevlex(2)
+    assert [f.to_str() for f in region.i_a_basis] == ["1"]
+    i_b_raw = buchberger([f for polys in region.s_b_raw.values() for f in polys], order)
+    assert i_b_raw == buchberger([zpoly(1, 1), zpoly(0, 1) * zpoly(0, 1)], order)
+    maximal = [zpoly(1, 0), zpoly(0, 1)]
+    assert ideals_equal(region.s, [f * g for f in i_b_raw for g in maximal], order)
+
+
+def affine_family(rng, bound=3):
+    """Two modes of type (1,1); each entry c0 + c1*zeta1 + c2*zeta2 with c nonzero."""
+    coeffs = [c for c in range(-bound, bound + 1) if c]
+
+    def entry():
+        return zpoly(rng.choice(coeffs), rng.choice(coeffs), rng.choice(coeffs))
+
+    return PolyParametrization(
+        vars=ZVARS, ny=1, nu=1, p=1, m=1, modes={q: (entry(), entry()) for q in ("1", "2")}
+    )
+
+
+def test_region_membership_implies_instance_conditions():
+    # chi_q is monic in z, so V of the elimination ideal of <chi_q, g> is
+    # exactly the projection of V(chi_q, g): off V(S), some pair's chi_q is
+    # coprime to phi_next, and some pair passes condition B
+    rng = random.Random(0)
+    families = [
+        PolyParametrization.load(fixture_path(name + ".json"))
+        for name in ("example2_param", "example8_first_family", "example8_second_family")
+    ]
+    families += [affine_family(rng) for _ in range(8)]
+    members = 0
+    for par in families:
+        region = procedure1(par)
+        for _ in range(30):
+            theta = [rand_fraction(rng, -2, 2) for _ in range(par.dim)]
+            if not verify_region_membership(region, theta):
+                continue
+            members += 1
+            data = theorem2_polynomials(par.instantiate(theta))
+            assert check_condition_b(data) is not None, (par, theta)
+            assert any(
+                is_coprime(data.chi[q], data.phi_next[(q, qh)]) for q, qh in data.pairs
+            ), (par, theta)
+    assert members > 200
+
+
 def test_region_empty_for_degenerate_family():
     # all modes identical and the lone input coefficient zero: nothing to excite
     vars = ("t",)
     t = MultiPoly.variable(vars, 0)
-    zero = MultiPoly.zero(vars)
+    zero = MultiPoly(vars)
     par = PolyParametrization(
         vars=vars, ny=1, nu=1, p=1, m=1, modes={"1": (t, zero), "2": (t, zero)}
     )
@@ -159,7 +213,7 @@ def test_genericity_witness_found(two_param_family):
 
 def test_genericity_witness_absent_for_constant_degenerate_family():
     vars = ("t",)
-    zero = MultiPoly.zero(vars)
+    zero = MultiPoly(vars)
     one = MultiPoly.constant(vars, 1)
     # frozen family: identical modes with zero input coefficient everywhere
     par = PolyParametrization(

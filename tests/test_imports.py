@@ -74,25 +74,31 @@ def names_a_check(doc, tests):
 
 
 def unchecked_surface(sources, tests):
-    """Non-dunder definitions that no module references by name and whose
-    docstring names no test of `tests` that checks them.
+    """Non-dunder definitions that no module uses and whose docstring names
+    no test of `tests` that checks them.
+
+    A module-level function or class is used through a bare name or an
+    attribute (`f`, `mod.f`); a method only through an attribute (`x.f`), so
+    a local variable or a parameter of the same name does not count.  The
+    scan cannot tell apart methods of different classes that share a name,
+    such as `is_zero` or `to_json_dict`: a use of one counts for all.
 
     sources maps a module name to its source text.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    used = set()
+    names, attributes = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attributes.add(node.attr)
     return sorted(
         "%s.%s" % (module, qualname)
         for module, tree in trees.items()
         for qualname, node in definitions(tree)
         if not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in used
+        and node.name not in (attributes if "." in qualname else names | attributes)
         and not names_a_check(ast.get_docstring(node) or "", tests)
     )
 
@@ -125,9 +131,18 @@ class Box:
 
     def size(self):
         return Box().__eq__(self)
+
+    def width(self):
+        width = 0
+        return width
 '''
     tests = {"test_proven", "test_criterion_03_region"}
-    assert unchecked_surface({"m": source}, tests) == ["m.Box.size", "m.dead", "m.misnamed"]
+    assert unchecked_surface({"m": source}, tests) == [
+        "m.Box.size",
+        "m.Box.width",
+        "m.dead",
+        "m.misnamed",
+    ]
 
 
 def test_every_definition_is_used_or_names_its_check():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import random_mimo_model, random_siso_model
+from conftest import random_mimo_model, random_siso_model, random_word
 from oracles import mimo_trace_oracle, siso_trace_oracle, unipoly_to_sympy
 from sarxid import (
     HybridWord,
@@ -12,12 +12,10 @@ from sarxid import (
     RatMatrix,
     SarxModel,
     arx_is_minimal,
-    equivalent_on_samples,
     reduce_trailing_zero,
     simulate_sarx,
     theorem2_polynomials,
 )
-from sarxid.sarx import random_word
 
 
 def test_model_validation():
@@ -102,10 +100,3 @@ def test_reduce_trailing_zero_preserves_traces(rng):
     for _ in range(10):
         w = random_word(padded.labels, 1, 10, rng)
         assert simulate_sarx(padded, w) == simulate_sarx(reduced, w)
-
-
-def test_equivalent_on_samples_separates(rng):
-    a = SarxModel(ny=1, nu=1, p=1, m=1, modes={"1": RatMatrix([[1, 1]])})
-    b = SarxModel(ny=1, nu=1, p=1, m=1, modes={"1": RatMatrix([[1, 2]])})
-    assert not equivalent_on_samples(a, b)
-    assert equivalent_on_samples(a, a)
