@@ -4,10 +4,10 @@ Dense matrices of Fractions.  One elimination over Fraction, `_insert`, adds
 a row to a reduced echelon basis and is the only one: rref, kernel,
 determinant and every linear solve read their answer off it, and each solve
 reduces its matrix once.  One product, `sparse_apply`, applies a matrix read
-once as sparse rows to a vector: `@`, the subspace closure and the state
-update of `lss.simulate_lss` all go through it.  `Subspace` is the one
-subspace builder: the span of some vectors, closed under some maps, by a
-worklist over `_insert`.
+once as sparse rows to a vector: `@`, the subspace closure, the state
+update of `lss.simulate_lss` and the output step of `sarx.simulate_sarx`
+all go through it.  `Subspace` is the one subspace builder: the span of
+some vectors, closed under some maps, by a worklist over `_insert`.
 """
 
 from __future__ import annotations

@@ -46,8 +46,6 @@ class Theorem2Data:
     psi, phi and phi_next hold q = qh too; b_scale holds only `pairs`.
     """
 
-    ny: int
-    nu: int
     pairs: tuple
     chi: dict
     upsilon: dict
@@ -106,8 +104,6 @@ def _theorem2(ny, nu, h, ring) -> Theorem2Data:
         for q, qh in pairs
     }
     return Theorem2Data(
-        ny=ny,
-        nu=nu,
         pairs=pairs,
         chi=chi,
         upsilon=upsilon,

@@ -173,16 +173,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        result = MultiPoly.constant(self.vars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     # -- ordered terms ------------------------------------------------
 
     def sorted_terms(self, order: MonomialOrder):
@@ -277,10 +267,10 @@ class MultiPoly:
 
     @classmethod
     def from_json_terms(cls, vars, obj):
-        if not isinstance(obj, dict):
+        if not (isinstance(obj, dict) and isinstance(obj.get("terms"), list)):
             raise TypeError("a polynomial must be an object with a terms list")
         terms = {}
-        for t in obj.get("terms", []):
+        for t in obj["terms"]:
             exp = tuple(parse_int(e) for e in t["e"])
             if any(e < 0 for e in exp):
                 raise ValueError("negative exponent in %r" % (t["e"],))

@@ -3,7 +3,8 @@
 A model of type (n_y, n_u) holds one coefficient matrix h_q per discrete
 mode; the output at time t is h_{q_t} applied to the regressor stacking the
 last n_y outputs and n_u inputs, with everything before time 0 taken as
-zero.
+zero.  `simulate_sarx` applies h_q through `linalg.sparse_apply`, the one
+product, to that regressor kept as a shift register.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import RatMatrix
+from .linalg import RatMatrix, sparse_apply, sparse_rows
 from .rationals import (
     InputError,
     format_rational,
@@ -133,33 +134,26 @@ class HybridWord:
         return cls.from_json_dict(load_json(path))
 
 
-def regressor(model: SarxModel, outputs, inputs, t):
-    """Regressor phi_t from output/input history, zero-padded before time 0."""
-    entries = []
-    for k in range(1, model.ny + 1):
-        j = t - k
-        y = outputs[j] if j >= 0 else (_ZERO,) * model.p
-        entries.extend(y)
-    for k in range(1, model.nu + 1):
-        j = t - k
-        u = inputs[j] if j >= 0 else (_ZERO,) * model.m
-        entries.extend(u)
-    return RatMatrix.column(entries)
-
-
 def simulate_sarx(model: SarxModel, word: HybridWord):
-    """Exact output trace y_0..y_t for the hybrid word."""
+    """Exact output trace y_0..y_t for the hybrid word.
+
+    The regressor phi, the last n_y outputs above the last n_u inputs, is
+    kept as a shift register from zero: each step y_t = h_{q_t} phi_t, then
+    y_t and u_t enter at the top of their blocks and the oldest drop out,
+    the update the companion embedding of `lss.associated_lss` encodes.
+    """
+    rows = {q: sparse_rows(h.to_lists()) for q, h in model.modes.items()}
+    top = model.ny * model.p
+    phi = [_ZERO] * (top + model.nu * model.m)
     outputs = []
-    inputs = []
     for q, u in word:
-        if q not in model.modes:
+        if q not in rows:
             raise InputError("unknown mode label %r" % q)
         if len(u) != model.m:
             raise InputError("input dimension %d != m=%d" % (len(u), model.m))
-        phi = regressor(model, outputs, inputs, len(outputs))
-        y = model.modes[q] @ phi
-        outputs.append(tuple(y[i, 0] for i in range(model.p)))
-        inputs.append(u)
+        y = sparse_apply(rows[q], phi)
+        outputs.append(tuple(y))
+        phi = [*y, *phi[: top - model.p], *u, *phi[top : -model.m]]
     return outputs
 
 

@@ -67,6 +67,9 @@ def test_malformed_input_exits_two(capsys, tmp_path):
         ("iso", "n", 1.0), ("iso", "x0", "0"), ("iso", "modes", {"1": dict(lss_mode, A="1")}),
         ("param-analyze", "modes", {"1": [{"terms": [{"c": "1", "e": [1.7]}]}, term]}),
         ("param-analyze", "vars", ["t", "t"]), ("param-analyze", "vars", "t"),
+        # a polynomial without a "terms" list is not the zero polynomial
+        ("param-analyze", "modes", {"1": [{"term": term["terms"]}, term]}),
+        ("param-analyze", "modes", {"1": [{"terms": {}}, term]}),
         ("simulate", "steps", [{"q": "1", "u": "1"}]),
         # exponent notation: "1e999999999" would expand to a billion digits
         ("check-min", "modes", {"1": [["1e3", "2"]]}),

@@ -142,16 +142,19 @@ def test_simulate_without_inputs():
 
 
 def test_embedding_state_is_regressor(rng):
-    from sarxid.sarx import regressor
-
     m = random_mimo_model(rng)
     sys = associated_lss(m)
     w = random_word(m.labels, m.m, 8, rng)
     x = sys.x0
     outputs = []
     inputs = []
-    for q, u in w:
-        assert x == regressor(m, outputs, inputs, len(outputs))
+    for t, (q, u) in enumerate(w):
+        # [y_(t-1), ..., y_(t-ny), u_(t-1), ..., u_(t-nu)], zero before time 0
+        stacked = []
+        for history, depth, dim in ((outputs, m.ny, m.p), (inputs, m.nu, m.m)):
+            for k in range(1, depth + 1):
+                stacked.extend(history[t - k] if t >= k else [0] * dim)
+        assert x == RatMatrix.column(stacked)
         y = sys.modes[q].c @ x
         outputs.append(tuple(y[i, 0] for i in range(m.p)))
         inputs.append(u)

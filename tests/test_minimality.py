@@ -82,6 +82,21 @@ def test_sufficiency_soundness_sweep(rng):
             assert verdict.strong_minimal is True
     assert checked > 0
 
+    # sparse entries make many draws non-minimal, so an unsound check shows
+    draw = random.Random(0)
+    types = [(2, 1), (2, 2), (3, 2), (3, 3)]
+    not_minimal = 0
+    for i in range(500):
+        ny, nu = types[i % len(types)]
+        modes = {
+            q: RatMatrix([[draw.choice((-1, 0, 0, 1, 2)) for _ in range(ny + nu)]])
+            for q in "12"
+        }
+        verdict = check_strong_minimality(SarxModel(ny, nu, 1, 1, modes), method="both")
+        assert not (verdict.sufficient_holds and verdict.strong_minimal is False), modes
+        not_minimal += verdict.strong_minimal is False
+    assert not_minimal >= 150
+
 
 def test_condition_witnesses_match_sympy():
     """Conditions A and B pick the witness pairs that sympy picks over QQ.

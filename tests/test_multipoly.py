@@ -62,13 +62,6 @@ def test_ring_axioms_property(f, g, h):
     )
 
 
-def test_power_matches_repeated_product(rng):
-    for _ in range(10):
-        f = random_mpoly(rng, nterms=3, max_exp=2)
-        assert f**3 == f * f * f
-        assert f**0 == MultiPoly.constant(VARS, 1)
-
-
 def test_leading_monomial_agrees_with_sympy_orders(rng):
     order = MonomialOrder.grevlex(len(VARS))
     for _ in range(30):

@@ -54,6 +54,22 @@ def test_simulation_matches_block_recurrence(rng):
         assert simulate_sarx(m, w) == mimo_trace_oracle(m, w)
 
 
+def test_simulation_builds_no_matrix_per_step(rng, monkeypatch):
+    """simulate_sarx applies each mode's sparse rows to its regressor itself."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate_sarx built a RatMatrix or called @")
+
+    modes = {q: RatMatrix([[rng.randint(-3, 3) for _ in range(8)] for _ in range(2)]) for q in "12"}
+    m = SarxModel(ny=2, nu=2, p=2, m=2, modes=modes)
+    w = random_word(m.labels, m.m, 12, rng)
+    monkeypatch.setattr(RatMatrix, "__matmul__", refuse)
+    monkeypatch.setattr(RatMatrix, "column", refuse)
+    trace = simulate_sarx(m, w)
+    monkeypatch.undo()  # the oracle multiplies RatMatrix blocks
+    assert trace == mimo_trace_oracle(m, w)
+
+
 def test_prehistory_is_zero(rng):
     m = random_siso_model(rng)
     w = HybridWord([(m.labels[0], [0])] * 5)
