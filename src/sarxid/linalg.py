@@ -7,7 +7,8 @@ reduces its matrix once.  One product, `sparse_apply`, applies a matrix read
 once as sparse rows to a vector: `@`, the subspace closure, the state
 update of `lss.simulate_lss` and the output step of `sarx.simulate_sarx`
 all go through it.  `Subspace` is the one subspace builder: the span of
-some vectors, closed under some maps, by a worklist over `_insert`.
+some vectors, closed under some maps, by a worklist over `_insert`.  The
+isomorphism route of `lss` reads S off one, and `solve_affine` does the rest.
 """
 
 from __future__ import annotations
@@ -141,15 +142,6 @@ class RatMatrix:
         if self.shape != other.shape:
             raise ValueError("shape mismatch: %s vs %s" % (self.shape, other.shape))
 
-    # -- stacking -----------------------------------------------------
-
-    @staticmethod
-    def vstack(blocks):
-        cols = blocks[0].cols if blocks else 0
-        if any(b.cols != cols for b in blocks):
-            raise ValueError("vstack column mismatch")
-        return RatMatrix([row for b in blocks for row in b._data], cols)
-
     # -- elimination --------------------------------------------------
 
     def _gauss_jordan(self):
@@ -274,13 +266,6 @@ def solve_affine(a: RatMatrix, b: RatMatrix):
     for r, pc in enumerate(pivots):
         x[pc] = red[r, a.cols]
     return RatMatrix.column(x), _null_vectors(red, pivots, a.cols)
-
-
-def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Kronecker product: the block in row i, column k is a[i, k] * b."""
-    if not (a.rows and b.rows):
-        return RatMatrix.zeros(0, a.cols * b.cols)
-    return RatMatrix([[x * y for x in ra for y in rb] for ra in a._data for rb in b._data])
 
 
 class Subspace:

@@ -5,6 +5,9 @@ A_q reproduce the output recursion, the remaining block rows shift old
 outputs and inputs down, and B_q injects the fresh input.  The state at
 time t therefore equals the regressor, so output traces match the switched
 ARX model exactly.
+
+Isomorphisms have one route: a subspace closure fixes S on a span of
+dimension r, and one linear solve finds the n(n - r) entries left.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import RatMatrix, Subspace, kron, solve_affine, sparse_apply, sparse_rows
+from .linalg import RatMatrix, Subspace, solve_affine, sparse_apply, sparse_rows
 from .rationals import InputError, load_json, malformed, parse_int
 from .sarx import HybridWord, SarxModel
 
@@ -204,42 +207,95 @@ def find_isomorphisms(a: Lss, b: Lss, seed=0) -> IsoSolution:
     """Solve {S A_q = A'_q S, S B_q = B'_q, C'_q S = C_q, S x0 = x0'} for S.
 
     A solution's graph {(x, Sx)} is invariant under diag(A_q, A'_q) and holds
-    (x0, x0') and (B_q e_j, B'_q e_j), so it holds their closure: all of it
-    when a is span-reachable.  Routes in order: that graph; the graph of S^T
-    from the C rows when b is observable; the Kronecker system in n^2 unknowns.
+    (x0, x0') and (B_q e_j, B'_q e_j), so it holds their closure, which fixes
+    S on a span of dimension r; so does the graph of S^T, from the C rows
+    under the transposes.  The closure leaving fewer unknowns is kept.  When
+    r = n, its one candidate is checked exactly; else the four equation
+    families become one system in the n(n - r) unknowns, and a family is
+    classified by one generic point and an exact determinant.
     """
     if (a.n, a.m, a.p) != (b.n, b.m, b.p) or a.labels != b.labels:
         raise InputError("systems must share dimensions and mode labels")
+    n = a.n
     modes = [(a.modes[q], b.modes[q]) for q in a.labels]
     seeds = [(a.x0.col(0), b.x0.col(0))]
     seeds += [(ma.b.col(j), mb.b.col(j)) for ma, mb in modes for j in range(a.m)]
-    s = _graph_map(a.n, seeds, [(ma.a, mb.a) for ma, mb in modes])
-    if s is None:
+    graph, dual = _graph_map(n, seeds, [(ma.a, mb.a) for ma, mb in modes]), False
+    if graph is not None and graph[1]:
         seeds = [pair for ma, mb in modes for pair in zip(mb.c.to_lists(), ma.c.to_lists())]
-        s = _graph_map(a.n, seeds, [(mb.a.transpose(), ma.a.transpose()) for ma, mb in modes])
-        if s is None:
-            return _kronecker_solve(a, b, seed)
-        s = s.transpose()
-    if s @ a.x0 != b.x0 or any(
-        s @ ma.a != mb.a @ s or s @ ma.b != mb.b or mb.c @ s != ma.c for ma, mb in modes
-    ):
+        other = _graph_map(n, seeds, [(mb.a.transpose(), ma.a.transpose()) for ma, mb in modes])
+        if other is None or len(other[1]) < len(graph[1]):
+            graph, dual = other, True
+    if graph is None:
         return IsoSolution(kind="none", witness=None, family_dim=-1)
-    return _unique(s)
+    s, kernel = graph[0].transpose() if dual else graph[0], graph[1]
+    if not kernel:
+        if s @ a.x0 != b.x0 or any(
+            s @ ma.a != mb.a @ s or s @ ma.b != mb.b or mb.c @ s != ma.c for ma, mb in modes
+        ):
+            return IsoSolution(kind="none", witness=None, family_dim=-1)
+        return _unique(s)
+
+    # the unknowns are the entries of S (of S^T when dual) at the non-pivot
+    # columns, in S's row-major order, the order of the Kronecker reference
+    unit = RatMatrix.identity(n).to_lists()
+    if dual:
+        directions = [_outer(f, unit[j]) for f in kernel for j in range(n)]
+    else:
+        directions = [_outer(unit[j], f) for j in range(n) for f in kernel]
+
+    def equations(t):
+        out = [x for ma, mb in modes for m in (t @ ma.a - mb.a @ t, t @ ma.b, mb.c @ t)
+               for x in _entries(m)]
+        return out + _entries(t @ a.x0)
+
+    target = [x for ma, mb in modes for x in [_ZERO] * n * n + _entries(mb.b) + _entries(ma.c)]
+    rhs = [x - y for x, y in zip(target + _entries(b.x0), equations(s))]
+    columns = [equations(d) for d in directions]
+    solution = solve_affine(RatMatrix(list(zip(*columns))), RatMatrix.column(rhs))
+    if solution is None:
+        return IsoSolution(kind="none", witness=None, family_dim=-1)
+    particular, null = solution
+
+    def at(point):
+        return sum((d.scale(c) for d, c in zip(directions, point.col(0)) if c), s)
+
+    if not null:
+        return _unique(at(particular))
+    rng = random.Random(seed)  # up to 20 points, entries drawn lazily in [-9, 9]
+    points = (sum((kv.scale(rng.randint(-9, 9)) for kv in null), particular) for _ in range(20))
+    witness = next((t for t in map(at, points) if t.determinant() != 0), None)
+    return IsoSolution(kind="affine-family", witness=witness, family_dim=len(null))
 
 
 def _graph_map(n, pairs, maps):
-    """The only T whose graph can hold the closure W of the pairs (u, Tu) under diag(M, M').
+    """Every T whose graph can hold the closure W of the pairs (u, Tu) under diag(M, M').
 
-    None when the first halves of W do not span Q^n.  Else row i of W's rref is
-    (e_i, T e_i); a W of more than n rows is no graph, and T fails the exact check.
+    Row i of W's rref is (u_i, v_i).  None when some row is (0, v): no T
+    exists.  Else (T0, kernel): T0 sends each u_i to v_i and each non-pivot e_k
+    to 0, and the T are T0 plus combinations of the e_j f^T, for f in kernel,
+    the vectors with 1 at a non-pivot k that the u_i annihilate.
     """
     z = [_ZERO] * n
     diags = [RatMatrix([r + z for r in m.to_lists()] + [z + r for r in m2.to_lists()])
              for m, m2 in maps]
     w = Subspace(2 * n, [list(u) + list(v) for u, v in pairs], diags).basis_rows_matrix()
-    if sum(any(w.row(i)[:n]) for i in range(w.rows)) < n:
+    rows = [w.row(i) for i in range(w.rows)]
+    if rows and not any(rows[-1][:n]):
         return None
-    return RatMatrix([w.row(i)[n:] for i in range(n)]).transpose()
+    by_pivot = {next(k for k, x in enumerate(row) if x): row for row in rows}
+    t0 = RatMatrix([by_pivot[k][n:] if k in by_pivot else z for k in range(n)]).transpose()
+    kernel = [[_ONE if i == k else -by_pivot[i][k] if i in by_pivot else _ZERO for i in range(n)]
+              for k in range(n) if k not in by_pivot]
+    return t0, kernel
+
+
+def _outer(x, y):
+    return RatMatrix([[a * b for b in y] for a in x])
+
+
+def _entries(m):
+    return [x for i in range(m.rows) for x in m.row(i)]
 
 
 def _unique(s):
@@ -249,49 +305,3 @@ def _unique(s):
     if s == RatMatrix.identity(s.rows):
         return IsoSolution(kind="unique-identity", witness=s, family_dim=0)
     return IsoSolution(kind="unique-other", witness=s, family_dim=0)
-
-
-def _kronecker_solve(a: Lss, b: Lss, seed=0) -> IsoSolution:
-    """The whole solution set, from the linear system in the n^2 entries of S.
-
-    A family is classified by one generic point and an exact determinant.
-    """
-    n = a.n
-    eye = RatMatrix.identity(n)
-
-    def vec(m):  # row-major, the order of the unknowns vec(S)
-        return [x for i in range(m.rows) for x in m.row(i)]
-
-    blocks = []
-    rhs = []
-    for q in a.labels:
-        ma, mb = a.modes[q], b.modes[q]
-        blocks.append(kron(eye, ma.a.transpose()) - kron(mb.a, eye))  # S A_q = A'_q S
-        blocks.append(kron(eye, ma.b.transpose()))  # S B_q = B'_q
-        blocks.append(kron(mb.c, eye))  # C'_q S = C_q
-        rhs += [_ZERO] * (n * n) + vec(mb.b) + vec(ma.c)
-    blocks.append(kron(eye, a.x0.transpose()))  # S x0 = x0'
-    rhs += vec(b.x0)
-
-    solution = solve_affine(RatMatrix.vstack(blocks), RatMatrix.column(rhs))
-    if solution is None:
-        return IsoSolution(kind="none", witness=None, family_dim=-1)
-    particular, kernel = solution
-
-    def unflatten(v):
-        return RatMatrix([v.col(0)[i * n : (i + 1) * n] for i in range(n)])
-
-    if not kernel:
-        return _unique(unflatten(particular))
-
-    rng = random.Random(seed)
-    witness = None
-    for _ in range(20):
-        point = particular
-        for kv in kernel:
-            point = point + kv.scale(Fraction(rng.randint(-9, 9)))
-        s = unflatten(point)
-        if s.determinant() != 0:
-            witness = s
-            break
-    return IsoSolution(kind="affine-family", witness=witness, family_dim=len(kernel))

@@ -125,11 +125,14 @@ def theorem2_polynomials(model: SarxModel) -> Theorem2Data:
 
 
 def arx_is_minimal(data: Theorem2Data, q) -> bool:
-    """Lone-mode ARX minimality: numerator N_q and denominator chi_q coprime.
+    """Lone-mode ARX minimality: the transfer function z^(ny-nu) N_q / chi_q is reduced.
 
-    `test_transfer_minimality_matches_sympy_gcd` checks it against sympy.
+    The delay factor counts when ny > nu.  `test_transfer_minimality_matches_sympy_gcd`
+    checks it against sympy.
     """
-    return is_coprime(data.numerator[q], data.chi[q])
+    ny, nu = len(data.d[q][0]), len(data.d[q]) - 1
+    delay = MultiPoly.variable(data.chi[q].vars, 0, max(ny - nu, 0))
+    return is_coprime(delay * data.numerator[q], data.chi[q])
 
 
 def gamma_polynomials(model: SarxModel, q):

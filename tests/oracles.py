@@ -5,12 +5,13 @@ cofactor expansion, Sylvester resultants, direct recurrences, exhaustive
 word enumeration, or sympy) so that agreement is meaningful evidence.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import sympy
 
-from sarxid import Z_RING, MultiPoly, RatMatrix, Subspace
+from sarxid import Z_RING, IsoSolution, MultiPoly, RatMatrix, Subspace, solve_affine
 
 _ZERO = Fraction(0)
 
@@ -210,7 +211,7 @@ def brute_force_unobservable(sys, max_len=None) -> Subspace:
     for _ in range(max_len):
         frontier = [r @ sys.modes[q].a for r in frontier for q in sys.labels]
         rows.extend(frontier)
-    return Subspace(sys.n, RatMatrix.vstack(rows).kernel_basis())
+    return Subspace(sys.n, vstack(rows).kernel_basis())
 
 
 def theorem2_witnesses_sympy(model):
@@ -271,3 +272,71 @@ def theorem2_witnesses_sympy(model):
         next((pair for pair in pairs if condition_a(*pair)), None),
         next((pair for pair in pairs if condition_b(*pair)), None),
     )
+
+
+def vstack(blocks):
+    """The rows of the blocks, top to bottom."""
+    cols = blocks[0].cols if blocks else 0
+    if any(b.cols != cols for b in blocks):
+        raise ValueError("vstack column mismatch")
+    return RatMatrix([row for b in blocks for row in b.to_lists()], cols)
+
+
+def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """Kronecker product: the block in row i, column k is a[i, k] * b."""
+    if not (a.rows and b.rows):
+        return RatMatrix.zeros(0, a.cols * b.cols)
+    rows_a, rows_b = a.to_lists(), b.to_lists()
+    return RatMatrix([[x * y for x in ra for y in rb] for ra in rows_a for rb in rows_b])
+
+
+def kronecker_solve(a, b, seed=0) -> IsoSolution:
+    """`find_isomorphisms` from the linear system in all n^2 entries of S.
+
+    One Kronecker block per equation family, no closure.  A family is
+    classified by one generic point and an exact determinant, drawn as the
+    library draws it.
+    """
+    n = a.n
+    eye = RatMatrix.identity(n)
+
+    def vec(m):  # row-major, the order of the unknowns vec(S)
+        return [x for i in range(m.rows) for x in m.row(i)]
+
+    blocks = []
+    rhs = []
+    for q in a.labels:
+        ma, mb = a.modes[q], b.modes[q]
+        blocks.append(kron(eye, ma.a.transpose()) - kron(mb.a, eye))  # S A_q = A'_q S
+        blocks.append(kron(eye, ma.b.transpose()))  # S B_q = B'_q
+        blocks.append(kron(mb.c, eye))  # C'_q S = C_q
+        rhs += [_ZERO] * (n * n) + vec(mb.b) + vec(ma.c)
+    blocks.append(kron(eye, a.x0.transpose()))  # S x0 = x0'
+    rhs += vec(b.x0)
+
+    solution = solve_affine(vstack(blocks), RatMatrix.column(rhs))
+    if solution is None:
+        return IsoSolution(kind="none", witness=None, family_dim=-1)
+    particular, kernel = solution
+
+    def unflatten(v):
+        return RatMatrix([v.col(0)[i * n : (i + 1) * n] for i in range(n)])
+
+    if not kernel:
+        s = unflatten(particular)
+        if s.determinant() == 0:
+            return IsoSolution(kind="none", witness=None, family_dim=0)
+        kind = "unique-identity" if s == eye else "unique-other"
+        return IsoSolution(kind=kind, witness=s, family_dim=0)
+
+    rng = random.Random(seed)
+    witness = None
+    for _ in range(20):
+        point = particular
+        for kv in kernel:
+            point = point + kv.scale(Fraction(rng.randint(-9, 9)))
+        s = unflatten(point)
+        if s.determinant() != 0:
+            witness = s
+            break
+    return IsoSolution(kind="affine-family", witness=witness, family_dim=len(kernel))

@@ -18,7 +18,7 @@ from conftest import (
     rank,
     zpoly,
 )
-from oracles import brute_force_reachable, brute_force_unobservable
+from oracles import brute_force_reachable, brute_force_unobservable, vstack
 from sarxid import (
     HybridWord,
     MonomialOrder,
@@ -159,7 +159,7 @@ def test_criterion_06_structure_identities():
             if top != 0:
                 assert char_poly(aq) == zpoly(*[0] * model.nu, 1) * data.chi[q]
                 rows = [e_ny @ matrix_power(aq, j) for j in range(model.ny + model.nu)]
-                assert rank(RatMatrix.vstack(rows)) == n
+                assert rank(vstack(rows)) == n
                 chi_a = eval_matrix(data.chi[q], aq)
                 for j, g in enumerate(gamma_polynomials(model, q), start=1):
                     lhs = RatMatrix(

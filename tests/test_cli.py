@@ -237,12 +237,18 @@ SILENT = {
 EXIT_CODES = [
     (1, ["check-sufficient", "ns.json"],
      {"ns.json": {"ny": 1, "nu": 1, "p": 1, "m": 1, "modes": {"1": [["1", "0"]]}}}),
+    # type (1, 1) reproduces it: z divides both chi_1 = z^2 + z and z N_1 = z
+    (1, ["check-sufficient", "delay.json"],
+     {"delay.json": {"ny": 2, "nu": 1, "p": 1, "m": 1,
+                     "modes": {"1": [["-1", "0", "1"]], "2": [["-1", "0", "0"]]}}}),
     (0, ["to-lss", "example3.json"], {}),
     (0, ["iso", "a.json", "a.json"], {"a.json": one_state_lss("1")}),
     (1, ["iso", "a.json", "b.json"],
      {"a.json": one_state_lss("1"), "b.json": one_state_lss("2")}),
     (1, ["iso", "nil.json", "zero.json"], SILENT),
     (1, ["iso", "zero.json", "nil.json"], SILENT),
+    # A = I: every S solves, an affine family of dimension 4 with an invertible witness
+    (0, ["iso", "eye.json", "eye.json"], {"eye.json": silent_lss([["1", "0"], ["0", "1"]])}),
     (1, ["param-analyze", "theta_squared_param.json"], {}),
     (0, ["param-injective", "example8_first_family.json"], {}),
     (1, ["param-injective", "example2_param.json"], {}),

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from conftest import rand_fraction, rank
 from oracles import from_sympy, matrix_from_sympy, rank_by_minors, to_sympy
 from sarxid import RatMatrix, Subspace, solve_affine
-from sarxid.linalg import kron
 
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):
@@ -106,7 +105,6 @@ def test_zero_row_matrices_keep_their_columns():
 def test_empty_inner_dimension():
     assert RatMatrix.column([]).shape == (0, 1)
     assert RatMatrix.zeros(2, 0) @ RatMatrix.zeros(0, 3) == RatMatrix.zeros(2, 3)
-    assert RatMatrix.vstack([RatMatrix.zeros(0, 3)] * 2).shape == (0, 3)
 
 
 def test_matrix_trace(rng):
@@ -200,20 +198,6 @@ def test_product_matches_sympy(ab):
     assert c.shape == (a.rows, b.cols)
     assert c == matrix_from_sympy(to_sympy(a) * to_sympy(b))
     assert all(type(x) is Fraction for row in c.to_lists() for x in row)
-
-
-@properties
-@given(st.tuples(*[st.integers(1, 3)] * 4).flatmap(
-    lambda d: st.tuples(matrices(d[0], d[1]), matrices(d[1], d[2]), matrices(d[2], d[3]))
-))
-def test_kron_applies_both_sides_to_row_major_vec(abc):
-    # vec(A X B) = kron(A, B^T) vec(X) when vec stacks the rows
-    a, x, b = abc
-
-    def vec(m):
-        return RatMatrix.column(sum(m.to_lists(), []))
-
-    assert kron(a, b.transpose()) @ vec(x) == vec(a @ x @ b)
 
 
 @st.composite

@@ -16,6 +16,7 @@ from conftest import (
 from oracles import (
     brute_force_reachable,
     brute_force_unobservable,
+    kronecker_solve,
     matrix_from_sympy,
     to_sympy,
 )
@@ -289,23 +290,67 @@ def test_isomorphism_found_under_conjugation(rng):
     ))
     for sys in systems:
         conj = conjugate(sys, random_invertible(rng, sys.n))
-        # the graph routes and the Kronecker system give the same solution set
+        # the closure route and the Kronecker system give the same solution set
         for other in (sys, conj, perturbed(conj)):
-            reference = lss._kronecker_solve(sys, other, seed=3)
+            reference = kronecker_solve(sys, other, seed=3)
             assert find_isomorphisms(sys, other, seed=3) == reference
         sol = find_isomorphisms(sys, conj)
         assert sol.kind in ("unique-other", "unique-identity", "affine-family")
-        assert sol.witness is not None
-        s = sol.witness
-        assert s.determinant() != 0
-        for q in sys.labels:
-            assert s @ sys.modes[q].a == conj.modes[q].a @ s
-            assert s @ sys.modes[q].b == conj.modes[q].b
-            assert conj.modes[q].c @ s == sys.modes[q].c
-        assert s @ sys.x0 == conj.x0
+        assert_isomorphism(sol.witness, sys, conj)
 
 
-def test_kronecker_system_only_when_neither_graph_route_applies(rng, monkeypatch):
+def assert_isomorphism(s, a, b):
+    """S is invertible and satisfies all four equation families from a to b."""
+    assert s is not None and s.determinant() != 0
+    for q in a.labels:
+        assert s @ a.modes[q].a == b.modes[q].a @ s
+        assert s @ a.modes[q].b == b.modes[q].b
+        assert b.modes[q].c @ s == a.modes[q].c
+    assert s @ a.x0 == b.x0
+
+
+def decoupled(rng, n, k):
+    """Three SISO modes whose last k states are a block of their own, with B = 0
+    and C = 0 there, and x0 = 0: neither span-reachable nor observable."""
+    r = n - k
+
+    def entry(i, j):
+        return Fraction(rng.randint(-2, 2)) if (i < r) == (j < r) else 0
+
+    modes = {
+        q: LssMode(
+            a=RatMatrix([[entry(i, j) for j in range(n)] for i in range(n)]),
+            b=RatMatrix([[entry(i, 0)] for i in range(n)]),
+            c=RatMatrix([[entry(0, j) for j in range(n)]]),
+        )
+        for q in ("1", "2", "3")
+    }
+    return Lss(n=n, m=1, p=1, modes=modes, x0=RatMatrix.zeros(n, 1))
+
+
+def test_neither_pairs_match_the_kronecker_oracle(rng):
+    pairs = []
+    for n, k in ((4, 2), (5, 1), (6, 3), (8, 4)):
+        sys = decoupled(rng, n, k)
+        assert reachable_span(sys).dim < n and unobservable_space(sys).dim > 0
+        conj = conjugate(sys, random_invertible(rng, n))
+        pairs += [(sys, sys), (sys, conj), (sys, perturbed(conj))]
+    for _ in range(20):
+        sys = random_lss(rng, max_n=4)
+        other = random_lss(rng, max_n=4)
+        if (other.n, other.m, other.p) != (sys.n, sys.m, sys.p) or other.labels != sys.labels:
+            other = conjugate(sys, random_invertible(rng, sys.n))
+        pairs.append((sys, other))
+    for a, b in pairs:
+        sol, reference = find_isomorphisms(a, b, seed=5), kronecker_solve(a, b, seed=5)
+        assert (sol.kind, sol.family_dim) == (reference.kind, reference.family_dim)
+        if sol.family_dim == 0:
+            assert sol.witness == reference.witness
+        if sol.witness is not None:
+            assert_isomorphism(sol.witness, a, b)
+
+
+def test_residual_solve_only_when_unknowns_remain(rng, monkeypatch):
     calls = []
 
     def counting_solve_affine(*args):
@@ -320,7 +365,7 @@ def test_kronecker_system_only_when_neither_graph_route_applies(rng, monkeypatch
         assert len(calls) == expected_calls
         return sol
 
-    # span-reachable: the reachable graph
+    # span-reachable: the reachable closure fixes S
     sys = associated_lss(SarxModel.load(fixture_path("example3.json")))
     assert routed(sys, sys, 0).kind == "unique-identity"
 
@@ -347,10 +392,11 @@ def test_kronecker_system_only_when_neither_graph_route_applies(rng, monkeypatch
     conj = conjugate(sys, random_invertible(rng, sys.n))
     sol = routed(sys, conj, 0)
     assert sol.kind in ("unique-other", "unique-identity")
-    assert sol == lss._kronecker_solve(sys, conj)
+    assert sol == kronecker_solve(sys, conj)
 
     # B = 0 and x0 = 0 reach nothing; C annihilates e_3, which every A_q keeps
-    # in its own span, so e_3 is unobservable too: only the Kronecker system is left
+    # in its own span, so e_3 is unobservable too: the observable closure fixes
+    # S^T on a span of dimension 2, and one system solves for the 3 (3 - 2) left
     modes = {
         q: LssMode(
             a=RatMatrix([[a, b, 0], [c, d, 0], [0, 0, e]]),
@@ -362,6 +408,7 @@ def test_kronecker_system_only_when_neither_graph_route_applies(rng, monkeypatch
     sys = Lss(n=3, m=1, p=1, modes=modes, x0=RatMatrix.zeros(3, 1))
     assert reachable_span(sys).dim == 0 and unobservable_space(sys).dim == 1
     sol = routed(sys, conjugate(sys, random_invertible(rng, 3)), 1)
+    assert calls[0][0].cols == 3 * (3 - 2)
     assert sol.family_dim >= 1
     assert sol.witness is not None and sol.witness.determinant() != 0
 

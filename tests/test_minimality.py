@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import fixture_path, matrix_power, random_siso_model, rank, zpoly
-from oracles import theorem2_witnesses_sympy
+from oracles import theorem2_witnesses_sympy, vstack
 from sarxid import (
     InputError,
     RatMatrix,
@@ -169,7 +169,7 @@ def test_row_span_and_shift_identities(rng):
             aq = sys.modes[q].a
             e_ny = RatMatrix([[1 if j == m.ny - 1 else 0 for j in range(n)]])
             rows = [e_ny @ matrix_power(aq, j) for j in range(m.ny + m.nu)]
-            assert rank(RatMatrix.vstack(rows)) == n
+            assert rank(vstack(rows)) == n
             for i in range(1, m.ny + 1):
                 ei = RatMatrix([[1 if j == i - 1 else 0 for j in range(n)]])
                 assert ei == e_ny @ matrix_power(aq, m.ny - i)

@@ -12,14 +12,16 @@ from oracles import (
     brute_force_unobservable,
     charpoly_by_cofactor,
     groebner_sympy,
+    kron,
     mimo_trace_oracle,
     multipoly_to_sympy,
     rank_by_minors,
     resultant,
     siso_trace_oracle,
     sympy_to_multipoly,
+    vstack,
 )
-from conftest import zpoly
+from conftest import rand_fraction, zpoly
 from sarxid import Lss, LssMode, MultiPoly, RatMatrix
 
 
@@ -28,6 +30,21 @@ def test_rank_by_minors_hand_values():
     assert rank_by_minors(RatMatrix([[1, 0], [0, 1]])) == 2
     assert rank_by_minors(RatMatrix([[0, 0], [0, 0]])) == 0
     assert rank_by_minors(RatMatrix([[1, 2, 3], [4, 5, 6]])) == 2
+
+
+def test_kron_applies_both_sides_to_row_major_vec(rng):
+    # vec(A X B) = kron(A, B^T) vec(X) when vec stacks the rows
+    def vec(m):
+        return RatMatrix.column(sum(m.to_lists(), []))
+
+    for _ in range(60):
+        d = [rng.randint(1, 3) for _ in range(4)]
+        a, x, b = (
+            RatMatrix([[rand_fraction(rng, -4, 4, 3) for _ in range(c)] for _ in range(r)])
+            for r, c in zip(d, d[1:])
+        )
+        assert kron(a, b.transpose()) @ vec(x) == vec(a @ x @ b)
+    assert vstack([RatMatrix.zeros(0, 3)] * 2).shape == (0, 3)
 
 
 def test_charpoly_cofactor_hand_values():
