@@ -11,10 +11,19 @@
   Symb. Comp. 6, 1988): the chain and product criteria drop new pairs,
   old pairs the new leading monomial makes redundant are pruned, and
   elements whose leading monomial it divides leave the working basis.
-- Basis elements are monic over `Fraction`, so a reduction step needs no
-  division and no rescaling.
-- Each call owns an `_OrderKeys` cache, so each monomial's order key is
-  computed once per call, not at every reduction step.
+- Divisors and basis elements are used in their integer form: the
+  primitive integer polynomial, with denominators cleared and content 1.
+  A reduction step runs over `int` with one gcd, not one per term: with w
+  the leading coefficient of the work, lc that of the divisor g and
+  k = gcd(w, lc), the work becomes (lc/k)*work - (w/k)*x^shift*g, and the
+  remainder already moved out is scaled by lc/k along with it.
+  `normal_form` divides that scale back at the end, so it returns the
+  exact remainder over `Fraction`.
+- S-polynomials are built from the integer forms.  Only the final reduced
+  basis is made monic over `Fraction`.
+- Each call owns an `_OrderKeys` cache, so each monomial's order key and
+  each divisor's integer form are computed once per call, not at every
+  reduction.
 - One final pass reduces each element by the others.  The result is the
   unique reduced basis, monic and sorted by leading monomial, largest
   first, whatever the order or scaling of the generators.
@@ -23,6 +32,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .multipoly import (
     MonomialOrder,
@@ -33,67 +43,89 @@ from .multipoly import (
     _mono_mul,
 )
 
-_ZERO = Fraction(0)
-
 
 class _OrderKeys(dict):
-    """Monomial -> order key, each computed once.  One per `buchberger` call."""
+    """Monomial -> order key, each computed once.  One per `buchberger` call.
 
-    __slots__ = ("order",)
+    `forms` maps id(divisor) to the divisor and its integer form; holding
+    the divisor keeps its id from being reused while the cache lives.
+    """
+
+    __slots__ = ("order", "forms")
 
     def __init__(self, order: MonomialOrder):
         super().__init__()
         self.order = order
+        self.forms = {}
 
     def __missing__(self, exp):
         k = self[exp] = self.order.key(exp)
         return k
 
+    def form(self, g: MultiPoly):
+        """g made primitive over `int`: (leading monomial, its coefficient, other terms)."""
+        held = self.forms.get(id(g))
+        if held is None:
+            d = lcm(*(c.denominator for c in g.terms.values()))
+            ints = {e: c.numerator * (d // c.denominator) for e, c in g.terms.items()}
+            content = gcd(*ints.values())
+            lm = max(ints, key=self.__getitem__)
+            lc = ints.pop(lm) // content
+            held = self.forms[id(g)] = (g, (lm, lc, [(e, c // content) for e, c in ints.items()]))
+        return held[1]
+
 
 def normal_form(f: MultiPoly, basis, order) -> MultiPoly:
     """Remainder of f under multivariate division by `basis`.
 
-    Divisors are tried in the order given, each made monic first.  `order`
-    is a MonomialOrder, or the key cache of the running `buchberger` call.
+    Divisors are tried in the order given.  `order` is a MonomialOrder, or
+    the key cache of the running `buchberger` call.  The division runs on
+    f with its denominators cleared and on the divisors' integer forms.
     """
     keys = order if isinstance(order, _OrderKeys) else _OrderKeys(order)
     key = keys.__getitem__
-    divisors = []
-    for g in basis:
-        if g.terms:
-            lm = max(g.terms, key=key)
-            lc = g.terms[lm]
-            terms = g.terms if lc == 1 else {e: c / lc for e, c in g.terms.items()}
-            divisors.append((lm, terms))
-    # raw term dicts avoid per-step polynomial construction in the hot loop
-    work = dict(f.terms)
+    divisors = [keys.form(g) for g in basis if g.terms]
+    # raw term dicts avoid per-step polynomial construction in the hot loop;
+    # scale * f and work + remainder differ by a member of the ideal
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    work = {e: c.numerator * (scale // c.denominator) for e, c in f.terms.items()}
     remainder = {}
     while work:
         lm = max(work, key=key)
-        for glm, gterms in divisors:
+        w = work.pop(lm)
+        for glm, lc, tail in divisors:
             if _mono_divides(glm, lm):
+                k = gcd(w, lc)
+                a, b = lc // k, w // k
+                if a != 1:
+                    scale *= a
+                    work = {e: a * c for e, c in work.items()}
+                    remainder = {e: a * c for e, c in remainder.items()}
                 shift = _mono_div(lm, glm)
-                ratio = work[lm]
-                for e, c in gterms.items():
+                for e, c in tail:
                     te = _mono_mul(e, shift)
-                    nc = work.get(te, _ZERO) - ratio * c
+                    nc = work.get(te, 0) - b * c
                     if nc:
                         work[te] = nc
                     else:
                         del work[te]
                 break
         else:
-            remainder[lm] = work.pop(lm)
-    return MultiPoly(f.vars, remainder)
+            remainder[lm] = w
+    return MultiPoly(f.vars, {e: Fraction(c, scale) for e, c in remainder.items()})
 
 
-def _s_polynomial(f: MultiPoly, g: MultiPoly, lf, lg, lcm) -> MultiPoly:
-    """S-polynomial of two monic polynomials with leading monomials lf, lg."""
-    sf, sg = _mono_div(lcm, lf), _mono_div(lcm, lg)
-    terms = {_mono_mul(e, sf): c for e, c in f.terms.items()}
-    for e, c in g.terms.items():
+def _s_polynomial(f: MultiPoly, g: MultiPoly, m, keys: _OrderKeys) -> MultiPoly:
+    """S-polynomial of the integer forms of f and g, whose leading monomials have lcm m."""
+    lf, cf, tf = keys.form(f)
+    lg, cg, tg = keys.form(g)
+    k = gcd(cf, cg)
+    af, ag = cg // k, cf // k
+    sf, sg = _mono_div(m, lf), _mono_div(m, lg)
+    terms = {_mono_mul(e, sf): af * c for e, c in tf}
+    for e, c in tg:
         e = _mono_mul(e, sg)
-        c = terms.get(e, _ZERO) - c
+        c = terms.get(e, 0) - ag * c
         if c:
             terms[e] = c
         else:
@@ -141,37 +173,35 @@ def buchberger(generators, order: MonomialOrder):
     """
     keys = _OrderKeys(order)
     key = keys.__getitem__
-    polys = []  # every monic polynomial of the run; the basis and pairs index it
+    polys = []  # every basis element of the run; the basis and pairs index it
     lead = []
     for g in generators:
         r = normal_form(g, polys, keys)
         if r.terms:
-            lm = max(r.terms, key=key)
-            polys.append(r * (1 / r.terms[lm]))
-            lead.append(lm)
+            polys.append(r)
+            lead.append(keys.form(r)[0])
     basis, pairs = set(), {}
     for ih in sorted(range(len(polys)), key=lambda i: key(lead[i])):
         basis, pairs = _update(basis, pairs, ih, lead)
     while pairs:
         i, j = min(pairs, key=lambda pair: (key(pairs[pair]), pair))
-        s = _s_polynomial(polys[i], polys[j], lead[i], lead[j], pairs.pop((i, j)))
+        s = _s_polynomial(polys[i], polys[j], pairs.pop((i, j)), keys)
         # divisors with small leading monomials first [Cox-Little-O'Shea p. 111]
         divisors = sorted(basis, key=lambda ig: key(lead[ig]))
         h = normal_form(s, [polys[ig] for ig in divisors], keys)
         if h.terms:
-            lm = max(h.terms, key=key)
-            polys.append(h * (1 / h.terms[lm]))
-            lead.append(lm)
+            polys.append(h)
+            lead.append(keys.form(h)[0])
             basis, pairs = _update(basis, pairs, len(polys) - 1, lead)
 
     # the leading monomials of the basis are distinct, so elements whose
     # leading monomial another one divides reduce to zero and the rest keep
-    # their monic leading term
+    # their leading monomial
     reduced = (
-        normal_form(polys[ig], [polys[o] for o in basis if o != ig], keys)
+        (ig, normal_form(polys[ig], [polys[o] for o in basis if o != ig], keys))
         for ig in sorted(basis, key=lambda ig: key(lead[ig]), reverse=True)
     )
-    return [h for h in reduced if h.terms]
+    return [h * (1 / h.terms[lead[ig]]) for ig, h in reduced if h.terms]
 
 
 def elimination_ideal(generators, drop):

@@ -22,6 +22,13 @@ _ONE = Fraction(1)
 MAX_EXPONENT = 64
 
 
+def _exact(c):
+    """An int or Fraction coefficient as a Fraction; a float has lost exactness."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError("coefficient %r is not an int or a Fraction" % (c,))
+    return Fraction(c)
+
+
 def _grevlex_key(exp):
     return (sum(exp), tuple(-e for e in reversed(exp)))
 
@@ -86,7 +93,7 @@ class MultiPoly:
         if terms:
             for exp, c in terms.items():
                 if type(c) is not Fraction:
-                    c = Fraction(c)
+                    c = _exact(c)
                 if not c:
                     continue
                 exp = tuple(exp)
@@ -100,7 +107,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, vars, c):
-        c = Fraction(c)
+        c = _exact(c)
         if c == 0:
             return cls(vars)
         return cls(vars, {tuple([0] * len(vars)): c})
@@ -143,6 +150,8 @@ class MultiPoly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.vars, other)
+        elif not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check_ring(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
@@ -163,6 +172,8 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             return MultiPoly(self.vars, {e: c * v for e, v in self.terms.items()})
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check_ring(other)
         out = {}
         for ea, ca in self.terms.items():

@@ -12,6 +12,7 @@ from itertools import combinations, permutations
 import sympy
 
 from sarxid import Z_RING, IsoSolution, MultiPoly, RatMatrix, Subspace, solve_affine
+from sarxid.multipoly import _mono_div, _mono_divides, _mono_mul
 
 _ZERO = Fraction(0)
 
@@ -138,6 +139,41 @@ def groebner_sympy(gens, symbols, order="grevlex"):
         return set()
     gb = sympy.groebner(exprs, *symbols, order=order, field=True)
     return {sympy.expand(e) for e in gb.exprs}
+
+
+def normal_form_reference(f: MultiPoly, basis, order) -> MultiPoly:
+    """Remainder of f under division by `basis`, over `Fraction` throughout.
+
+    The division loop `groebner.normal_form` ran before it moved to integer
+    coefficients: divisors tried in the order given, each made monic first.
+    """
+    key = order.key
+    divisors = []
+    for g in basis:
+        if g.terms:
+            lm = max(g.terms, key=key)
+            lc = g.terms[lm]
+            terms = g.terms if lc == 1 else {e: c / lc for e, c in g.terms.items()}
+            divisors.append((lm, terms))
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        lm = max(work, key=key)
+        for glm, gterms in divisors:
+            if _mono_divides(glm, lm):
+                shift = _mono_div(lm, glm)
+                ratio = work[lm]
+                for e, c in gterms.items():
+                    te = _mono_mul(e, shift)
+                    nc = work.get(te, _ZERO) - ratio * c
+                    if nc:
+                        work[te] = nc
+                    else:
+                        del work[te]
+                break
+        else:
+            remainder[lm] = work.pop(lm)
+    return MultiPoly(f.vars, remainder)
 
 
 # -- switched-system oracles ------------------------------------------

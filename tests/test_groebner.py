@@ -5,7 +5,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import groebner_sympy, multipoly_to_sympy
+from oracles import groebner_sympy, multipoly_to_sympy, normal_form_reference
 from sarxid import (
     MonomialOrder,
     MultiPoly,
@@ -72,6 +72,38 @@ def test_normal_form_is_canonical_remainder(rng):
         assert normal_form(r, gb, order) == r
 
 
+def test_normal_form_divisors_made_on_the_fly():
+    # each divisor is dropped once read, so a later one may get its id
+    order = MonomialOrder.grevlex(len(VARS))
+    x, y = MultiPoly.variable(VARS, 0), MultiPoly.variable(VARS, 1)
+    divisors = [x + k for k in range(1, 4)] + [y + 5]
+    fresh = (MultiPoly(VARS, g.terms) for g in divisors)
+    assert normal_form(y, fresh, order) == MultiPoly.constant(VARS, -5)
+
+
+def test_buchberger_matches_sympy_on_wide_coefficients(rng):
+    """Numerators and denominators of at least 64 bits, as the integer forms see them."""
+    order = MonomialOrder.grevlex(len(VARS))
+    primes = (2**89 - 1, 2**107 - 1, 2**127 - 1)
+    for _ in range(6):
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            terms = {
+                tuple(rng.randint(0, 2) for _ in VARS): Fraction(
+                    rng.choice((-1, 1)) * rng.randrange(2**64, 2**80), rng.choice(primes)
+                )
+                for _ in range(3)
+            }
+            gens.append(MultiPoly(VARS, terms))
+        assert all(
+            min(c.numerator.bit_length(), c.denominator.bit_length()) >= 64
+            for g in gens
+            for c in g.terms.values()
+        )
+        mine = {multipoly_to_sympy(g, SYMS) for g in buchberger(gens, order)}
+        assert mine == groebner_sympy(gens, SYMS)
+
+
 def test_elimination_ideal_matches_sympy(rng):
     x, y, w = SYMS
     for _ in range(10):
@@ -109,7 +141,10 @@ def test_ideal_contains_and_unit_zero():
     assert not normal_form(y, gb, order).is_zero()
     assert gb != [MultiPoly.constant(vars, 1)]
     assert buchberger([x, x + 1], order) == [MultiPoly.constant(vars, 1)]
+    assert buchberger([], order) == []
     assert buchberger([MultiPoly(vars)], order) == []
+    # negative leading coefficients come back monic and positive
+    assert buchberger([x * -2 + 1, y * Fraction(-1, 3)], order) == [x - Fraction(1, 2), y]
 
 
 def test_ideals_equal_by_mutual_reduction():
@@ -192,3 +227,12 @@ def test_basis_invariant_under_appended_combination(gens, kind, data):
     for g in gens:
         combo = combo + data.draw(polys(max_terms=2, max_exp=1)) * g
     assert buchberger(gens + [combo], order) == gb
+
+
+@properties
+@given(polys(max_terms=5, max_exp=3), systems, order_names)
+def test_normal_form_matches_fraction_reference(f, divisors, kind):
+    # the divisors are rational, mostly non-monic, often with a negative
+    # leading coefficient
+    order = PROPERTY_ORDERS[kind]
+    assert normal_form(f, divisors, order) == normal_form_reference(f, divisors, order)

@@ -1,6 +1,7 @@
 from datetime import timedelta
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,3 +102,16 @@ def test_json_terms_roundtrip(rng):
     for _ in range(20):
         f = random_mpoly(rng)
         assert MultiPoly.from_json_terms(VARS, f.to_json_terms()) == f
+
+
+def test_floats_are_refused():
+    # a float has already lost exactness: 0.1 is not 1/10
+    x = MultiPoly.variable(VARS, 0)
+    with pytest.raises(TypeError):
+        MultiPoly(("x",), {(1,): 0.1})
+    with pytest.raises(TypeError):
+        MultiPoly.constant(VARS, 0.1)
+    with pytest.raises(TypeError):
+        x * 0.5
+    with pytest.raises(TypeError):
+        x + 0.5
