@@ -11,16 +11,9 @@
   Symb. Comp. 6, 1988): the chain and product criteria drop new pairs,
   old pairs the new leading monomial makes redundant are pruned, and
   elements whose leading monomial it divides leave the working basis.
-- Divisors and basis elements are used in their integer form: the
-  primitive integer polynomial, with denominators cleared and content 1.
-  A reduction step runs over `int` with one gcd, not one per term: with w
-  the leading coefficient of the work, lc that of the divisor g and
-  k = gcd(w, lc), the work becomes (lc/k)*work - (w/k)*x^shift*g, and the
-  remainder already moved out is scaled by lc/k along with it.
-  `normal_form` divides that scale back at the end, so it returns the
-  exact remainder over `Fraction`.
-- S-polynomials are built from the integer forms.  Only the final reduced
-  basis is made monic over `Fraction`.
+- Divisors and S-polynomials are built from integer forms, primitive over
+  `int`, and `normal_form` divides with `multipoly._remainder`.  Only the
+  final reduced basis is made monic over `Fraction`.
 - Each call owns an `_OrderKeys` cache, so each monomial's order key and
   each divisor's integer form are computed once per call, not at every
   reduction.
@@ -31,8 +24,7 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .multipoly import (
     MonomialOrder,
@@ -41,6 +33,8 @@ from .multipoly import (
     _mono_divides,
     _mono_lcm,
     _mono_mul,
+    _primitive,
+    _remainder,
 )
 
 
@@ -63,15 +57,10 @@ class _OrderKeys(dict):
         return k
 
     def form(self, g: MultiPoly):
-        """g made primitive over `int`: (leading monomial, its coefficient, other terms)."""
+        """g's integer form: (leading monomial, its coefficient, other terms)."""
         held = self.forms.get(id(g))
         if held is None:
-            d = lcm(*(c.denominator for c in g.terms.values()))
-            ints = {e: c.numerator * (d // c.denominator) for e, c in g.terms.items()}
-            content = gcd(*ints.values())
-            lm = max(ints, key=self.__getitem__)
-            lc = ints.pop(lm) // content
-            held = self.forms[id(g)] = (g, (lm, lc, [(e, c // content) for e, c in ints.items()]))
+            held = self.forms[id(g)] = (g, _primitive(g.terms, self.__getitem__))
         return held[1]
 
 
@@ -79,40 +68,10 @@ def normal_form(f: MultiPoly, basis, order) -> MultiPoly:
     """Remainder of f under multivariate division by `basis`.
 
     Divisors are tried in the order given.  `order` is a MonomialOrder, or
-    the key cache of the running `buchberger` call.  The division runs on
-    f with its denominators cleared and on the divisors' integer forms.
+    the key cache of the running `buchberger` call.
     """
     keys = order if isinstance(order, _OrderKeys) else _OrderKeys(order)
-    key = keys.__getitem__
-    divisors = [keys.form(g) for g in basis if g.terms]
-    # raw term dicts avoid per-step polynomial construction in the hot loop;
-    # scale * f and work + remainder differ by a member of the ideal
-    scale = lcm(*(c.denominator for c in f.terms.values()))
-    work = {e: c.numerator * (scale // c.denominator) for e, c in f.terms.items()}
-    remainder = {}
-    while work:
-        lm = max(work, key=key)
-        w = work.pop(lm)
-        for glm, lc, tail in divisors:
-            if _mono_divides(glm, lm):
-                k = gcd(w, lc)
-                a, b = lc // k, w // k
-                if a != 1:
-                    scale *= a
-                    work = {e: a * c for e, c in work.items()}
-                    remainder = {e: a * c for e, c in remainder.items()}
-                shift = _mono_div(lm, glm)
-                for e, c in tail:
-                    te = _mono_mul(e, shift)
-                    nc = work.get(te, 0) - b * c
-                    if nc:
-                        work[te] = nc
-                    else:
-                        del work[te]
-                break
-        else:
-            remainder[lm] = w
-    return MultiPoly(f.vars, {e: Fraction(c, scale) for e, c in remainder.items()})
+    return _remainder(f, [keys.form(g) for g in basis if g.terms], keys.__getitem__)
 
 
 def _s_polynomial(f: MultiPoly, g: MultiPoly, m, keys: _OrderKeys) -> MultiPoly:
@@ -209,8 +168,10 @@ def elimination_ideal(generators, drop):
 
     The generators share one ring; the basis is taken in the block order
     ranking the dropped variables above the kept ones, and the result is
-    returned over the kept variables only.
+    returned over the kept variables only.  No generators give no basis.
     """
+    if not generators:
+        return []
     nvars = len(generators[0].vars)
     keep = [i for i in range(nvars) if i not in drop]
     return [

@@ -209,10 +209,10 @@ def find_isomorphisms(a: Lss, b: Lss, seed=0) -> IsoSolution:
     A solution's graph {(x, Sx)} is invariant under diag(A_q, A'_q) and holds
     (x0, x0') and (B_q e_j, B'_q e_j), so it holds their closure, which fixes
     S on a span of dimension r; so does the graph of S^T, from the C rows
-    under the transposes.  The closure leaving fewer unknowns is kept.  When
-    r = n, its one candidate is checked exactly; else the four equation
-    families become one system in the n(n - r) unknowns, and a family is
-    classified by one generic point and an exact determinant.
+    under the transposes.  The closure leaving fewer unknowns is kept, and
+    the four equation families are written at its T0: when r = n, it solves
+    them or nothing does; else they become one system in the n(n - r)
+    unknowns, and a family is classified by one generic point and a determinant.
     """
     if (a.n, a.m, a.p) != (b.n, b.m, b.p) or a.labels != b.labels:
         raise InputError("systems must share dimensions and mode labels")
@@ -226,23 +226,10 @@ def find_isomorphisms(a: Lss, b: Lss, seed=0) -> IsoSolution:
         other = _graph_map(n, seeds, [(mb.a.transpose(), ma.a.transpose()) for ma, mb in modes])
         if other is None or len(other[1]) < len(graph[1]):
             graph, dual = other, True
+    none = IsoSolution(kind="none", witness=None, family_dim=-1)
     if graph is None:
-        return IsoSolution(kind="none", witness=None, family_dim=-1)
+        return none
     s, kernel = graph[0].transpose() if dual else graph[0], graph[1]
-    if not kernel:
-        if s @ a.x0 != b.x0 or any(
-            s @ ma.a != mb.a @ s or s @ ma.b != mb.b or mb.c @ s != ma.c for ma, mb in modes
-        ):
-            return IsoSolution(kind="none", witness=None, family_dim=-1)
-        return _unique(s)
-
-    # the unknowns are the entries of S (of S^T when dual) at the non-pivot
-    # columns, in S's row-major order, the order of the Kronecker reference
-    unit = RatMatrix.identity(n).to_lists()
-    if dual:
-        directions = [_outer(f, unit[j]) for f in kernel for j in range(n)]
-    else:
-        directions = [_outer(unit[j], f) for j in range(n) for f in kernel]
 
     def equations(t):
         out = [x for ma, mb in modes for m in (t @ ma.a - mb.a @ t, t @ ma.b, mb.c @ t)
@@ -251,10 +238,20 @@ def find_isomorphisms(a: Lss, b: Lss, seed=0) -> IsoSolution:
 
     target = [x for ma, mb in modes for x in [_ZERO] * n * n + _entries(mb.b) + _entries(ma.c)]
     rhs = [x - y for x, y in zip(target + _entries(b.x0), equations(s))]
+    if not kernel:
+        return none if any(rhs) else _unique(s)
+
+    # the unknowns are the entries of S (of S^T when dual) at the non-pivot
+    # columns, in S's row-major order, the order of the Kronecker reference
+    unit = RatMatrix.identity(n).to_lists()
+    if dual:
+        directions = [_outer(f, unit[j]) for f in kernel for j in range(n)]
+    else:
+        directions = [_outer(unit[j], f) for j in range(n) for f in kernel]
     columns = [equations(d) for d in directions]
     solution = solve_affine(RatMatrix(list(zip(*columns))), RatMatrix.column(rhs))
     if solution is None:
-        return IsoSolution(kind="none", witness=None, family_dim=-1)
+        return none
     particular, null = solution
 
     def at(point):

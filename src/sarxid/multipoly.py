@@ -4,11 +4,19 @@ Terms are a dict mapping exponent tuples to nonzero Fractions.  The one
 monomial order is graded reverse lex, optionally with a block of variables
 to eliminate; it is a separate object, so the same polynomial can be viewed
 under the plain and the elimination order.
+
+`_remainder` is the one polynomial division, under `groebner.normal_form`
+and `unipoly.uni_gcd`.  It runs over `int` on divisors in the integer form
+of `_primitive` (denominators cleared, content 1), with one gcd per step:
+with w and lc the leading coefficients of the work and of the divisor g and
+k = gcd(w, lc), the work becomes (lc/k)*work - (w/k)*x^shift*g and the
+remainder moved out is scaled by lc/k, a scale divided back at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .rationals import format_rational, parse_int, parse_rational
 
@@ -82,6 +90,48 @@ def _mono_div(a, b):
 
 def _mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _primitive(terms, key):
+    """The integer form of nonzero terms: (leading monomial, its coefficient, other terms)."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    ints = {e: c.numerator * (d // c.denominator) for e, c in terms.items()}
+    content = gcd(*ints.values())
+    lm = max(ints, key=key)
+    lc = ints.pop(lm) // content
+    return lm, lc, [(e, c // content) for e, c in ints.items()]
+
+
+def _remainder(f, divisors, key):
+    """Remainder of f by the integer forms `divisors`, tried in order; `key` ranks monomials."""
+    # raw term dicts avoid per-step polynomial construction in the hot loop;
+    # scale * f and work + remainder differ by a member of the ideal
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    work = {e: c.numerator * (scale // c.denominator) for e, c in f.terms.items()}
+    remainder = {}
+    while work:
+        lm = max(work, key=key)
+        w = work.pop(lm)
+        for glm, lc, tail in divisors:
+            if _mono_divides(glm, lm):
+                k = gcd(w, lc)
+                a, b = lc // k, w // k
+                if a != 1:
+                    scale *= a
+                    work = {e: a * c for e, c in work.items()}
+                    remainder = {e: a * c for e, c in remainder.items()}
+                shift = _mono_div(lm, glm)
+                for e, c in tail:
+                    te = _mono_mul(e, shift)
+                    nc = work.get(te, 0) - b * c
+                    if nc:
+                        work[te] = nc
+                    else:
+                        del work[te]
+                break
+        else:
+            remainder[lm] = w
+    return MultiPoly(f.vars, {e: Fraction(c, scale) for e, c in remainder.items()})
 
 
 class MultiPoly:
@@ -167,6 +217,9 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.vars, other)
         return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -3,52 +3,33 @@
 A polynomial in z is a `MultiPoly` in the ring `Z_RING = ("z",)`, the same
 type a parametrized family's polynomials have, so specialized symbolic data
 compares equal to numeric data.  These functions back all coprimality
-certificates and characteristic polynomials; the gcd is a Euclidean loop on
-dense coefficient lists.
+certificates and characteristic polynomials; the gcd is the Euclidean
+algorithm on `multipoly._remainder`, the division Buchberger runs.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .linalg import RatMatrix
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, _primitive, _remainder
 
 Z_RING = ("z",)
 
-_ZERO = Fraction(0)
 
-
-def _dense(f: MultiPoly):
-    """Coefficients of a polynomial in one variable, ascending, no trailing zeros."""
+def _univariate(f: MultiPoly):
     if len(f.vars) != 1:
         raise ValueError("expected a polynomial in one variable, got ring %r" % (f.vars,))
-    return [f.terms.get((k,), _ZERO) for k in range(f.total_degree() + 1)]
-
-
-def _rem(a, b):
-    """Remainder of dense a by dense nonzero b, with no trailing zeros."""
-    a = list(a)
-    lc = b[-1]
-    while len(a) >= len(b):
-        f = a[-1] / lc
-        k = len(a) - len(b)
-        for j, c in enumerate(b):
-            a[k + j] -= f * c
-        a.pop()  # the leading coefficient is now exactly 0
-        while a and a[-1] == 0:
-            a.pop()
-    return a
 
 
 def uni_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Monic gcd by the Euclidean algorithm; errors if both inputs are zero."""
-    x, y = _dense(a), _dense(b)
-    if not x and not y:
+    _univariate(a)
+    _univariate(b)
+    if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    while y:
-        x, y = y, _rem(x, y)
-    return MultiPoly(a.vars, {(k,): c / x[-1] for k, c in enumerate(x)})
+    # in one variable, the exponent tuples (k,) compare as the degrees do
+    while b.terms:
+        a, b = b, _remainder(a, [_primitive(b.terms, None)], None)
+    return a * (1 / a.terms[max(a.terms)])
 
 
 def is_coprime(a: MultiPoly, b: MultiPoly) -> bool:
@@ -62,10 +43,11 @@ def eval_matrix(f: MultiPoly, a: RatMatrix) -> RatMatrix:
     """
     if not a.is_square():
         raise ValueError("matrix substitution needs a square matrix")
+    _univariate(f)
     acc = RatMatrix.zeros(a.rows, a.rows)
     eye = RatMatrix.identity(a.rows)
-    for c in reversed(_dense(f)):
-        acc = acc @ a + eye.scale(c)
+    for k in range(f.total_degree(), -1, -1):
+        acc = acc @ a + eye.scale(f.terms.get((k,), 0))
     return acc
 
 

@@ -104,6 +104,11 @@ def test_buchberger_matches_sympy_on_wide_coefficients(rng):
         assert mine == groebner_sympy(gens, SYMS)
 
 
+def test_elimination_ideal_of_no_generators_is_empty():
+    # the zero ideal, as in buchberger([])
+    assert elimination_ideal([], [0]) == []
+
+
 def test_elimination_ideal_matches_sympy(rng):
     x, y, w = SYMS
     for _ in range(10):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import rand_fraction
 from oracles import multipoly_to_sympy
-from sarxid import MonomialOrder, MultiPoly
+from sarxid import Z_RING, MonomialOrder, MultiPoly, normal_form, uni_gcd
+from sarxid import groebner, multipoly, unipoly
 
 VARS = ("x", "y", "w")
 SYMS = sympy.symbols("x y w")
@@ -115,3 +116,33 @@ def test_floats_are_refused():
         x * 0.5
     with pytest.raises(TypeError):
         x + 0.5
+    with pytest.raises(TypeError):
+        0.5 - x
+
+
+def test_number_minus_poly(rng):
+    for _ in range(10):
+        p = random_mpoly(rng)
+        assert 1 - p == -(p - 1)
+        assert Fraction(2, 3) - p == -(p - Fraction(2, 3))
+
+
+def test_one_division_serves_groebner_and_unipoly(monkeypatch):
+    """`normal_form` and `uni_gcd` both divide with `multipoly._remainder`."""
+    calls = []
+    original = multipoly._remainder
+
+    def spy(*args):
+        calls.append(args[0].vars)
+        return original(*args)
+
+    for module in (multipoly, groebner, unipoly):
+        if vars(module).get("_remainder") is original:
+            monkeypatch.setattr(module, "_remainder", spy)
+    x, y = MultiPoly.variable(VARS, 0), MultiPoly.variable(VARS, 1)
+    order = MonomialOrder.grevlex(len(VARS))
+    assert normal_form(x * y + 1, [y], order) == MultiPoly.constant(VARS, 1)
+    assert calls == [VARS]
+    z = MultiPoly.variable(Z_RING, 0)
+    assert uni_gcd(z * z - 1, z - 1) == z - 1
+    assert calls == [VARS, Z_RING]

@@ -1,6 +1,7 @@
 from datetime import timedelta
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -61,6 +62,18 @@ def test_planted_common_factor_is_found(a, b, g):
     expected = sympy.gcd(unipoly_to_sympy(g * a, z), unipoly_to_sympy(g * b, z), z)
     assert sympy.expand(unipoly_to_sympy(got, z) - sympy.Poly(expected, z).monic().as_expr()) == 0
     assert sympy.rem(unipoly_to_sympy(got, z), unipoly_to_sympy(g, z), z) == 0
+
+
+def test_two_variable_polynomials_are_refused():
+    # unguarded, eval_matrix would look up terms (k,) in a ring of pairs and
+    # silently return the zero matrix
+    f = MultiPoly(("t", "z"), {(1, 1): 1, (0, 1): 2})
+    with pytest.raises(ValueError):
+        uni_gcd(f, zpoly(1, 1))
+    with pytest.raises(ValueError):
+        uni_gcd(zpoly(1, 1), f)
+    with pytest.raises(ValueError):
+        eval_matrix(f, RatMatrix.identity(2))
 
 
 def test_charpoly_matches_cofactor_expansion(rng):
