@@ -11,12 +11,11 @@
   Symb. Comp. 6, 1988): the chain and product criteria drop new pairs,
   old pairs the new leading monomial makes redundant are pruned, and
   elements whose leading monomial it divides leave the working basis.
-- Divisors and S-polynomials are built from integer forms, primitive over
-  `int`, and `normal_form` divides with `multipoly._remainder`.  Only the
-  final reduced basis is made monic over `Fraction`.
-- Each call owns an `_OrderKeys` cache, so each monomial's order key and
-  each divisor's integer form are computed once per call, not at every
-  reduction.
+- Each call packs its generators once (`multipoly` describes the packing)
+  and keeps every basis element, S-polynomial and remainder as packed
+  monomials with `int` coefficients: divisors are integer forms, primitive
+  over `int`, and `normal_form` divides with `multipoly._remainder`.  Only
+  the final reduced basis is unpacked and made monic over `Fraction`.
 - One final pass reduces each element by the others.  The result is the
   unique reduced basis, monic and sorted by leading monomial, largest
   first, whatever the order or scaling of the generators.
@@ -24,103 +23,97 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
 from .multipoly import (
     MonomialOrder,
     MultiPoly,
-    _mono_div,
-    _mono_divides,
-    _mono_lcm,
-    _mono_mul,
+    _overflow,
     _primitive,
     _remainder,
 )
 
 
-class _OrderKeys(dict):
-    """Monomial -> order key, each computed once.  One per `buchberger` call.
+class _Packed:
+    """A polynomial inside one `buchberger` call: packed monomial -> int."""
 
-    `forms` maps id(divisor) to the divisor and its integer form; holding
-    the divisor keeps its id from being reused while the cache lives.
-    """
+    __slots__ = ("terms",)
 
-    __slots__ = ("order", "forms")
+    def __init__(self, terms):
+        self.terms = terms
 
-    def __init__(self, order: MonomialOrder):
-        super().__init__()
-        self.order = order
-        self.forms = {}
-
-    def __missing__(self, exp):
-        k = self[exp] = self.order.key(exp)
-        return k
-
-    def form(self, g: MultiPoly):
-        """g's integer form: (leading monomial, its coefficient, other terms)."""
-        held = self.forms.get(id(g))
-        if held is None:
-            held = self.forms[id(g)] = (g, _primitive(g.terms, self.__getitem__))
-        return held[1]
+    def is_zero(self):
+        return not self.terms
 
 
-def normal_form(f: MultiPoly, basis, order) -> MultiPoly:
+def normal_form(f, basis, order: MonomialOrder):
     """Remainder of f under multivariate division by `basis`.
 
-    Divisors are tried in the order given.  `order` is a MonomialOrder, or
-    the key cache of the running `buchberger` call.
+    Divisors are tried in the order given.  f and `basis` are MultiPolys,
+    and so is the remainder; inside a `buchberger` call, f is the call's
+    packed polynomial, which the division consumes, `basis` holds integer
+    forms, and the remainder is packed.
     """
-    keys = order if isinstance(order, _OrderKeys) else _OrderKeys(order)
-    return _remainder(f, [keys.form(g) for g in basis if g.terms], keys.__getitem__)
+    guard = order.guard
+    if isinstance(f, _Packed):
+        return _Packed(_remainder(f.terms, basis, guard)[0])
+    d, work = order.pack(f.terms)
+    forms = [_primitive(order.pack(g.terms)[1], guard) for g in basis if g.terms]
+    r, scale = _remainder(work, forms, guard)
+    d *= scale
+    unpack = order.unpack
+    return MultiPoly(f.vars, {unpack(e): Fraction(c, d) for e, c in r.items()})
 
 
-def _s_polynomial(f: MultiPoly, g: MultiPoly, m, keys: _OrderKeys) -> MultiPoly:
-    """S-polynomial of the integer forms of f and g, whose leading monomials have lcm m."""
-    lf, cf, tf = keys.form(f)
-    lg, cg, tg = keys.form(g)
+def _s_polynomial(f, g, m, guard) -> _Packed:
+    """S-polynomial of the integer forms f and g, whose leading monomials have lcm m."""
+    lf, cf, tf, topf = f
+    lg, cg, tg, topg = g
+    sf, sg = m - lf, m - lg
+    if (topf + sf) & guard or (topg + sg) & guard:
+        raise _overflow()
     k = gcd(cf, cg)
     af, ag = cg // k, cf // k
-    sf, sg = _mono_div(m, lf), _mono_div(m, lg)
-    terms = {_mono_mul(e, sf): af * c for e, c in tf}
+    terms = {e + sf: af * c for e, c in tf}
     for e, c in tg:
-        e = _mono_mul(e, sg)
+        e += sg
         c = terms.get(e, 0) - ag * c
         if c:
             terms[e] = c
         else:
             del terms[e]
-    return MultiPoly(f.vars, terms)
+    return _Packed(terms)
 
 
-def _update(basis, pairs, ih, lead):
+def _update(basis, pairs, ih, lead, order):
     """Gebauer-Moeller update of the basis indices and the pair -> lcm map.
 
     [BW] p. 230: adds the pairs of `ih` with the basis that the chain and
     product criteria keep, prunes old pairs, and drops basis elements whose
     leading monomial lead[ih] divides.
     """
+    guard, lcm = order.guard, order.lcm
     mh = lead[ih]
     older = sorted(basis)
-    lcms = [_mono_lcm(mh, lead[ig]) for ig in older]
+    lcms = [lcm(mh, lead[ig]) for ig in older]
     kept = []
     for n, ig in enumerate(older):
         m = lcms[n]
         # chain criterion: another pair of h with a dividing lcm covers this one
-        if m == _mono_mul(mh, lead[ig]) or not (
-            any(_mono_divides(other, m) for other in lcms[n + 1 :])
-            or any(_mono_divides(other, m) for _, other in kept)
+        if m == mh + lead[ig] or not (
+            any(not (m - other) & guard for other in lcms[n + 1 :])
+            or any(not (m - other) & guard for _, other in kept)
         ):
             kept.append((ig, m))
     pairs = {
         (i, j): m
         for (i, j), m in pairs.items()
-        if not _mono_divides(mh, m)
-        or _mono_lcm(lead[i], mh) == m
-        or _mono_lcm(lead[j], mh) == m
+        if (m - mh) & guard or lcm(lead[i], mh) == m or lcm(lead[j], mh) == m
     }
     # product criterion: coprime leading monomials reduce to zero
-    pairs.update(((ig, ih), m) for ig, m in kept if m != _mono_mul(mh, lead[ig]))
-    basis = {ig for ig in basis if not _mono_divides(mh, lead[ig])}
+    pairs.update(((ig, ih), m) for ig, m in kept if m != mh + lead[ig])
+    basis = {ig for ig in basis if (lead[ig] - mh) & guard}
     basis.add(ih)
     return basis, pairs
 
@@ -130,37 +123,40 @@ def buchberger(generators, order: MonomialOrder):
 
     The zero ideal yields an empty basis.
     """
-    keys = _OrderKeys(order)
-    key = keys.__getitem__
-    polys = []  # every basis element of the run; the basis and pairs index it
-    lead = []
+    guard = order.guard
+    forms = []  # the integer form of every basis element of the run; basis and pairs index it
     for g in generators:
-        r = normal_form(g, polys, keys)
+        r = normal_form(_Packed(order.pack(g.terms)[1]), forms, order)
         if r.terms:
-            polys.append(r)
-            lead.append(keys.form(r)[0])
+            forms.append(_primitive(r.terms, guard))
+        ring = g.vars
+    lead = [form[0] for form in forms]
     basis, pairs = set(), {}
-    for ih in sorted(range(len(polys)), key=lambda i: key(lead[i])):
-        basis, pairs = _update(basis, pairs, ih, lead)
+    for ih in sorted(range(len(forms)), key=lead.__getitem__):
+        basis, pairs = _update(basis, pairs, ih, lead, order)
     while pairs:
-        i, j = min(pairs, key=lambda pair: (key(pairs[pair]), pair))
-        s = _s_polynomial(polys[i], polys[j], pairs.pop((i, j)), keys)
+        i, j = min(pairs, key=lambda pair: (pairs[pair], pair))
+        s = _s_polynomial(forms[i], forms[j], pairs.pop((i, j)), guard)
         # divisors with small leading monomials first [Cox-Little-O'Shea p. 111]
-        divisors = sorted(basis, key=lambda ig: key(lead[ig]))
-        h = normal_form(s, [polys[ig] for ig in divisors], keys)
+        divisors = sorted(basis, key=lead.__getitem__)
+        h = normal_form(s, [forms[ig] for ig in divisors], order)
         if h.terms:
-            polys.append(h)
-            lead.append(keys.form(h)[0])
-            basis, pairs = _update(basis, pairs, len(polys) - 1, lead)
+            forms.append(_primitive(h.terms, guard))
+            lead.append(forms[-1][0])
+            basis, pairs = _update(basis, pairs, len(forms) - 1, lead, order)
 
     # the leading monomials of the basis are distinct, so elements whose
     # leading monomial another one divides reduce to zero and the rest keep
     # their leading monomial
-    reduced = (
-        (ig, normal_form(polys[ig], [polys[o] for o in basis if o != ig], keys))
-        for ig in sorted(basis, key=lambda ig: key(lead[ig]), reverse=True)
-    )
-    return [h * (1 / h.terms[lead[ig]]) for ig, h in reduced if h.terms]
+    out = []
+    for ig in sorted(basis, key=lead.__getitem__, reverse=True):
+        lm, lc, tail, _ = forms[ig]
+        terms = dict(tail)
+        terms[lm] = lc
+        h = normal_form(_Packed(terms), [forms[o] for o in basis if o != ig], order).terms
+        if h:
+            out.append(MultiPoly(ring, {order.unpack(e): Fraction(c, h[lm]) for e, c in h.items()}))
+    return out
 
 
 def elimination_ideal(generators, drop):

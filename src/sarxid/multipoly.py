@@ -5,18 +5,42 @@ monomial order is graded reverse lex, optionally with a block of variables
 to eliminate; it is a separate object, so the same polynomial can be viewed
 under the plain and the elimination order.
 
+The order is also the packing of monomials into single ints (Monagan and
+Pearce, *Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors*, CASC 2007).  `MonomialOrder.key(exp)` is linear in the
+exponents and made of fields of `FIELD_BITS` bits.  From the top they are:
+
+- the order fields: for each block (the dropped variables first, then the
+  kept ones), its degree, then its partial sums e_1+...+e_k for k = len-1
+  down to 1, which compare as grevlex's (deg, -e_n, ..., -e_2) do;
+- each exponent.
+
+The top bit of every field is a guard bit, clear in a valid monomial.  So
+key(a) + key(b) = key(a*b), comparing keys as ints is the order, and a
+divides b iff (key(b) - key(a)) & guard == 0.  Overflow is an error, never
+a wrap.  A field is 32 bits wide: input exponents are at most
+`MAX_EXPONENT` = 64, so a packed generator's fields hold at most 64 times
+the number of variables, far below 2^31, but a Groebner basis can raise
+degrees, and in the elimination order the kept block's degree is not
+bounded by the leading monomial.  So `key` refuses a monomial of degree
+2^31 or more, and each step that shifts terms checks the guard bits of the
+shift plus the field-wise maximum of those terms.
+
 `_remainder` is the one polynomial division, under `groebner.normal_form`
-and `unipoly.uni_gcd`.  It runs over `int` on divisors in the integer form
-of `_primitive` (denominators cleared, content 1), with one gcd per step:
-with w and lc the leading coefficients of the work and of the divisor g and
-k = gcd(w, lc), the work becomes (lc/k)*work - (w/k)*x^shift*g and the
-remainder moved out is scaled by lc/k, a scale divided back at the end.
+and `unipoly.uni_gcd`.  It runs over packed monomials and `int`
+coefficients, on divisors in the integer form of `_primitive` (content 1),
+with one gcd per step: with w and lc the leading coefficients of the work
+and of the divisor g and k = gcd(w, lc), the work becomes
+(lc/k)*work - (w/k)*x^shift*g and the remainder moved out is scaled by
+lc/k, a scale the caller divides back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+from operator import add, mul
 
 from .rationals import format_rational, parse_int, parse_rational
 
@@ -37,26 +61,44 @@ def _exact(c):
     return Fraction(c)
 
 
-def _grevlex_key(exp):
-    return (sum(exp), tuple(-e for e in reversed(exp)))
+# The width of a packed field; its top bit is the guard bit.
+FIELD_BITS = 32
+_LIMIT = 1 << (FIELD_BITS - 1)
+_FIELD = (1 << FIELD_BITS) - 1
 
 
 class MonomialOrder:
     """Graded reverse lex on exponent tuples, or its elimination variant.
 
     With `drop`, any monomial involving a dropped variable beats any monomial
-    that does not, and each block is compared by grevlex.  Larger key =
-    larger monomial.
+    that does not, and each block is compared by grevlex.  `key` packs an
+    exponent tuple into one int as the module docstring describes; larger
+    key = larger monomial.
     """
 
-    __slots__ = ("drop", "keep")
+    __slots__ = ("drop", "keep", "weights", "shifts", "guard")
 
     def __init__(self, nvars, drop=()):
-        self.drop = tuple(sorted(set(drop)))
-        self.keep = tuple(i for i in range(nvars) if i not in self.drop)
+        drop = set(drop)
+        if not drop <= set(range(nvars)):
+            raise ValueError("drop %r names no variable of 0..%d" % (sorted(drop), nvars - 1))
+        self.drop = tuple(sorted(drop))
+        self.keep = tuple(i for i in range(nvars) if i not in drop)
+        fields = [b[:k] for b in (self.drop, self.keep) for k in range(len(b), 0, -1)]
+        fields += [(i,) for i in range(nvars)]
+        # the field at position p from the top starts at bit FIELD_BITS * (top - p)
+        top = len(fields) - 1
+        self.weights = tuple(
+            sum(1 << FIELD_BITS * (top - p) for p, f in enumerate(fields) if i in f)
+            for i in range(nvars)
+        )
+        self.shifts = tuple(FIELD_BITS * (nvars - 1 - i) for i in range(nvars))
+        self.guard = sum(_LIMIT << FIELD_BITS * p for p in range(top + 1))
 
     @classmethod
+    @lru_cache(maxsize=None)
     def grevlex(cls, nvars):
+        # one shared packing per ring size, since to_str asks for one per call
         return cls(nvars)
 
     @classmethod
@@ -68,70 +110,89 @@ class MonomialOrder:
         return order
 
     def key(self, exp):
-        if not self.drop:
-            return _grevlex_key(exp)
-        return (
-            _grevlex_key([exp[i] for i in self.drop]),
-            _grevlex_key([exp[i] for i in self.keep]),
-        )
+        # exponents are nonnegative, so every field is at most the degree
+        if sum(exp) >= _LIMIT:
+            raise OverflowError("monomial %r overflows a %d-bit field" % (exp, FIELD_BITS))
+        return sum(map(mul, exp, self.weights))
+
+    def unpack(self, key):
+        return tuple(key >> s & _FIELD for s in self.shifts)
+
+    def pack(self, terms):
+        """(d, d * terms over int, keyed by packed monomials) for the least
+        common denominator d of the coefficients."""
+        key = self.key
+        return _integral({key(e): c for e, c in terms.items()})
+
+    def lcm(self, a, b):
+        return self.key(tuple(map(max, self.unpack(a), self.unpack(b))))
 
 
-def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+def _overflow():
+    return OverflowError("a monomial overflows a %d-bit field" % FIELD_BITS)
 
 
-def _mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+def _fieldmax(a, b, guard):
+    """Field-wise maximum of two packed monomials."""
+    t = ((a | guard) - b) & guard  # a field's guard bit: a's field >= b's
+    m = t - (t >> (FIELD_BITS - 1))
+    return (a & m) | (b & ~m)
 
 
-def _mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _primitive(terms, key):
-    """The integer form of nonzero terms: (leading monomial, its coefficient, other terms)."""
+def _integral(terms):
+    """(d, d * terms over int) for the least common denominator d."""
     d = lcm(*(c.denominator for c in terms.values()))
-    ints = {e: c.numerator * (d // c.denominator) for e, c in terms.items()}
+    return d, {e: c.numerator * (d // c.denominator) for e, c in terms.items()}
+
+
+def _primitive(ints, guard):
+    """The integer form of nonzero packed int terms: (leading monomial, its
+    coefficient, other terms, their field-wise maximum), content 1."""
     content = gcd(*ints.values())
-    lm = max(ints, key=key)
-    lc = ints.pop(lm) // content
-    return lm, lc, [(e, c // content) for e, c in ints.items()]
+    lm = max(ints)
+    tail = [(e, c // content) for e, c in ints.items() if e != lm]
+    top = 0
+    for e, _ in tail:
+        top = _fieldmax(top, e, guard)
+    return lm, ints[lm] // content, tail, top
 
 
-def _remainder(f, divisors, key):
-    """Remainder of f by the integer forms `divisors`, tried in order; `key` ranks monomials."""
-    # raw term dicts avoid per-step polynomial construction in the hot loop;
-    # scale * f and work + remainder differ by a member of the ideal
-    scale = lcm(*(c.denominator for c in f.terms.values()))
-    work = {e: c.numerator * (scale // c.denominator) for e, c in f.terms.items()}
+def _remainder(work, divisors, guard):
+    """Remainder of the packed int terms `work`, which it consumes, by the
+    integer forms `divisors`, tried in order.
+
+    Returns (remainder, scale): scale * work and the remainder differ by a
+    member of the ideal.
+    """
+    # raw term dicts avoid per-step polynomial construction in the hot loop
+    scale = 1
     remainder = {}
     while work:
-        lm = max(work, key=key)
+        lm = max(work)
         w = work.pop(lm)
-        for glm, lc, tail in divisors:
-            if _mono_divides(glm, lm):
-                k = gcd(w, lc)
-                a, b = lc // k, w // k
-                if a != 1:
-                    scale *= a
-                    work = {e: a * c for e, c in work.items()}
-                    remainder = {e: a * c for e, c in remainder.items()}
-                shift = _mono_div(lm, glm)
-                for e, c in tail:
-                    te = _mono_mul(e, shift)
-                    nc = work.get(te, 0) - b * c
-                    if nc:
-                        work[te] = nc
-                    else:
-                        del work[te]
-                break
+        for glm, lc, tail, top in divisors:
+            shift = lm - glm
+            if shift & guard:  # glm does not divide lm
+                continue
+            if (top + shift) & guard:
+                raise _overflow()
+            k = gcd(w, lc)
+            a, b = lc // k, w // k
+            if a != 1:
+                scale *= a
+                work = {e: a * c for e, c in work.items()}
+                remainder = {e: a * c for e, c in remainder.items()}
+            for e, c in tail:
+                te = e + shift
+                nc = work.get(te, 0) - b * c
+                if nc:
+                    work[te] = nc
+                else:
+                    del work[te]
+            break
         else:
             remainder[lm] = w
-    return MultiPoly(f.vars, {e: Fraction(c, scale) for e, c in remainder.items()})
+    return remainder, scale
 
 
 class MultiPoly:
@@ -228,12 +289,16 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_ring(other)
+        # one Fraction per output term, not one product and sum per pair
+        da, ints_a = _integral(self.terms)
+        db, ints_b = _integral(other.terms)
         out = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = _mono_mul(ea, eb)
-                out[e] = out.get(e, _ZERO) + ca * cb
-        return MultiPoly(self.vars, out)
+        for ea, ca in ints_a.items():
+            for eb, cb in ints_b.items():
+                e = tuple(map(add, ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
+        d = da * db
+        return MultiPoly(self.vars, {e: Fraction(c, d) for e, c in out.items()})
 
     __rmul__ = __mul__
 

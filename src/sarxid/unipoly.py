@@ -4,15 +4,19 @@ A polynomial in z is a `MultiPoly` in the ring `Z_RING = ("z",)`, the same
 type a parametrized family's polynomials have, so specialized symbolic data
 compares equal to numeric data.  These functions back all coprimality
 certificates and characteristic polynomials; the gcd is the Euclidean
-algorithm on `multipoly._remainder`, the division Buchberger runs.
+algorithm on `multipoly._remainder`, the division Buchberger runs, over the
+packed monomials `multipoly` describes.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .linalg import RatMatrix
-from .multipoly import MultiPoly, _primitive, _remainder
+from .multipoly import MonomialOrder, MultiPoly, _primitive, _remainder
 
 Z_RING = ("z",)
+_ORDER = MonomialOrder.grevlex(1)
 
 
 def _univariate(f: MultiPoly):
@@ -23,13 +27,21 @@ def _univariate(f: MultiPoly):
 def uni_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Monic gcd by the Euclidean algorithm; errors if both inputs are zero."""
     _univariate(a)
-    _univariate(b)
+    if a.vars != b.vars:
+        raise ValueError("polynomials live in different rings")
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    # in one variable, the exponent tuples (k,) compare as the degrees do
-    while b.terms:
-        a, b = b, _remainder(a, [_primitive(b.terms, None)], None)
-    return a * (1 / a.terms[max(a.terms)])
+    ring, guard = a.vars, _ORDER.guard
+    a, b = (_ORDER.pack(f.terms)[1] for f in (a, b))
+    while b:
+        lm, lc, tail, _ = form = _primitive(b, guard)
+        r = _remainder(a, [form], guard)[0]
+        # the next dividend is primitive, so contents do not pile up
+        a = dict(tail)
+        a[lm] = lc
+        b = r
+    unpack, lc = _ORDER.unpack, a[max(a)]
+    return MultiPoly(ring, {unpack(e): Fraction(c, lc) for e, c in a.items()})
 
 
 def is_coprime(a: MultiPoly, b: MultiPoly) -> bool:

@@ -12,7 +12,6 @@ from itertools import combinations, permutations
 import sympy
 
 from sarxid import Z_RING, IsoSolution, MultiPoly, RatMatrix, Subspace, solve_affine
-from sarxid.multipoly import _mono_div, _mono_divides, _mono_mul
 
 _ZERO = Fraction(0)
 
@@ -141,13 +140,54 @@ def groebner_sympy(gens, symbols, order="grevlex"):
     return {sympy.expand(e) for e in gb.exprs}
 
 
+def grevlex_key(exp):
+    """Graded reverse lex as a tuple: larger tuple = larger monomial."""
+    return (sum(exp), tuple(-e for e in reversed(exp)))
+
+
+def order_key(order, exp):
+    """`order` as a tuple key: grevlex, or grevlex on the dropped block, then on the kept one."""
+    if not order.drop:
+        return grevlex_key(exp)
+    return (
+        grevlex_key([exp[i] for i in order.drop]),
+        grevlex_key([exp[i] for i in order.keep]),
+    )
+
+
+def mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mono_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mul_reference(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """f * g by the double loop over `Fraction` terms, one product and sum per pair."""
+    out = {}
+    for ea, ca in f.terms.items():
+        for eb, cb in g.terms.items():
+            e = mono_mul(ea, eb)
+            out[e] = out.get(e, _ZERO) + ca * cb
+    return MultiPoly(f.vars, out)
+
+
 def normal_form_reference(f: MultiPoly, basis, order) -> MultiPoly:
     """Remainder of f under division by `basis`, over `Fraction` throughout.
 
     The division loop `groebner.normal_form` ran before it moved to integer
-    coefficients: divisors tried in the order given, each made monic first.
+    coefficients and packed monomials: exponent tuples ranked by the tuple
+    key `order_key`, divisors tried in the order given, each made monic
+    first.
     """
-    key = order.key
+    def key(exp):
+        return order_key(order, exp)
+
     divisors = []
     for g in basis:
         if g.terms:
@@ -160,11 +200,11 @@ def normal_form_reference(f: MultiPoly, basis, order) -> MultiPoly:
     while work:
         lm = max(work, key=key)
         for glm, gterms in divisors:
-            if _mono_divides(glm, lm):
-                shift = _mono_div(lm, glm)
+            if mono_divides(glm, lm):
+                shift = mono_div(lm, glm)
                 ratio = work[lm]
                 for e, c in gterms.items():
-                    te = _mono_mul(e, shift)
+                    te = mono_mul(e, shift)
                     nc = work.get(te, _ZERO) - ratio * c
                     if nc:
                         work[te] = nc

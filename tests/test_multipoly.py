@@ -1,5 +1,6 @@
 from datetime import timedelta
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
@@ -7,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_fraction
-from oracles import multipoly_to_sympy
-from sarxid import Z_RING, MonomialOrder, MultiPoly, normal_form, uni_gcd
+from oracles import mul_reference, multipoly_to_sympy, order_key
+from sarxid import Z_RING, MonomialOrder, MultiPoly, buchberger, normal_form, uni_gcd
 from sarxid import groebner, multipoly, unipoly
+from sarxid.multipoly import FIELD_BITS, _fieldmax
 
 VARS = ("x", "y", "w")
 SYMS = sympy.symbols("x y w")
@@ -133,7 +135,7 @@ def test_one_division_serves_groebner_and_unipoly(monkeypatch):
     original = multipoly._remainder
 
     def spy(*args):
-        calls.append(args[0].vars)
+        calls.append(args[2])  # the guard bits of the ring's packing
         return original(*args)
 
     for module in (multipoly, groebner, unipoly):
@@ -142,7 +144,144 @@ def test_one_division_serves_groebner_and_unipoly(monkeypatch):
     x, y = MultiPoly.variable(VARS, 0), MultiPoly.variable(VARS, 1)
     order = MonomialOrder.grevlex(len(VARS))
     assert normal_form(x * y + 1, [y], order) == MultiPoly.constant(VARS, 1)
-    assert calls == [VARS]
+    assert calls == [order.guard]
     z = MultiPoly.variable(Z_RING, 0)
     assert uni_gcd(z * z - 1, z - 1) == z - 1
-    assert calls == [VARS, Z_RING]
+    assert calls == [order.guard, MonomialOrder.grevlex(1).guard]
+
+
+# -- the packing of monomials into ints --------------------------------------
+
+# exponents small enough to collide, and large enough to fill a field while
+# the sum of two 4-variable monomials stays below the guard bit
+exponents = st.one_of(st.integers(0, 4), st.integers(0, 2 ** (FIELD_BITS - 5)))
+
+
+# grevlex and every proper elimination split on 1-4 variables
+PACKINGS = [MonomialOrder.grevlex(n) for n in range(1, 5)] + [
+    MonomialOrder.elimination(n, drop)
+    for n in range(2, 5)
+    for k in range(1, n)
+    for drop in combinations(range(n), k)
+]
+packings = pytest.mark.parametrize(
+    "order", PACKINGS, ids=lambda o: "n%d-drop%s" % (len(o.weights), "".join(map(str, o.drop)))
+)
+packing_properties = settings(max_examples=25, deadline=timedelta(seconds=10), derandomize=True)
+
+
+def monomials(order):
+    return st.tuples(*[exponents] * len(order.weights))
+
+
+@packings
+@packing_properties
+@given(st.data())
+def test_packing_preserves_the_order(order, data):
+    a = data.draw(monomials(order))
+    # a permutation of a has its degree, so the partial sums decide
+    b = data.draw(st.one_of(monomials(order), st.permutations(a).map(tuple)))
+    ka, kb = order.key(a), order.key(b)
+    ta, tb = order_key(order, a), order_key(order, b)
+    assert (ka < kb) == (ta < tb)
+    assert (ka == kb) == (a == b)
+
+
+@packings
+@packing_properties
+@given(st.data())
+def test_packing_preserves_products(order, data):
+    a, b = data.draw(monomials(order)), data.draw(monomials(order))
+    assert order.key(a) + order.key(b) == order.key(tuple(x + y for x, y in zip(a, b)))
+
+
+@packings
+@packing_properties
+@given(st.data())
+def test_packing_round_trips(order, data):
+    e = data.draw(monomials(order))
+    assert order.unpack(order.key(e)) == e
+
+
+@packings
+@packing_properties
+@given(st.data(), st.booleans())
+def test_guard_test_is_componentwise_division(order, data, multiple):
+    a, b = data.draw(monomials(order)), data.draw(monomials(order))
+    if multiple:  # else a divides b only by chance
+        b = tuple(x + y for x, y in zip(a, b))
+    divides = not (order.key(b) - order.key(a)) & order.guard
+    assert divides == all(x <= y for x, y in zip(a, b))
+
+
+def fields(order, key):
+    count = order.guard.bit_length() // FIELD_BITS
+    return [key >> FIELD_BITS * p & (2**FIELD_BITS - 1) for p in range(count)]
+
+
+@packings
+@packing_properties
+@given(st.data())
+def test_fieldmax_is_the_maximum_of_every_field(order, data):
+    # the overflow checks bound the order fields of shifted terms with it too
+    ka, kb = order.key(data.draw(monomials(order))), order.key(data.draw(monomials(order)))
+    top = _fieldmax(ka, kb, order.guard)
+    assert fields(order, top) == [max(x, y) for x, y in zip(fields(order, ka), fields(order, kb))]
+
+
+wide = st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**64))
+wide_polys = st.dictionaries(st.tuples(*[st.integers(0, 3)] * len(VARS)), wide, max_size=5).map(
+    lambda terms: MultiPoly(VARS, terms)
+)
+
+
+@properties
+@given(wide_polys, wide_polys)
+def test_product_matches_fraction_reference(f, g):
+    assert f * g == mul_reference(f, g)
+
+
+def test_packing_refuses_an_exponent_at_the_field_limit():
+    limit = 2 ** (FIELD_BITS - 1)
+    order = MonomialOrder.grevlex(1)
+    assert order.unpack(order.key((limit - 1,))) == (limit - 1,)
+    with pytest.raises(OverflowError):
+        order.key((limit,))
+    # the degree field fills first
+    with pytest.raises(OverflowError):
+        MonomialOrder.elimination(2, [0]).key((limit // 2, limit // 2))
+
+
+def test_new_monomials_that_overflow_raise():
+    half = 2 ** (FIELD_BITS - 2)
+    x, y, w = (MultiPoly.variable(VARS, i) for i in range(3))
+    x_half, y_half = MultiPoly.variable(VARS, 0, half), MultiPoly.variable(VARS, 1, half)
+    elim = MonomialOrder.elimination(len(VARS), [0])
+    # the second reduction step by x - y^half shifts y^half by y^half
+    with pytest.raises(OverflowError):
+        normal_form(x_half, [x - y_half], elim)
+    # only the kept block's degree field overflows: y^(2 half) w^(2 half)
+    quarter = half // 2
+    yw = MultiPoly(VARS, {(0, quarter, quarter): 1})
+    with pytest.raises(OverflowError):
+        normal_form(x * x, [x - yw], elim)
+    # the S-polynomial of x*w - y^half and x*y^half - 1 shifts y^half by y^half
+    f, g = (
+        multipoly._primitive(elim.pack(p.terms)[1], elim.guard)
+        for p in (x * w - y_half, x * y_half - 1)
+    )
+    with pytest.raises(OverflowError):
+        groebner._s_polynomial(f, g, elim.lcm(f[0], g[0]), elim.guard)
+    # the leading monomials x^half and y^half have an lcm of degree 2^(FIELD_BITS - 1)
+    with pytest.raises(OverflowError):
+        buchberger([x_half + 1, y_half + y], MonomialOrder.grevlex(len(VARS)))
+
+
+def test_monomial_order_checks_its_drop_indices():
+    with pytest.raises(ValueError):
+        MonomialOrder(2, drop=[5])
+    with pytest.raises(ValueError):
+        MonomialOrder(2, drop=[-1])
+    x, y = MultiPoly.variable(("x", "y"), 0), MultiPoly.variable(("x", "y"), 1)
+    with pytest.raises(ValueError):
+        groebner.elimination_ideal([x - y], [5])

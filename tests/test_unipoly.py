@@ -76,6 +76,13 @@ def test_two_variable_polynomials_are_refused():
         eval_matrix(f, RatMatrix.identity(2))
 
 
+def test_gcd_refuses_two_rings():
+    # unguarded, the gcd of z - 1 and w^2 - 1 came out as z - 1
+    w = MultiPoly.variable(("w",), 0)
+    with pytest.raises(ValueError):
+        uni_gcd(zpoly(-1, 1), w * w - 1)
+
+
 def test_charpoly_matches_cofactor_expansion(rng):
     for _ in range(30):
         n = rng.randint(1, 4)
