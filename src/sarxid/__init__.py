@@ -46,12 +46,7 @@ from .minimality import (
 )
 from .multipoly import MonomialOrder, MultiPoly
 from .rationals import InputError, format_rational, parse_rational
-from .sarx import (
-    HybridWord,
-    SarxModel,
-    reduce_trailing_zero,
-    simulate_sarx,
-)
+from .sarx import HybridWord, SarxModel, SarxType, reduce_trailing_zero, simulate_sarx
 from .unipoly import Z_RING, char_poly, eval_matrix, is_coprime, uni_gcd
 
 __version__ = "0.1.0"

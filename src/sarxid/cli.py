@@ -11,6 +11,7 @@ which the SARX_SEED environment variable overrides.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -95,7 +96,14 @@ def cmd_param_injective(args):
     return evidence.to_json_dict(), evidence.kind == "injective-affine"
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process on the first call.
+
+    `set_defaults` binds each subcommand's `cmd_*` function when the parser
+    is built, so a test patches the names those functions call, not the
+    `cmd_*` functions themselves.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--seed", type=int, default=0)
@@ -149,8 +157,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     env_seed = os.environ.get("SARX_SEED")
     if env_seed is not None:
         try:

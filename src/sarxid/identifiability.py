@@ -1,83 +1,66 @@
 """Polynomial parametrizations of SISO switched ARX models.
 
-A parametrization maps a rational parameter vector to a model by evaluating
-one coefficient polynomial per mode coefficient.  The analyses here compute
-the symbolic coprimality data of the family, carve out the parameter region
-whose instances are strongly minimal (by eliminating the indeterminate z
-from pairwise ideals and combining the results into one Groebner set), and
-gather injectivity and genericity evidence.
+A parametrization is a `sarx.SarxType` with one coefficient polynomial per
+mode coefficient; it maps a rational parameter vector to a model of the same
+type by evaluating them.  The analyses here compute the symbolic coprimality
+data of the family, carve out the parameter region whose instances are
+strongly minimal (by eliminating the indeterminate z from pairwise ideals and
+combining the results into one Groebner set), and gather injectivity and
+genericity evidence.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .groebner import buchberger, elimination_ideal
 from .linalg import RatMatrix
 from .minimality import Theorem2Data, _theorem2, check_strong_minimality
 from .multipoly import MonomialOrder, MultiPoly
-from .rationals import InputError, load_json, malformed, parse_int
-from .sarx import SarxModel
+from .rationals import InputError, exact, malformed, read_modes
+from .sarx import SarxModel, SarxType
 from .unipoly import Z_RING
 
 _ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
-class PolyParametrization:
-    """Map from parameter space Q^d to SARX models, polynomial per coefficient.
+class PolyParametrization(SarxType):
+    """Map from parameter space Q^d to SARX models of its type, polynomial per coefficient.
 
     modes[q] is the flat row-major tuple of coefficient polynomials, one per
-    entry of the mode's coefficient matrix.
+    entry of the mode's coefficient matrix, each in the ring of `vars`.
     """
 
-    vars: tuple
-    ny: int
-    nu: int
-    p: int
-    m: int
-    modes: dict
+    vars: tuple = field(kw_only=True)
 
     def __post_init__(self):
-        if not (0 < self.nu <= self.ny):
-            raise InputError("need 0 < n_u <= n_y")
-        if not self.modes:
-            raise InputError("mode set must be nonempty")
-        width = self.p * (self.ny * self.p + self.nu * self.m)
+        super().__post_init__()
         for q, polys in self.modes.items():
-            if len(polys) != width:
+            if len(polys) != self.p * self.width:
                 raise InputError(
                     "mode %r has %d coefficient polynomials, expected %d"
-                    % (q, len(polys), width)
+                    % (q, len(polys), self.p * self.width)
                 )
-            for f in polys:
-                if f.vars != self.vars:
-                    raise InputError("coefficient polynomial in a different ring")
+            if any(f.vars != self.vars for f in polys):
+                raise InputError("coefficient polynomial in a different ring")
 
     @property
     def dim(self):
         return len(self.vars)
 
-    @property
-    def labels(self):
-        return sorted(self.modes)
-
-    def is_siso(self):
-        return self.p == 1 and self.m == 1
-
     def coeff_poly(self, q, i):
         """SISO coefficient polynomial for h_q^i, 1-based."""
-        if not self.is_siso():
-            raise InputError("scalar coefficient access requires SISO")
+        self.require_siso("scalar coefficient access")
         return self.modes[q][i - 1]
 
     def instantiate(self, theta) -> SarxModel:
-        theta = [Fraction(x) for x in theta]
+        theta = [exact(x) for x in theta]
         if len(theta) != self.dim:
             raise InputError("parameter length %d != %d" % (len(theta), self.dim))
-        cols = self.ny * self.p + self.nu * self.m
+        cols = self.width
         modes = {}
         for q in self.labels:
             polys = self.modes[q]
@@ -87,21 +70,13 @@ class PolyParametrization:
                     for r in range(self.p)
                 ]
             )
-        return SarxModel(ny=self.ny, nu=self.nu, p=self.p, m=self.m, modes=modes)
+        return SarxModel(self.ny, self.nu, self.p, self.m, modes)
 
     # -- serialization ------------------------------------------------
 
     def to_json_dict(self):
-        return {
-            "vars": list(self.vars),
-            "ny": self.ny,
-            "nu": self.nu,
-            "p": self.p,
-            "m": self.m,
-            "modes": {
-                q: [f.to_json_terms() for f in self.modes[q]] for q in self.labels
-            },
-        }
+        modes = {q: [f.to_json_terms() for f in self.modes[q]] for q in self.labels}
+        return dict(self.header(), vars=list(self.vars), modes=modes)
 
     @classmethod
     def from_json_dict(cls, obj):
@@ -112,24 +87,10 @@ class PolyParametrization:
             if len(set(vars)) != len(vars):
                 raise ValueError('"vars" repeats a name: %r' % (vars,))
             vars = tuple(vars)
-            if not isinstance(obj["modes"], dict):
-                raise TypeError('"modes" must be an object')
-            modes = {
-                str(q): tuple(MultiPoly.from_json_terms(vars, t) for t in polys)
-                for q, polys in obj["modes"].items()
-            }
-            return cls(
-                vars=vars,
-                ny=parse_int(obj["ny"]),
-                nu=parse_int(obj["nu"]),
-                p=parse_int(obj["p"]),
-                m=parse_int(obj["m"]),
-                modes=modes,
+            modes = read_modes(
+                obj, lambda polys: tuple(MultiPoly.from_json_terms(vars, t) for t in polys)
             )
-
-    @classmethod
-    def load(cls, path):
-        return cls.from_json_dict(load_json(path))
+            return cls(*cls.read_header(obj), modes, vars=vars)
 
 
 def symbolic_theorem2(par: PolyParametrization) -> Theorem2Data:
@@ -142,7 +103,7 @@ def symbolic_theorem2(par: PolyParametrization) -> Theorem2Data:
         raise InputError('parameter variable named "z" collides with the indeterminate')
     ring = par.vars + Z_RING
     h = {
-        q: [par.coeff_poly(q, j).embed(ring) for j in range(1, par.ny + par.nu + 1)]
+        q: [par.coeff_poly(q, j).embed(ring) for j in range(1, par.width + 1)]
         for q in par.labels
     }
     return _theorem2(par.ny, par.nu, h, ring)
@@ -231,7 +192,7 @@ def verify_region_membership(region: IdentifiableRegion, theta) -> bool:
     `test_region_polynomials_certify_strong_minimality` checks that members
     instantiate to strongly minimal models.
     """
-    theta = [Fraction(x) for x in theta]
+    theta = [exact(x) for x in theta]
     if len(theta) != len(region.vars):
         raise InputError("parameter length %d != %d" % (len(theta), len(region.vars)))
     return any(f.eval(theta) != 0 for f in region.s)
@@ -340,8 +301,7 @@ def identifiability_verdict(
     nonzero, so identifiability follows once injectivity is established.
     `test_identifiability_verdict_positive` checks this on the first family.
     """
-    if not par.is_siso():
-        raise InputError("identifiability verdicts require SISO")
+    par.require_siso("an identifiability verdict")
     missing = []
     nonempty = not region.is_empty()
     if not nonempty:

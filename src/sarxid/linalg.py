@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 
-from .rationals import format_rational, parse_rational
+from .rationals import exact, format_rational, parse_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -29,7 +29,8 @@ class RatMatrix:
 
     def __init__(self, data, cols=0):
         """data: a list of rows; cols: the column count when there are no rows."""
-        data = [tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in data]
+        data = [tuple(x if type(x) is Fraction else parse_rational(x) if isinstance(x, str)
+                      else exact(x) for x in row) for row in data]
         if data:
             cols = len(data[0])
             if any(len(row) != cols for row in data):
@@ -92,9 +93,6 @@ class RatMatrix:
             and self._data == other._data
         )
 
-    def __hash__(self):
-        return hash(self._data)
-
     def __add__(self, other):
         self._check_same_shape(other)
         return RatMatrix(
@@ -114,7 +112,7 @@ class RatMatrix:
         )
 
     def scale(self, c):
-        c = Fraction(c)
+        c = exact(c)
         return RatMatrix([[c * x for x in row] for row in self._data])
 
     def __matmul__(self, other):
@@ -289,7 +287,7 @@ class Subspace:
                 v = v.col(0)
             elif len(v) != ambient_dim:
                 raise ValueError("vector length mismatch")
-            work.append([Fraction(x) for x in v])
+            work.append([exact(x) for x in v])
         rows = [sparse_rows(m._data) for m in maps]
         basis = []
         while work and len(basis) < ambient_dim:
@@ -317,9 +315,6 @@ class Subspace:
             and self.ambient_dim == other.ambient_dim
             and self._basis == other._basis
         )
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self._basis))
 
     def __repr__(self):
         return "Subspace(dim=%d, ambient=%d)" % (self.dim, self.ambient_dim)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import RatMatrix, Subspace, solve_affine, sparse_apply, sparse_rows
-from .rationals import InputError, load_json, malformed, parse_int
+from .rationals import InputError, load_json, malformed, parse_int, read_modes
 from .sarx import HybridWord, SarxModel
 
 _ZERO = Fraction(0)
@@ -75,16 +75,11 @@ class Lss:
     @classmethod
     def from_json_dict(cls, obj):
         with malformed("LSS"):
-            if not isinstance(obj["modes"], dict):
-                raise TypeError('"modes" must be an object')
-            modes = {
-                str(q): LssMode(
-                    a=RatMatrix.from_strings(md["A"]),
-                    b=RatMatrix.from_strings(md["B"]),
-                    c=RatMatrix.from_strings(md["C"]),
-                )
-                for q, md in obj["modes"].items()
-            }
+            modes = read_modes(obj, lambda md: LssMode(
+                a=RatMatrix.from_strings(md["A"]),
+                b=RatMatrix.from_strings(md["B"]),
+                c=RatMatrix.from_strings(md["C"]),
+            ))
             x0 = RatMatrix.from_strings([obj["x0"]]).transpose()
             n, m, p = (parse_int(obj[k]) for k in ("n", "m", "p"))
             return cls(n=n, m=m, p=p, modes=modes, x0=x0)
@@ -96,8 +91,7 @@ class Lss:
 
 def associated_lss(model: SarxModel) -> Lss:
     """Companion-style state-space embedding with the regressor as state."""
-    ny, nu, p, m = model.ny, model.nu, model.p, model.m
-    n = p * ny + m * nu
+    ny, nu, p, m, n = model.ny, model.nu, model.p, model.m, model.width
     modes = {}
     for q in model.labels:
         a = [[_ZERO] * n for _ in range(n)]

@@ -118,7 +118,7 @@ def _theorem2(ny, nu, h, ring) -> Theorem2Data:
 
 def theorem2_polynomials(model: SarxModel) -> Theorem2Data:
     h = {
-        q: [model.coeff(q, j) for j in range(1, model.ny + model.nu + 1)]
+        q: [model.coeff(q, j) for j in range(1, model.width + 1)]
         for q in model.labels
     }
     return _theorem2(model.ny, model.nu, h, Z_RING)

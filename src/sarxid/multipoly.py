@@ -42,7 +42,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add, mul
 
-from .rationals import format_rational, parse_int, parse_rational
+from .rationals import exact, format_rational, parse_int, parse_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -52,13 +52,6 @@ _ONE = Fraction(1)
 # sampled theta), so the work grows with the exponent without bound: at 10^9
 # one evaluation does not finish.  The paper's families have degree <= 2.
 MAX_EXPONENT = 64
-
-
-def _exact(c):
-    """An int or Fraction coefficient as a Fraction; a float has lost exactness."""
-    if not isinstance(c, (int, Fraction)):
-        raise TypeError("coefficient %r is not an int or a Fraction" % (c,))
-    return Fraction(c)
 
 
 # The width of a packed field; its top bit is the guard bit.
@@ -204,7 +197,7 @@ class MultiPoly:
         if terms:
             for exp, c in terms.items():
                 if type(c) is not Fraction:
-                    c = _exact(c)
+                    c = exact(c)
                 if not c:
                     continue
                 exp = tuple(exp)
@@ -218,7 +211,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, vars, c):
-        c = _exact(c)
+        c = exact(c)
         if c == 0:
             return cls(vars)
         return cls(vars, {tuple([0] * len(vars)): c})
@@ -255,9 +248,6 @@ class MultiPoly:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.vars, other)
@@ -284,7 +274,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = exact(other)
             return MultiPoly(self.vars, {e: c * v for e, v in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -314,7 +304,7 @@ class MultiPoly:
             raise ValueError(
                 "point length %d != variable count %d" % (len(point), len(self.vars))
             )
-        point = [Fraction(x) for x in point]
+        point = [exact(x) for x in point]
         acc = _ZERO
         for exp, c in self.terms.items():
             term = c
@@ -336,7 +326,7 @@ class MultiPoly:
             for i, val in assignment.items():
                 e = exp[i]
                 if e:
-                    coef *= Fraction(val) ** e
+                    coef *= exact(val) ** e
                 new_exp[i] = 0
             key = tuple(new_exp)
             out[key] = out.get(key, _ZERO) + coef

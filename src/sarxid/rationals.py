@@ -64,11 +64,26 @@ def parse_rational(value) -> Fraction:
     raise ValueError("cannot parse rational from %r" % (value,))
 
 
+def exact(value) -> Fraction:
+    """An int or a Fraction as a Fraction; a bool, a float or anything else is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError("%r is not an int or a Fraction" % (value,))
+    return Fraction(value)
+
+
 def parse_int(value) -> int:
     """Accept an int as it is; refuse a bool, float or str instead of truncating it."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError("expected an integer, got %r" % (value,))
     return value
+
+
+def read_modes(obj, read):
+    """The "modes" object of a JSON object, each entry read by `read`, keyed by str(q)."""
+    modes = obj["modes"]
+    if not isinstance(modes, dict):
+        raise TypeError('"modes" must be an object')
+    return {str(q): read(entry) for q, entry in modes.items()}
 
 
 def format_rational(x: Fraction) -> str:

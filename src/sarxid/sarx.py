@@ -1,6 +1,7 @@
 """Switched ARX models and their exact input-output simulation.
 
-A model of type (n_y, n_u) holds one coefficient matrix h_q per discrete
+`SarxType` is a type (n_y, n_u, p, m) with its modes, shared by a model and
+a polynomial family.  A model holds one coefficient matrix h_q per discrete
 mode; the output at time t is h_{q_t} applied to the regressor stacking the
 last n_y outputs and n_u inputs, with everything before time 0 taken as
 zero.  `simulate_sarx` applies h_q through `linalg.sparse_apply`, the one
@@ -15,23 +16,33 @@ from fractions import Fraction
 from .linalg import RatMatrix, sparse_apply, sparse_rows
 from .rationals import (
     InputError,
+    exact,
     format_rational,
     load_json,
     malformed,
     parse_int,
     parse_rational,
+    read_modes,
 )
 
 _ZERO = Fraction(0)
+_HEADER = ("ny", "nu", "p", "m")
 
 
 @dataclass(frozen=True)
-class SarxModel:
+class SarxType:
+    """A SARX type (n_y, n_u, p, m) and its modes.
+
+    A model (`SarxModel`) holds a coefficient matrix per mode, a family
+    (`identifiability.PolyParametrization`) a polynomial per coefficient, and
+    `instantiate` maps the family to a model of the same type.
+    """
+
     ny: int
     nu: int
     p: int
     m: int
-    modes: dict  # label -> RatMatrix, p x (ny*p + nu*m)
+    modes: dict
 
     def __post_init__(self):
         if not (0 < self.nu <= self.ny):
@@ -40,13 +51,11 @@ class SarxModel:
             raise InputError("need positive input/output dimensions")
         if not self.modes:
             raise InputError("mode set must be nonempty")
-        width = self.ny * self.p + self.nu * self.m
-        for q, h in self.modes.items():
-            if h.shape != (self.p, width):
-                raise InputError(
-                    "mode %r has shape %s, expected %s"
-                    % (q, h.shape, (self.p, width))
-                )
+
+    @property
+    def width(self):
+        """Length of the regressor: the last n_y outputs and n_u inputs."""
+        return self.ny * self.p + self.nu * self.m
 
     @property
     def labels(self):
@@ -55,43 +64,50 @@ class SarxModel:
     def is_siso(self):
         return self.p == 1 and self.m == 1
 
+    def require_siso(self, what):
+        if not self.is_siso():
+            raise InputError("%s requires a SISO model" % what)
+
+    def header(self):
+        return {k: getattr(self, k) for k in _HEADER}
+
+    @staticmethod
+    def read_header(obj):
+        return [parse_int(obj[k]) for k in _HEADER]
+
+    @classmethod
+    def load(cls, path):
+        return cls.from_json_dict(load_json(path))
+
+
+@dataclass(frozen=True)
+class SarxModel(SarxType):
+    """A SARX type with one p x width coefficient matrix h_q per mode."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        for q, h in self.modes.items():
+            if h.shape != (self.p, self.width):
+                raise InputError(
+                    "mode %r has shape %s, expected %s"
+                    % (q, h.shape, (self.p, self.width))
+                )
+
     def coeff(self, q, i):
         """SISO scalar coefficient h_q^i, 1-based as in the recursions."""
-        if not self.is_siso():
-            raise InputError("scalar coefficient access requires a SISO model")
+        self.require_siso("scalar coefficient access")
         return self.modes[q][0, i - 1]
 
     # -- serialization ------------------------------------------------
 
     def to_json_dict(self):
-        return {
-            "ny": self.ny,
-            "nu": self.nu,
-            "p": self.p,
-            "m": self.m,
-            "modes": {q: self.modes[q].to_strings() for q in self.labels},
-        }
+        return dict(self.header(), modes={q: self.modes[q].to_strings() for q in self.labels})
 
     @classmethod
     def from_json_dict(cls, obj):
         with malformed("SARX"):
-            if not isinstance(obj["modes"], dict):
-                raise TypeError('"modes" must be an object')
-            modes = {
-                str(q): RatMatrix.from_strings(rows)
-                for q, rows in obj["modes"].items()
-            }
-            return cls(
-                ny=parse_int(obj["ny"]),
-                nu=parse_int(obj["nu"]),
-                p=parse_int(obj["p"]),
-                m=parse_int(obj["m"]),
-                modes=modes,
-            )
-
-    @classmethod
-    def load(cls, path):
-        return cls.from_json_dict(load_json(path))
+            modes = read_modes(obj, RatMatrix.from_strings)
+            return cls(*cls.read_header(obj), modes)
 
 
 class HybridWord:
@@ -101,13 +117,10 @@ class HybridWord:
 
     def __init__(self, steps):
         self.steps = [
-            (str(q), tuple(Fraction(x) for x in u)) for q, u in steps
+            (str(q), tuple(exact(x) for x in u)) for q, u in steps
         ]
         if not self.steps:
             raise InputError("hybrid word must be nonempty")
-
-    def __len__(self):
-        return len(self.steps)
 
     def __iter__(self):
         return iter(self.steps)
@@ -144,7 +157,7 @@ def simulate_sarx(model: SarxModel, word: HybridWord):
     """
     rows = {q: sparse_rows(h.to_lists()) for q, h in model.modes.items()}
     top = model.ny * model.p
-    phi = [_ZERO] * (top + model.nu * model.m)
+    phi = [_ZERO] * model.width
     outputs = []
     for q, u in word:
         if q not in rows:
@@ -162,11 +175,10 @@ def reduce_trailing_zero(model: SarxModel) -> SarxModel:
 
     `test_reduce_trailing_zero_preserves_traces` checks that traces are kept.
     """
-    if not model.is_siso():
-        raise InputError("trailing-zero reduction implemented for SISO models")
+    model.require_siso("trailing-zero reduction")
     if model.nu < 2:
         raise InputError("n_u must be at least 2 to reduce")
-    last = model.ny + model.nu
+    last = model.width
     if any(model.coeff(q, last) != 0 for q in model.labels):
         raise InputError("last coefficient is not zero in every mode")
     modes = {

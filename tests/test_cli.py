@@ -56,7 +56,8 @@ def test_malformed_input_exits_two(capsys, tmp_path):
     term = {"terms": [{"c": "1", "e": [1]}]}
     lss_mode = {"A": [["1"]], "B": [["1"]], "C": [["1"]]}
     valid = {
-        "check-min": dict(header["check-min"], ny=1, nu=1, modes={"1": [["1", "2"]]}),
+        # a JSON integer is an exact coefficient
+        "check-min": dict(header["check-min"], ny=1, nu=1, modes={"1": [["1", 2]]}),
         "iso": dict(header["iso"], modes={"1": lss_mode}),
         "param-analyze": dict(header["param-analyze"], modes={"1": [term, term]}),
         "simulate": {"steps": [{"q": "1", "u": ["1"]}]},
@@ -64,6 +65,9 @@ def test_malformed_input_exits_two(capsys, tmp_path):
     spoiled = [
         ("check-min", "ny", 1.5), ("check-min", "ny", True), ("check-min", "p", "1"),
         ("check-min", "modes", {"1": ["12"]}),
+        # a JSON float has already lost exactness, and true is not a number
+        ("check-min", "modes", {"1": [[0.5, "2"]]}), ("check-min", "modes", {"1": [[True, "2"]]}),
+        ("param-analyze", "modes", {"1": [{"terms": [{"c": 0.5, "e": [1]}]}, term]}),
         ("iso", "n", 1.0), ("iso", "x0", "0"), ("iso", "modes", {"1": dict(lss_mode, A="1")}),
         ("param-analyze", "modes", {"1": [{"terms": [{"c": "1", "e": [1.7]}]}, term]}),
         ("param-analyze", "vars", ["t", "t"]), ("param-analyze", "vars", "t"),
@@ -157,13 +161,30 @@ def test_output_is_deterministic(capsys):
     assert outs[0] == outs[1]
 
 
+def leaves(value):
+    """The scalars of a JSON value, in order."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for v in value for x in leaves(v)]
+    return [value]
+
+
 def test_text_format_renders_same_data(capsys):
-    _, out_json, _ = run_cli(capsys, "check-min", fixture_path("example3.json"))
-    _, out_text, _ = run_cli(
-        capsys, "check-min", fixture_path("example3.json"), "--format", "text"
-    )
-    assert "strong_minimal" in out_text
-    assert out_text != out_json
+    # a plain verdict, then reports holding lists: the verdict's witnesses,
+    # the region's polynomials and the trace's outputs, a list of lists
+    for key, argv in (
+        ("strong_minimal", ["check-min", "example3.json"]),
+        ("witness:", ["check-min", "example3.json", "--method", "both"]),
+        ("I_A:", ["param-analyze", "example8_first_family.json"]),
+        ("outputs:", ["simulate", "example3.json", "example3_word.json"]),
+    ):
+        args = [fixture_path(a) if a.endswith(".json") else a for a in argv]
+        _, out_json, _ = run_cli(capsys, *args)
+        _, out_text, _ = run_cli(capsys, *args, "--format", "text")
+        assert key in out_text, argv
+        assert out_text != out_json
+        assert all(str(x) in out_text for x in leaves(json.loads(out_json))), argv
 
 
 def test_simulate_with_lss_comparison(capsys):
@@ -377,6 +398,13 @@ def test_every_cli_option_is_exercised():
                 if not any(pattern.search(text) for text in corpus):
                     unreached.add((name, opt))
     assert not unreached, sorted(unreached)
+
+
+def test_main_builds_one_parser(capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert run_cli(capsys, "check-min", fixture_path("example3.json"))[0] == 0
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_env_seed_overrides(capsys, monkeypatch):

@@ -25,6 +25,7 @@ from sarxid import (
     theorem2_polynomials,
     verify_region_membership,
 )
+from sarxid.cli import main
 
 ZVARS = ("zeta1", "zeta2")
 
@@ -202,6 +203,33 @@ def test_injectivity_collision_for_even_power():
     assert evidence.kind == "collision"
     t1, t2 = evidence.collision
     assert par.instantiate(t1) == par.instantiate(t2)
+
+
+def test_injectivity_collision_for_rank_deficient_affine_family(capsys, tmp_path):
+    # every coefficient is a function of zeta1 + zeta2, so the linear part has rank 1
+    par = PolyParametrization(
+        vars=ZVARS, ny=1, nu=1, p=1, m=1,
+        modes={"1": (zpoly(1, 1), zpoly(2, 2, 1)), "2": (zpoly(-1, -1, 3), zpoly(const=1))},
+    )
+    evidence = injectivity_probe(par)
+    assert evidence.kind == "collision"
+    t1, t2 = evidence.collision
+    assert t1 != t2
+    assert par.instantiate(t1) == par.instantiate(t2)
+    path = tmp_path / "sum.json"
+    path.write_text(json.dumps(par.to_json_dict()))
+    assert main(["param-injective", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["kind"] == "collision"
+
+
+def test_family_type_is_checked_at_construction():
+    # p = 0 or m = 0 was accepted and failed only when instantiated
+    t = MultiPoly.variable(("t",), 0)
+    for p, m in ((0, 1), (1, 0)):
+        with pytest.raises(InputError, match="positive input/output"):
+            PolyParametrization(1, 1, p, m, {"1": (t,) * p * (p + m)}, vars=("t",))
+    with pytest.raises(InputError, match=r"0 < n_u <= n_y, got \(1, 2\)"):
+        PolyParametrization(1, 2, 1, 1, {"1": (t,) * 3}, vars=("t",))
 
 
 def test_genericity_witness_found(two_param_family):

@@ -350,6 +350,40 @@ def test_neither_pairs_match_the_kronecker_oracle(rng):
             assert_isomorphism(sol.witness, a, b)
 
 
+def one_mode(a, b, c):
+    """One mode with m = p = 1 and x0 = 0, from integer rows."""
+    mode = LssMode(a=RatMatrix(a), b=RatMatrix(b), c=RatMatrix(c))
+    return Lss(n=len(a), m=1, p=1, modes={"1": mode}, x0=RatMatrix.zeros(len(a), 1))
+
+
+DIAG = one_mode([[1, 0], [0, 2]], [[1], [0]], [[0, 1]])
+# (kind, family_dim, shape of the residual system or None, a, b)
+RESIDUAL_CASES = [
+    # one solution of a 10 x 2 residual system
+    ("unique-identity", 0, (10, 2), DIAG, DIAG),
+    # S e1 = e1 is fixed, and C' S = C then asks 2 = 1
+    ("none", -1, (10, 2), one_mode([[0, 0], [0, 0]], [[1], [0]], [[1, 0]]),
+     one_mode([[0, 0], [0, 0]], [[1], [0]], [[2, 0]])),
+    # the closure fixes S = 0, which solves every equation and is singular
+    ("none", 0, None, one_mode([[1]], [[1]], [[0]]), one_mode([[1]], [[0]], [[0]])),
+]
+
+
+@pytest.mark.parametrize("kind, family_dim, shape, a, b", RESIDUAL_CASES)
+def test_residual_branches_match_the_kronecker_oracle(monkeypatch, kind, family_dim, shape, a, b):
+    shapes = []
+
+    def recording_solve_affine(m, rhs):
+        shapes.append(m.shape)
+        return solve_affine(m, rhs)
+
+    monkeypatch.setattr(lss, "solve_affine", recording_solve_affine)
+    sol, reference = find_isomorphisms(a, b), kronecker_solve(a, b)
+    assert shapes == ([shape] if shape else [])
+    assert (sol.kind, sol.family_dim) == (reference.kind, reference.family_dim) == (kind, family_dim)
+    assert sol.witness == reference.witness
+
+
 def test_residual_solve_only_when_unknowns_remain(rng, monkeypatch):
     calls = []
 

@@ -9,7 +9,20 @@ from hypothesis import strategies as st
 
 from conftest import rand_fraction
 from oracles import mul_reference, multipoly_to_sympy, order_key
-from sarxid import Z_RING, MonomialOrder, MultiPoly, buchberger, normal_form, uni_gcd
+from sarxid import (
+    Z_RING,
+    HybridWord,
+    IdentifiableRegion,
+    MonomialOrder,
+    MultiPoly,
+    PolyParametrization,
+    RatMatrix,
+    Subspace,
+    buchberger,
+    normal_form,
+    uni_gcd,
+    verify_region_membership,
+)
 from sarxid import groebner, multipoly, unipoly
 from sarxid.multipoly import FIELD_BITS, _fieldmax
 
@@ -120,6 +133,24 @@ def test_floats_are_refused():
         x + 0.5
     with pytest.raises(TypeError):
         0.5 - x
+    # and at every other entry point that takes numbers; a bool is not a number
+    family = PolyParametrization(1, 1, 1, 1, {"1": (x, x)}, vars=VARS)
+    region = IdentifiableRegion(VARS, (x,), (), (), {}, {}, {})
+    for call in (
+        lambda: RatMatrix([[0.1]]),
+        lambda: RatMatrix([[True]]),
+        lambda: RatMatrix.identity(2).scale(0.5),
+        lambda: Subspace(2, [[0.1, 1]]),
+        lambda: HybridWord([("1", [0.1])]),
+        lambda: x.eval([0.1, 0, 0]),
+        lambda: x.substitute({0: 0.1}),
+        lambda: family.instantiate([0.1, 0, 0]),
+        lambda: verify_region_membership(region, [0.1, 0, 0]),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    with pytest.raises(ValueError, match="exponent notation"):
+        RatMatrix([["1e3"]])
 
 
 def test_number_minus_poly(rng):
