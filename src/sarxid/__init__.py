@@ -26,6 +26,7 @@ from .lss import (
     LssMinimalityCertificate,
     LssMode,
     associated_lss,
+    dual,
     find_isomorphisms,
     is_minimal_lss,
     reachable_span,

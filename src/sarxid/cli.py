@@ -28,24 +28,22 @@ from .rationals import InputError, format_rational
 from .sarx import HybridWord, SarxModel, simulate_sarx
 
 
-def _render_text(value, indent=0, out=None):
+def _render_text(value, out, indent=0):
     pad = "  " * indent
     if isinstance(value, dict):
         for k, v in value.items():
             if isinstance(v, (dict, list)):
                 out.append("%s%s:" % (pad, k))
-                _render_text(v, indent + 1, out)
+                _render_text(v, out, indent + 1)
             else:
                 out.append("%s%s: %s" % (pad, k, v))
     elif isinstance(value, list):
         for v in value:
             if isinstance(v, (dict, list)):
                 out.append("%s-" % pad)
-                _render_text(v, indent + 1, out)
+                _render_text(v, out, indent + 1)
             else:
                 out.append("%s- %s" % (pad, v))
-    else:
-        out.append("%s%s" % (pad, value))
     return out
 
 
@@ -173,7 +171,7 @@ def main(argv=None):
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        print("\n".join(_render_text(report, out=[])))
+        print("\n".join(_render_text(report, [])))
     return 0 if positive else 1
 
 

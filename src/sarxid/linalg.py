@@ -7,8 +7,9 @@ reduces its matrix once.  One product, `sparse_apply`, applies a matrix read
 once as sparse rows to a vector: `@`, the subspace closure, the state
 update of `lss.simulate_lss` and the output step of `sarx.simulate_sarx`
 all go through it.  `Subspace` is the one subspace builder: the span of
-some vectors, closed under some maps, by a worklist over `_insert`.  The
-isomorphism route of `lss` reads S off one, and `solve_affine` does the rest.
+some vectors, closed under some maps, by a worklist over `_insert`.  In `lss`
+it is always a reachable span, of a system, its dual or a direct sum; the
+isomorphism route reads S off one, and `solve_affine` does the rest.
 """
 
 from __future__ import annotations

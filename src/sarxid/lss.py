@@ -6,8 +6,9 @@ outputs and inputs down, and B_q injects the fresh input.  The state at
 time t therefore equals the regressor, so output traces match the switched
 ARX model exactly.
 
-Isomorphisms have one route: a subspace closure fixes S on a span of
-dimension r, and one linear solve finds the n(n - r) entries left.
+Observability is reachability of `dual(sys)`, and an isomorphism's graph
+holds the reachable span of a direct sum: one closure serves all three, and
+one linear solve finds the n(n - r) entries of S that it leaves.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import RatMatrix, Subspace, solve_affine, sparse_apply, sparse_rows
-from .rationals import InputError, load_json, malformed, parse_int, read_modes
+from .rationals import InputError, JsonLoadable, malformed, parse_int, read_modes
 from .sarx import HybridWord, SarxModel
 
 _ZERO = Fraction(0)
@@ -32,7 +33,7 @@ class LssMode:
 
 
 @dataclass(frozen=True)
-class Lss:
+class Lss(JsonLoadable):
     n: int
     m: int
     p: int
@@ -84,10 +85,6 @@ class Lss:
             n, m, p = (parse_int(obj[k]) for k in ("n", "m", "p"))
             return cls(n=n, m=m, p=p, modes=modes, x0=x0)
 
-    @classmethod
-    def load(cls, path):
-        return cls.from_json_dict(load_json(path))
-
 
 def associated_lss(model: SarxModel) -> Lss:
     """Companion-style state-space embedding with the regressor as state."""
@@ -138,24 +135,25 @@ def simulate_lss(sys: Lss, word: HybridWord):
     return outputs
 
 
+def dual(sys: Lss) -> Lss:
+    """(A_q^T, C_q^T, B_q^T) with x0 = 0: its reachable span is the observable span of sys."""
+    modes = {q: LssMode(a=md.a.transpose(), b=md.c.transpose(), c=md.b.transpose())
+             for q, md in sys.modes.items()}
+    return Lss(n=sys.n, m=sys.p, p=sys.m, modes=modes, x0=RatMatrix.zeros(sys.n, 1))
+
+
 def reachable_span(sys: Lss) -> Subspace:
     """Smallest subspace containing x0 and all B columns, invariant under every A_q."""
-    seeds = [sys.x0.col(0)]
-    for q in sys.labels:
-        b = sys.modes[q].b
-        seeds.extend(b.col(j) for j in range(b.cols))
+    seeds = [sys.x0.col(0)] + [sys.modes[q].b.col(j) for q in sys.labels for j in range(sys.m)]
     return Subspace(sys.n, seeds, [sys.modes[q].a for q in sys.labels])
 
 
 def unobservable_space(sys: Lss) -> Subspace:
     """Largest A_q-invariant subspace inside the joint kernel of the C_q.
 
-    Computed dually: the kernel of the smallest A_q^T-invariant subspace
-    containing the rows of every C_q.
+    It is the annihilator of the observable span, the reachable span of `dual(sys)`.
     """
-    seeds = [row for q in sys.labels for row in sys.modes[q].c.to_lists()]
-    observable = Subspace(sys.n, seeds, [sys.modes[q].a.transpose() for q in sys.labels])
-    return observable.annihilator()
+    return reachable_span(dual(sys)).annihilator()
 
 
 @dataclass(frozen=True)
@@ -200,30 +198,27 @@ class IsoSolution:
 def find_isomorphisms(a: Lss, b: Lss, seed=0) -> IsoSolution:
     """Solve {S A_q = A'_q S, S B_q = B'_q, C'_q S = C_q, S x0 = x0'} for S.
 
-    A solution's graph {(x, Sx)} is invariant under diag(A_q, A'_q) and holds
-    (x0, x0') and (B_q e_j, B'_q e_j), so it holds their closure, which fixes
-    S on a span of dimension r; so does the graph of S^T, from the C rows
-    under the transposes.  The closure leaving fewer unknowns is kept, and
-    the four equation families are written at its T0: when r = n, it solves
-    them or nothing does; else they become one system in the n(n - r)
-    unknowns, and a family is classified by one generic point and a determinant.
+    A solution's graph {(x, Sx)} holds the reachable span of the direct sum of
+    a and b (`_graph_map`), which fixes S on a span of dimension r; the graph
+    of S^T holds that of dual(b) and dual(a).  The closure leaving fewer
+    unknowns is kept, and the four equation families are written at its T0:
+    when r = n, it solves them or nothing does; else they become one system in
+    the n(n - r) unknowns, and a family is classified by one generic point and
+    a determinant.
     """
     if (a.n, a.m, a.p) != (b.n, b.m, b.p) or a.labels != b.labels:
         raise InputError("systems must share dimensions and mode labels")
     n = a.n
     modes = [(a.modes[q], b.modes[q]) for q in a.labels]
-    seeds = [(a.x0.col(0), b.x0.col(0))]
-    seeds += [(ma.b.col(j), mb.b.col(j)) for ma, mb in modes for j in range(a.m)]
-    graph, dual = _graph_map(n, seeds, [(ma.a, mb.a) for ma, mb in modes]), False
+    graph, transposed = _graph_map(a, b), False
     if graph is not None and graph[1]:
-        seeds = [pair for ma, mb in modes for pair in zip(mb.c.to_lists(), ma.c.to_lists())]
-        other = _graph_map(n, seeds, [(mb.a.transpose(), ma.a.transpose()) for ma, mb in modes])
+        other = _graph_map(dual(b), dual(a))
         if other is None or len(other[1]) < len(graph[1]):
-            graph, dual = other, True
+            graph, transposed = other, True
     none = IsoSolution(kind="none", witness=None, family_dim=-1)
     if graph is None:
         return none
-    s, kernel = graph[0].transpose() if dual else graph[0], graph[1]
+    s, kernel = graph[0].transpose() if transposed else graph[0], graph[1]
 
     def equations(t):
         out = [x for ma, mb in modes for m in (t @ ma.a - mb.a @ t, t @ ma.b, mb.c @ t)
@@ -235,10 +230,10 @@ def find_isomorphisms(a: Lss, b: Lss, seed=0) -> IsoSolution:
     if not kernel:
         return none if any(rhs) else _unique(s)
 
-    # the unknowns are the entries of S (of S^T when dual) at the non-pivot
-    # columns, in S's row-major order, the order of the Kronecker reference
+    # the unknowns are the entries of S (of S^T when transposed) at the
+    # non-pivot columns, in S's row-major order, the order of the Kronecker reference
     unit = RatMatrix.identity(n).to_lists()
-    if dual:
+    if transposed:
         directions = [_outer(f, unit[j]) for f in kernel for j in range(n)]
     else:
         directions = [_outer(unit[j], f) for j in range(n) for f in kernel]
@@ -259,18 +254,22 @@ def find_isomorphisms(a: Lss, b: Lss, seed=0) -> IsoSolution:
     return IsoSolution(kind="affine-family", witness=witness, family_dim=len(null))
 
 
-def _graph_map(n, pairs, maps):
-    """Every T whose graph can hold the closure W of the pairs (u, Tu) under diag(M, M').
+def _graph_map(a, b):
+    """Every T whose graph can hold W, the reachable span of the direct sum of a and b.
 
-    Row i of W's rref is (u_i, v_i).  None when some row is (0, v): no T
-    exists.  Else (T0, kernel): T0 sends each u_i to v_i and each non-pivot e_k
-    to 0, and the T are T0 plus combinations of the e_j f^T, for f in kernel,
-    the vectors with 1 at a non-pivot k that the u_i annihilate.
+    W is the closure of (x0, x0') and the (B_q e_j, B'_q e_j) under
+    diag(A_q, A'_q).  Row i of W's rref is (u_i, v_i).  None when some row is
+    (0, v): no T exists.  Else (T0, kernel): T0 sends each u_i to v_i and each
+    non-pivot e_k to 0, and the T are T0 plus combinations of the e_j f^T, for
+    f in kernel, the vectors with 1 at a non-pivot k that the u_i annihilate.
     """
-    z = [_ZERO] * n
-    diags = [RatMatrix([r + z for r in m.to_lists()] + [z + r for r in m2.to_lists()])
-             for m, m2 in maps]
-    w = Subspace(2 * n, [list(u) + list(v) for u, v in pairs], diags).basis_rows_matrix()
+    n, z = a.n, [_ZERO] * a.n
+    modes = [(a.modes[q], b.modes[q]) for q in a.labels]
+    seeds = [a.x0.col(0) + b.x0.col(0)]
+    seeds += [ma.b.col(j) + mb.b.col(j) for ma, mb in modes for j in range(a.m)]
+    diags = [RatMatrix([r + z for r in ma.a.to_lists()] + [z + r for r in mb.a.to_lists()])
+             for ma, mb in modes]
+    w = Subspace(2 * n, seeds, diags).basis_rows_matrix()
     rows = [w.row(i) for i in range(w.rows)]
     if rows and not any(rows[-1][:n]):
         return None

@@ -36,20 +36,20 @@ class Theorem2Data:
     pairs            the ordered pairs of distinct modes, in witness search order
     chi[q]           monic z^ny - sum h_q^j z^(ny-j)
     upsilon[q]       sum_{j<=ny} h_q^j z^(ny-j)
-    numerator[q]     sum_{j<=nu} h_q^(ny+j) z^(nu-j)
     d[q][j]          the first ny entries of A_q^j e_1, j = 0..nu (the rest are 0)
     psi[(q,qh)][j]   monic degree-j polynomials with psi_j(A_q) e_1 = A_qh^j e_1
     phi[(q,qh)]      sum_j h_qh^(ny+j) psi_(nu-j); phi(A_q) e_1 = A_qh^nu B
     phi_next[(q,qh)] sum_j h_qh^(ny+j) psi_(nu-j+1); represents A_qh^(nu+1) B
     b_scale[(q,qh)]  t_q (h_qh^ny t_q - h_q^ny t_qh) = t_q^2 condition_b_scalar
 
-    psi, phi and phi_next hold q = qh too; b_scale holds only `pairs`.
+    psi, phi and phi_next hold q = qh too; b_scale holds only `pairs`.  On the
+    diagonal psi_j = z^j, so phi[(q,q)] = sum_{j<=nu} h_q^(ny+j) z^(nu-j) is the
+    numerator N_q of mode q's transfer function.
     """
 
     pairs: tuple
     chi: dict
     upsilon: dict
-    numerator: dict
     d: dict
     psi: dict
     phi: dict
@@ -76,11 +76,10 @@ def _theorem2(ny, nu, h, ring) -> Theorem2Data:
     one = MultiPoly.constant(ring, 1)
     zero = one * 0
     labels = tuple(h)
-    chi, upsilon, numerator, d = {}, {}, {}, {}
+    chi, upsilon, d = {}, {}, {}
     for q, hq in h.items():
         chi[q] = _horner(one, [-c for c in hq[:ny]], z)
         upsilon[q] = _horner(zero, hq[:ny], z)
-        numerator[q] = _horner(zero, hq[ny:], z)
         seq = [(_ONE,) + (_ZERO,) * (ny - 1)]
         for _ in range(nu):
             prev = seq[-1]
@@ -107,7 +106,6 @@ def _theorem2(ny, nu, h, ring) -> Theorem2Data:
         pairs=pairs,
         chi=chi,
         upsilon=upsilon,
-        numerator=numerator,
         d=d,
         psi=psi,
         phi=phi,
@@ -127,12 +125,12 @@ def theorem2_polynomials(model: SarxModel) -> Theorem2Data:
 def arx_is_minimal(data: Theorem2Data, q) -> bool:
     """Lone-mode ARX minimality: the transfer function z^(ny-nu) N_q / chi_q is reduced.
 
-    The delay factor counts when ny > nu.  `test_transfer_minimality_matches_sympy_gcd`
-    checks it against sympy.
+    N_q is phi[(q, q)].  The delay factor counts when ny > nu.
+    `test_transfer_minimality_matches_sympy_gcd` checks it against sympy.
     """
     ny, nu = len(data.d[q][0]), len(data.d[q]) - 1
     delay = MultiPoly.variable(data.chi[q].vars, 0, max(ny - nu, 0))
-    return is_coprime(delay * data.numerator[q], data.chi[q])
+    return is_coprime(delay * data.phi[(q, q)], data.chi[q])
 
 
 def gamma_polynomials(model: SarxModel, q):

@@ -26,6 +26,16 @@ def load_json(path):
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
 
 
+class JsonLoadable:
+    """Mixin for the input types: `load(path)` reads the file with `from_json_dict`."""
+
+    __slots__ = ()
+
+    @classmethod
+    def load(cls, path):
+        return cls.from_json_dict(load_json(path))
+
+
 @contextmanager
 def malformed(what):
     """Run a JSON reader: a KeyError, TypeError or ValueError in it is an InputError."""

@@ -16,9 +16,9 @@ from fractions import Fraction
 from .linalg import RatMatrix, sparse_apply, sparse_rows
 from .rationals import (
     InputError,
+    JsonLoadable,
     exact,
     format_rational,
-    load_json,
     malformed,
     parse_int,
     parse_rational,
@@ -30,7 +30,7 @@ _HEADER = ("ny", "nu", "p", "m")
 
 
 @dataclass(frozen=True)
-class SarxType:
+class SarxType(JsonLoadable):
     """A SARX type (n_y, n_u, p, m) and its modes.
 
     A model (`SarxModel`) holds a coefficient matrix per mode, a family
@@ -75,10 +75,6 @@ class SarxType:
     def read_header(obj):
         return [parse_int(obj[k]) for k in _HEADER]
 
-    @classmethod
-    def load(cls, path):
-        return cls.from_json_dict(load_json(path))
-
 
 @dataclass(frozen=True)
 class SarxModel(SarxType):
@@ -110,7 +106,7 @@ class SarxModel(SarxType):
             return cls(*cls.read_header(obj), modes)
 
 
-class HybridWord:
+class HybridWord(JsonLoadable):
     """Finite sequence of (mode label, input vector) pairs, time-indexed from 0."""
 
     __slots__ = ("steps",)
@@ -141,10 +137,6 @@ class HybridWord:
                     raise TypeError('a step\'s "u" must be a list')
                 steps.append((s["q"], [parse_rational(x) for x in s["u"]]))
             return cls(steps)
-
-    @classmethod
-    def load(cls, path):
-        return cls.from_json_dict(load_json(path))
 
 
 def simulate_sarx(model: SarxModel, word: HybridWord):

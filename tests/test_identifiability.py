@@ -84,7 +84,7 @@ def test_symbolic_data_specializes_to_numeric(rng, name):
     for _ in range(10):
         theta = [rand_fraction(rng) for _ in range(par.dim)]
         data = theorem2_polynomials(par.instantiate(theta))
-        for field in ("chi", "upsilon", "numerator", "phi", "phi_next", "b_scale"):
+        for field in ("chi", "upsilon", "phi", "phi_next", "b_scale"):
             sym_polys, num_polys = getattr(sym, field), getattr(data, field)
             assert sym_polys.keys() == num_polys.keys()
             for key, poly in sym_polys.items():

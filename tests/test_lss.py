@@ -28,6 +28,7 @@ from sarxid import (
     RatMatrix,
     SarxModel,
     associated_lss,
+    dual,
     find_isomorphisms,
     is_minimal_lss,
     reachable_span,
@@ -210,6 +211,49 @@ def test_subspaces_of_silent_systems(rng):
         assert reachable_span(silent).dim == 0
         assert unobservable_space(silent) == brute_force_unobservable(silent)
         assert reachable_span(silent) == brute_force_reachable(silent)
+
+
+def test_dual_swaps_reachable_and_observable_spans(rng):
+    # with x0 = 0, the reachable span of dual(sys) is the observable span of
+    # sys, and the observable span of dual(sys) is the reachable span of sys
+    def cut(mat, keep=None):
+        """mat with its last row zero outside column keep."""
+        rows = mat.to_lists()
+        return RatMatrix(rows[:-1] + [[x if j == keep else 0 for j, x in enumerate(rows[-1])]])
+
+    def cut_t(mat, keep=None):
+        return cut(mat.transpose(), keep).transpose()
+
+    systems = []
+    for _ in range(15):
+        sys = random_lss(rng, max_n=4, max_modes=3)
+        n, m, p, zero = sys.n, sys.m, sys.p, RatMatrix.zeros(sys.n, 1)
+        systems.append(Lss(n=n, m=m, p=p, modes=sys.modes, x0=zero))
+        # no inputs at all, and no outputs at all
+        systems.append(Lss(n=n, m=0, p=p, x0=zero, modes={
+            q: LssMode(a=md.a, b=RatMatrix.zeros(n, 0), c=md.c) for q, md in sys.modes.items()
+        }))
+        systems.append(Lss(n=n, m=m, p=0, x0=zero, modes={
+            q: LssMode(a=md.a, b=md.b, c=RatMatrix.zeros(0, n)) for q, md in sys.modes.items()
+        }))
+        # e_n cut off from the inputs: the first n - 1 coordinates hold every
+        # B_q column and are A_q-invariant, so the reachable span is proper;
+        # and, transposed, e_n cut off from the outputs
+        systems.append(Lss(n=n, m=m, p=p, x0=zero, modes={
+            q: LssMode(a=cut(md.a, n - 1), b=cut(md.b), c=md.c) for q, md in sys.modes.items()
+        }))
+        systems.append(Lss(n=n, m=m, p=p, x0=zero, modes={
+            q: LssMode(a=cut_t(md.a, n - 1), b=md.b, c=cut_t(md.c)) for q, md in sys.modes.items()
+        }))
+    observable = [brute_force_unobservable(sys).annihilator() for sys in systems]
+    assert any(0 < reachable_span(sys).dim < sys.n for sys in systems)
+    assert any(0 < obs.dim < sys.n for obs, sys in zip(observable, systems))
+    for sys, obs in zip(systems, observable):
+        d = dual(sys)
+        assert (d.n, d.m, d.p, d.labels) == (sys.n, sys.p, sys.m, sys.labels)
+        assert reachable_span(d) == obs
+        assert unobservable_space(d) == reachable_span(sys).annihilator()
+        assert is_minimal_lss(d).minimal == is_minimal_lss(sys).minimal
 
 
 def test_minimality_certificate_dimensions(rng):

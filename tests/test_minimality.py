@@ -132,10 +132,6 @@ def test_psi_d_phi_identities(rng):
                     + [Fraction(0)] * (sys.n - m.ny)
                 )
                 assert matrix_power(aq, j) @ e1 == padded
-        for q in m.labels:
-            # on the diagonal psi_j = z^j, so a diagonal pair would only
-            # re-test the lone-mode ARX coprimality of N_q and chi_q
-            assert data.phi[(q, q)] == data.numerator[q]
         for qh in m.labels:
             ah = sys.modes[qh].a
             for q in m.labels:
