@@ -1,21 +1,31 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, computed over the integers.
 
-Dense matrices of Fractions.  One elimination over Fraction, `_insert`, adds
-a row to a reduced echelon basis and is the only one: rref, kernel,
-determinant and every linear solve read their answer off it, and each solve
-reduces its matrix once.  One product, `sparse_apply`, applies a matrix read
-once as sparse rows to a vector: `@`, the subspace closure, the state
-update of `lss.simulate_lss` and the output step of `sarx.simulate_sarx`
-all go through it.  `Subspace` is the one subspace builder: the span of
-some vectors, closed under some maps, by a worklist over `_insert`.  In `lss`
-it is always a reachable span, of a system, its dual or a direct sum; the
-isomorphism route reads S off one, and `solve_affine` does the rest.
+Values enter and leave as `Fraction`: a `RatMatrix` holds Fractions, and
+every rref, kernel vector, solution and determinant it hands back is one.
+Inside, the work is over `int`; `cleared` scales rows to integers by their
+least common denominator.  One elimination, `_insert`, adds a primitive
+integer row to an echelon basis by fraction-free steps (`_reduce`, the
+step of `multipoly._remainder` for polynomials; Bareiss, Math. Comp. 22,
+1968), and `_back_substitute` takes the basis to its reduced form with the
+same step.  rref, kernel, determinant and every linear solve read their
+answer off it, and each reduces its matrix once.  One product,
+`sparse_apply`, applies an integer matrix read once as sparse rows to an
+integer vector: `@`, the subspace closure, the state update of
+`lss.simulate_lss` and the output step of `sarx.simulate_sarx` all go
+through it.  `Subspace` is the one subspace builder: the span of some
+vectors, closed under some maps, by a worklist over `_insert`.  Scaling a
+map or a vector does not change that span, so each is cleared to integers
+once, and the canonical rref is built only when a caller reads rows.  In
+`lss` it is always a reachable span, of a system, its dual or a direct
+sum; the isomorphism route reads S off one, and `solve_affine` does the
+rest.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
+from math import gcd, lcm
 
 from .rationals import exact, format_rational, parse_rational
 
@@ -100,7 +110,8 @@ class RatMatrix:
             [
                 [a + b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self._data, other._data)
-            ]
+            ],
+            self.cols,
         )
 
     def __sub__(self, other):
@@ -109,23 +120,30 @@ class RatMatrix:
             [
                 [a - b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self._data, other._data)
-            ]
+            ],
+            self.cols,
         )
 
     def scale(self, c):
         c = exact(c)
-        return RatMatrix([[c * x for x in row] for row in self._data])
+        return RatMatrix([[c * x for x in row] for row in self._data], self.cols)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(
                 "shape mismatch for product: %s @ %s" % (self.shape, other.shape)
             )
-        rows = sparse_rows(self._data)
-        # column j of the product is the rows applied to column j of other; the
-        # transposes keep every zero shape, (n x 0) @ (0 x k) included
-        out = [sparse_apply(rows, colb) for colb in other.transpose()._data]
-        return RatMatrix(out, self.rows).transpose()
+        # each row of self and each column of other cleared to integers: the
+        # entry (i, j) is one integer product over d_i * d_j
+        left = [cleared([row]) for row in self._data]
+        rows = sparse_rows([r for _, (r,) in left])
+        right = [cleared([other.col(j)]) for j in range(other.cols)]
+        out = [sparse_apply(rows, c) for _, (c,) in right]
+        return RatMatrix(
+            [[Fraction(col[i], d * e) for col, (e, _) in zip(out, right)]
+             for i, (d, _) in enumerate(left)],
+            other.cols,
+        )
 
     def transpose(self):
         if not (self.rows and self.cols):
@@ -143,109 +161,188 @@ class RatMatrix:
 
     # -- elimination --------------------------------------------------
 
-    def _gauss_jordan(self):
-        """Insert the rows one at a time into a reduced echelon basis.
+    def _echelon(self):
+        """Insert the rows, each cleared to integers, one at a time into an echelon basis.
 
-        Returns (reduced rows, pivot columns, product of the leading entries
-        with the sign of the permutation that sorts the pivots); that product
-        is the determinant when the matrix is square and of full rank.
+        Returns (basis, determinant); the determinant is exact when the
+        matrix is square and every row was inserted.  Row i enters as d_i
+        times itself, and `_insert` returns it scaled by mul/div after
+        subtracting earlier rows, so det = sign * prod(lead * div / (mul * d)),
+        the sign that of the permutation sorting the pivots.
         """
         basis = []
-        product = _ONE
+        num = den = 1
         for row in self._data:
             if len(basis) == self.cols:
                 break
-            found = _insert(basis, row)
+            (d, (v,)) = cleared([row])
+            found = _insert(basis, v)
             if found is not None:
-                pivot, lead, _ = found
-                product *= -lead if sum(p > pivot for p, _ in basis) % 2 else lead
-        m = [row for _, row in basis] + [[_ZERO] * self.cols] * (self.rows - len(basis))
-        return m, [p for p, _ in basis], product
+                pivot, v, mul, div = found
+                num *= -v[pivot] * div if sum(p > pivot for p, _ in basis) % 2 else v[pivot] * div
+                den *= mul * d
+        return basis, Fraction(num, den)
 
     def rref(self):
-        """Reduced row echelon form.
+        """Reduced row echelon form, built from the integer echelon form.
 
         Returns (R, pivot_columns).  rank == len(pivot_columns).
+        `test_rref_is_idempotent_and_rank_revealing` checks it against sympy.
         """
-        m, pivots, _ = self._gauss_jordan()
-        return RatMatrix(m), pivots
+        reduced = _back_substitute(self._echelon()[0])
+        m = [_fractions(row, row[p]) for p, row in reduced]
+        m += [[_ZERO] * self.cols] * (self.rows - len(m))
+        return RatMatrix(m, self.cols), [p for p, _ in reduced]
 
     def kernel_basis(self):
         """Basis of {x : Mx = 0} as a list of n x 1 column matrices."""
-        red, pivots = self.rref()
-        return _null_vectors(red, pivots, self.cols)
+        return _kernel(_back_substitute(self._echelon()[0]), self.cols)
 
     def determinant(self):
         if not self.is_square():
             raise ValueError("determinant of non-square matrix")
-        _, pivots, product = self._gauss_jordan()
-        return product if len(pivots) == self.rows else _ZERO
+        basis, det = self._echelon()
+        return det if len(basis) == self.rows else _ZERO
 
     def __repr__(self):
         return "RatMatrix(%r)" % (self.to_strings(),)
 
 
-def _insert(basis, v):
-    """Add the row v to a reduced echelon basis, in place.
+def cleared(rows):
+    """(d, ints): d > 0 the least common denominator of the rows' entries, ints d times the rows.
 
-    basis is a list of (pivot, row) pairs sorted by pivot, each row 1 at its
-    own pivot and 0 at every other.  v is reduced by the basis; what is left,
-    divided by its leading entry, clears its pivot column from the other rows
-    and is inserted in pivot order.  Rows are replaced, never mutated, so a
-    copy of the list is an independent basis.  Returns None when v is in the
-    span, else (pivot, leading entry, new row).
+    The entries are Fractions or ints.
     """
-    for p, row in basis:
-        c = v[p]
-        if c:
-            v = [a - c * b for a, b in zip(v, row)]
-    pivot = next((i for i, x in enumerate(v) if x), None)
-    if pivot is None:
+    d = lcm(*[x.denominator for row in rows for x in row])
+    if d == 1:
+        return 1, [[x.numerator for x in row] for row in rows]
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+
+
+def lowest_terms(v, s):
+    """The int vector v over the positive int s, both divided by their gcd."""
+    g = gcd(s, *v)
+    if g == 1:
+        return v, s
+    return [a // g for a in v], s // g
+
+
+def _reduce(v, rows):
+    """The integer row v made primitive and reduced at the pivots of the rows.
+
+    rows holds (pivot, row) pairs, each row a primitive integer row that is
+    positive at its pivot p and zero at the pivots of the rows before it.
+    At each row r in turn, with c = r[p] and g = gcd(c, v[p]),
+    v <- (c/g) v - (v[p]/g) r, then v is divided by its content: every step
+    is over int, and v stays primitive.  Returns None when v reaches 0, else
+    (v, mul, div) with v = (mul/div)(v_in - a combination of the rows).
+    """
+    mul, div = 1, gcd(*v)
+    if not div:
         return None
-    lead = v[pivot]
-    v = [x / lead for x in v]
-    for k, (p, row) in enumerate(basis):
-        c = row[pivot]
-        if c:
-            basis[k] = (p, [a - c * b for a, b in zip(row, v)])
-    insort(basis, (pivot, v))
-    return pivot, lead, v
+    if div != 1:
+        v = [a // div for a in v]
+    for p, row in rows:
+        x = v[p]
+        if x:
+            g = gcd(row[p], x)
+            c, x = row[p] // g, x // g
+            if c == 1:
+                v = [a - x * b for a, b in zip(v, row)]
+            else:
+                v = [c * a - x * b for a, b in zip(v, row)]
+                mul *= c
+            g = gcd(*v)
+            if not g:
+                return None
+            if g != 1:
+                v = [a // g for a in v]
+                div *= g
+    return v, mul, div
 
 
-def sparse_rows(rows):
-    """Per row, its nonzero (column, value) entries, with a value 1 kept as None."""
-    return [[(j, None if x == 1 else x) for j, x in enumerate(row) if x] for row in rows]
+def _insert(basis, v):
+    """Add the integer row v to an echelon basis, in place: the one elimination.
 
-
-def sparse_apply(rows, v):
-    """The one product: the matrix with these `sparse_rows`, applied to the vector v.
-
-    A zero entry of v is skipped and a 1 of the matrix adds v's entry
-    unmultiplied; the skipped terms are exactly zero.
+    basis is a list of (pivot, row) pairs sorted by pivot, each row
+    primitive, zero before its pivot and positive at it.  v is reduced by
+    the rows in pivot order (`_reduce`), made positive at its pivot and
+    inserted in pivot order; no row is mutated, so a copy of the list is an
+    independent basis.  Returns None when v is in the span, else
+    (pivot, new row, mul, div) with new row = (mul/div)(v - a combination
+    of the basis rows).
     """
+    found = _reduce(v, basis)
+    if found is None:
+        return None
+    v, mul, div = found
+    pivot = next(i for i, x in enumerate(v) if x)
+    if v[pivot] < 0:
+        v = [-x for x in v]
+        mul = -mul
+    insort(basis, (pivot, v))
+    return pivot, v, mul, div
+
+
+def _back_substitute(basis):
+    """The reduced echelon form of an echelon basis, as primitive integer rows.
+
+    Each row, from the last up, is reduced at the pivots below it by
+    `_reduce`, which keeps its own pivot entry positive; row i of the rref
+    is row i divided by its entry at its pivot.
+    """
+    done = []
+    for p, v in reversed(basis):
+        done.append((p, _reduce(v, done)[0]))
+    done.reverse()
+    return done
+
+
+def _fractions(row, d):
+    return [Fraction(x, d) if x else _ZERO for x in row]
+
+
+def _null_rows(reduced, cols):
+    """Per non-pivot column k below `cols`, (k, the integer kernel vector that is d > 0 at k).
+
+    reduced holds the rows of a reduced echelon form; the kernel vector is
+    d at k, -row[k] * d / row[p] at each pivot p and 0 elsewhere, with d
+    the least that makes it integral.
+    """
+    pivots = {p for p, _ in reduced}
     out = []
-    for row in rows:
-        s = _ZERO
-        for j, a in row:
-            x = v[j]
-            if x:
-                s += x if a is None else a * x
-        out.append(s)
+    for k in range(cols):
+        if k in pivots:
+            continue
+        d = lcm(*[row[p] for p, row in reduced if row[k]])
+        v = [0] * cols
+        v[k] = d
+        for p, row in reduced:
+            if row[k]:
+                v[p] = -row[k] * (d // row[p])
+        out.append((k, v))
     return out
 
 
-def _null_vectors(red, pivots, cols):
-    """Kernel basis read off a reduced form whose first `cols` columns are an rref."""
-    basis = []
-    for fc in range(cols):
-        if fc in pivots:
-            continue
-        v = [_ZERO] * cols
-        v[fc] = _ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r, fc]
-        basis.append(RatMatrix.column(v))
-    return basis
+def _kernel(reduced, cols):
+    """Kernel basis, 1 at each free column, off reduced rows whose first `cols` columns are an rref."""
+    return [RatMatrix.column(_fractions(v, v[k])) for k, v in _null_rows(reduced, cols)]
+
+
+def sparse_rows(rows):
+    """Per row of an integer matrix, its nonzero (column, value) entries."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+
+
+def sparse_apply(rows, v):
+    """The one product: the integer matrix with these `sparse_rows` applied to the int vector v."""
+    out = []
+    for row in rows:
+        s = 0
+        for j, a in row:
+            s += a * v[j]
+        out.append(s)
+    return out
 
 
 def solve_affine(a: RatMatrix, b: RatMatrix):
@@ -258,24 +355,27 @@ def solve_affine(a: RatMatrix, b: RatMatrix):
     """
     if a.rows != b.rows or b.cols != 1:
         raise ValueError("shape mismatch in solve_affine")
-    red, pivots = RatMatrix([ra + rb for ra, rb in zip(a._data, b._data)]).rref()
-    if a.cols in pivots:
+    augmented = RatMatrix([ra + rb for ra, rb in zip(a._data, b._data)], a.cols + 1)
+    reduced = _back_substitute(augmented._echelon()[0])
+    if reduced and reduced[-1][0] == a.cols:
         return None
     x = [_ZERO] * a.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r, a.cols]
-    return RatMatrix.column(x), _null_vectors(red, pivots, a.cols)
+    for p, row in reduced:
+        x[p] = Fraction(row[a.cols], row[p])
+    return RatMatrix.column(x), _kernel(reduced, a.cols)
 
 
 class Subspace:
     """Smallest subspace of Q^n holding the vectors and invariant under the maps.
 
-    Held in canonical rref-row form.  A worklist inserts each vector into a
-    reduced echelon basis of at most n rows; only a vector that is new to the
-    span is pushed through the maps.
+    A worklist inserts each vector, as a primitive integer row, into an
+    echelon basis of at most n rows; only a vector that is new to the span
+    is pushed through the maps, each cleared to integers.  `dim` reads the
+    basis; the canonical reduced rows are built once, when a caller reads
+    rows or compares.
     """
 
-    __slots__ = ("ambient_dim", "_basis")
+    __slots__ = ("ambient_dim", "_basis", "_reduced")
 
     def __init__(self, ambient_dim, vectors=(), maps=()):
         """vectors: n x 1 column matrices or coordinate sequences; maps: n x n RatMatrix."""
@@ -288,33 +388,40 @@ class Subspace:
                 v = v.col(0)
             elif len(v) != ambient_dim:
                 raise ValueError("vector length mismatch")
-            work.append([exact(x) for x in v])
-        rows = [sparse_rows(m._data) for m in maps]
+            v = [x if type(x) in (int, Fraction) else exact(x) for x in v]
+            work.append(cleared([v])[1][0])
+        rows = [sparse_rows(cleared(m._data)[1]) for m in maps]
         basis = []
         while work and len(basis) < ambient_dim:
             found = _insert(basis, work.pop())
             if found is not None:
-                work.extend(sparse_apply(m, found[2]) for m in rows)
-        self._basis = tuple((p, tuple(row)) for p, row in basis)
+                work.extend(sparse_apply(m, found[1]) for m in rows)
+        self._basis = basis
+        self._reduced = None
 
     @property
     def dim(self):
         return len(self._basis)
 
+    def _rows(self):
+        """The canonical basis: the rref rows, each as its primitive integer multiple."""
+        if self._reduced is None:
+            self._reduced = _back_substitute(self._basis)
+        return self._reduced
+
     def basis_rows_matrix(self):
-        return RatMatrix([row for _, row in self._basis], self.ambient_dim)
+        return RatMatrix([_fractions(row, row[p]) for p, row in self._rows()], self.ambient_dim)
 
     def annihilator(self):
         """{x : v . x = 0 for every v in the subspace}, read off the reduced rows."""
-        pivots = [p for p, _ in self._basis]
-        null = _null_vectors(self.basis_rows_matrix(), pivots, self.ambient_dim)
-        return Subspace(self.ambient_dim, null)
+        null = _null_rows(self._rows(), self.ambient_dim)
+        return Subspace(self.ambient_dim, [v for _, v in null])
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self._basis == other._basis
+            and self._rows() == other._rows()
         )
 
     def __repr__(self):

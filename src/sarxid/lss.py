@@ -17,7 +17,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import RatMatrix, Subspace, solve_affine, sparse_apply, sparse_rows
+from .linalg import (
+    RatMatrix,
+    Subspace,
+    cleared,
+    lowest_terms,
+    solve_affine,
+    sparse_apply,
+    sparse_rows,
+)
 from .rationals import InputError, JsonLoadable, malformed, parse_int, read_modes
 from .sarx import HybridWord, SarxModel
 
@@ -113,25 +121,31 @@ def associated_lss(model: SarxModel) -> Lss:
 
 
 def simulate_lss(sys: Lss, word: HybridWord):
-    """Output trace y_t = C_{q_t} x_t with x_{t+1} = A_{q_t} x_t + B_{q_t} u_t."""
-    # per mode, the sparse rows of C_q, and of [A_q | B_q] to apply to (x, u)
-    modes = {
-        q: (
-            sparse_rows(md.c.to_lists()),
-            sparse_rows([ra + rb for ra, rb in zip(md.a.to_lists(), md.b.to_lists())]),
-        )
-        for q, md in sys.modes.items()
-    }
-    x = sys.x0.col(0)
+    """Output trace y_t = C_{q_t} x_t with x_{t+1} = A_{q_t} x_t + B_{q_t} u_t.
+
+    Per mode, C_q = C / e and [A_q | B_q] = M / d are cleared to integers
+    once, and the state is kept as x_t = X_t / s_t, an int vector over a
+    positive int: with u_t = U / v, X_(t+1) = M (v X_t, s_t U) over d s_t v,
+    both divided by their gcd.  Each output entry is one Fraction.
+    """
+    modes = {}
+    for q, md in sys.modes.items():
+        e, c = cleared(md.c.to_lists())
+        d, ab = cleared([ra + rb for ra, rb in zip(md.a.to_lists(), md.b.to_lists())])
+        modes[q] = (e, sparse_rows(c), d, sparse_rows(ab))
+    s, (x,) = cleared([sys.x0.col(0)])
     outputs = []
     for q, u in word:
         if q not in modes:
             raise InputError("unknown mode label %r" % q)
         if len(u) != sys.m:
             raise InputError("input dimension %d != m=%d" % (len(u), sys.m))
-        c, ab = modes[q]
-        outputs.append(tuple(sparse_apply(c, x)))
-        x = sparse_apply(ab, [*x, *u])
+        e, c, d, ab = modes[q]
+        outputs.append(tuple(Fraction(y, e * s) for y in sparse_apply(c, x)))
+        v, (u,) = cleared([u])
+        if v != 1:
+            x = [v * a for a in x]
+        x, s = lowest_terms(sparse_apply(ab, [*x, *[s * a for a in u]]), d * s * v)
     return outputs
 
 
@@ -198,18 +212,24 @@ class IsoSolution:
 def find_isomorphisms(a: Lss, b: Lss, seed=0) -> IsoSolution:
     """Solve {S A_q = A'_q S, S B_q = B'_q, C'_q S = C_q, S x0 = x0'} for S.
 
-    A solution's graph {(x, Sx)} holds the reachable span of the direct sum of
-    a and b (`_graph_map`), which fixes S on a span of dimension r; the graph
-    of S^T holds that of dual(b) and dual(a).  The closure leaving fewer
-    unknowns is kept, and the four equation families are written at its T0:
-    when r = n, it solves them or nothing does; else they become one system in
-    the n(n - r) unknowns, and a family is classified by one generic point and
-    a determinant.
+    A solution's graph {(x, Sx)} holds the reachable span W of the direct sum
+    of a and b (`_graph_map`): every T in T0 + span{e_j f^T} maps each u_i to
+    v_i, for the rows (u_i, v_i) of W.  The graph of S^T holds that of dual(b)
+    and dual(a).  The closure leaving fewer unknowns is kept, as T = S or
+    T = S^T, and only the equations it leaves open are written:
+    - T A_q - A'_q T vanishes on the u_i, since W is invariant under
+      diag(A_q, A'_q), so it is written at the non-pivot e_k only;
+    - T B_q = B'_q and T x0 = x0' hold, since their seeds lie in W;
+    - C'_q T = C_q is, on the u_i, the constant check C'_q v_i = C_q u_i,
+      and it is written at the e_k.
+    When T = S^T, (dual(b), dual(a)) takes the place of (a, b), and S x0 = x0'
+    is one more family like C's, x0^T T = x0'^T.  When r = n the checks
+    decide; else the rows become one system in the n(n - r) unknowns, and a
+    family is classified by one generic point and a determinant.
     """
     if (a.n, a.m, a.p) != (b.n, b.m, b.p) or a.labels != b.labels:
         raise InputError("systems must share dimensions and mode labels")
     n = a.n
-    modes = [(a.modes[q], b.modes[q]) for q in a.labels]
     graph, transposed = _graph_map(a, b), False
     if graph is not None and graph[1]:
         other = _graph_map(dual(b), dual(a))
@@ -218,33 +238,67 @@ def find_isomorphisms(a: Lss, b: Lss, seed=0) -> IsoSolution:
     none = IsoSolution(kind="none", witness=None, family_dim=-1)
     if graph is None:
         return none
-    s, kernel = graph[0].transpose() if transposed else graph[0], graph[1]
+    t0, kernel, us = graph
+    first, second = (dual(b), dual(a)) if transposed else (a, b)
+    # each (C', R) asks C' T = C, and R = C' T0 - C must vanish on the u_i
+    outs = [(second.modes[q].c, first.modes[q].c) for q in a.labels]
+    if transposed:
+        outs.append((a.x0.transpose(), b.x0.transpose()))
+    outs = [(cp, cp @ t0 - c) for cp, c in outs]
+    span = RatMatrix(us, n).transpose()
+    if any(any(_entries(r @ span)) for _, r in outs):
+        return none
 
-    def equations(t):
-        out = [x for ma, mb in modes for m in (t @ ma.a - mb.a @ t, t @ ma.b, mb.c @ t)
-               for x in _entries(m)]
-        return out + _entries(t @ a.x0)
+    def oriented(t):
+        return t.transpose() if transposed else t
 
-    target = [x for ma, mb in modes for x in [_ZERO] * n * n + _entries(mb.b) + _entries(ma.c)]
-    rhs = [x - y for x, y in zip(target + _entries(b.x0), equations(s))]
     if not kernel:
-        return none if any(rhs) else _unique(s)
+        return _unique(oriented(t0))
 
     # the unknowns are the entries of S (of S^T when transposed) at the
-    # non-pivot columns, in S's row-major order, the order of the Kronecker reference
-    unit = RatMatrix.identity(n).to_lists()
+    # non-pivot columns, in S's row-major order, the order of the Kronecker
+    # reference; unknown (j, i) is the coefficient of e_j f_i^T in T
+    free, fs = list(kernel), list(kernel.values())
     if transposed:
-        directions = [_outer(f, unit[j]) for f in kernel for j in range(n)]
+        unknowns = [(j, i) for i in range(len(fs)) for j in range(n)]
     else:
-        directions = [_outer(unit[j], f) for j in range(n) for f in kernel]
-    columns = [equations(d) for d in directions]
-    solution = solve_affine(RatMatrix(list(zip(*columns))), RatMatrix.column(rhs))
+        unknowns = [(j, i) for j in range(n) for i in range(len(fs))]
+    column = {u: c for c, u in enumerate(unknowns)}
+    rows, rhs = [], []
+
+    def equation(entries, value):
+        row = [_ZERO] * len(unknowns)
+        for u, x in entries:
+            row[column[u]] += x
+        rows.append(row)
+        rhs.append(-value)
+
+    # f_i is 1 at its own non-pivot k_i and 0 at the others, so at e_(k_i),
+    # e_j f_i'^T A_q contributes (f_i'^T A_q)[k_i] to row j and A'_q e_j f_i'^T
+    # contributes column j of A'_q, for i' = i only
+    funcs = RatMatrix(fs)
+    for q in a.labels:
+        fa, sa = first.modes[q].a, second.modes[q].a
+        res, g, sa_rows = t0 @ fa - sa @ t0, funcs @ fa, sa.to_lists()
+        for i, k in enumerate(free):
+            for r in range(n):
+                equation([((r, i2), g[i2, k]) for i2 in range(len(fs))]
+                         + [((j, i), -sa_rows[r][j]) for j in range(n)], res[r, k])
+    for cp, res in outs:
+        for i, k in enumerate(free):
+            for r in range(cp.rows):
+                equation([((j, i), cp[r, j]) for j in range(n)], res[r, k])
+    solution = solve_affine(RatMatrix(rows, len(unknowns)), RatMatrix.column(rhs))
     if solution is None:
         return none
     particular, null = solution
 
     def at(point):
-        return sum((d.scale(c) for d, c in zip(directions, point.col(0)) if c), s)
+        t = t0.to_lists()
+        for (j, i), c in zip(unknowns, point.col(0)):
+            if c:
+                t[j] = [x + c * y for x, y in zip(t[j], fs[i])]
+        return oriented(RatMatrix(t))
 
     if not null:
         return _unique(at(particular))
@@ -259,9 +313,11 @@ def _graph_map(a, b):
 
     W is the closure of (x0, x0') and the (B_q e_j, B'_q e_j) under
     diag(A_q, A'_q).  Row i of W's rref is (u_i, v_i).  None when some row is
-    (0, v): no T exists.  Else (T0, kernel): T0 sends each u_i to v_i and each
-    non-pivot e_k to 0, and the T are T0 plus combinations of the e_j f^T, for
-    f in kernel, the vectors with 1 at a non-pivot k that the u_i annihilate.
+    (0, v): no T exists.  Else (T0, kernel, us): T0 sends each u_i to v_i
+    and each non-pivot e_k to 0, kernel maps each non-pivot k to f_k, the
+    vector with 1 at k and 0 at the other non-pivots that the u_i
+    annihilate, us lists the u_i, and the T are T0 plus combinations of
+    the e_j f_k^T.
     """
     n, z = a.n, [_ZERO] * a.n
     modes = [(a.modes[q], b.modes[q]) for q in a.labels]
@@ -275,13 +331,9 @@ def _graph_map(a, b):
         return None
     by_pivot = {next(k for k, x in enumerate(row) if x): row for row in rows}
     t0 = RatMatrix([by_pivot[k][n:] if k in by_pivot else z for k in range(n)]).transpose()
-    kernel = [[_ONE if i == k else -by_pivot[i][k] if i in by_pivot else _ZERO for i in range(n)]
-              for k in range(n) if k not in by_pivot]
-    return t0, kernel
-
-
-def _outer(x, y):
-    return RatMatrix([[a * b for b in y] for a in x])
+    kernel = {k: [_ONE if i == k else -by_pivot[i][k] if i in by_pivot else _ZERO for i in range(n)]
+              for k in range(n) if k not in by_pivot}
+    return t0, kernel, [row[:n] for row in rows]
 
 
 def _entries(m):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import RatMatrix, sparse_apply, sparse_rows
+from .linalg import RatMatrix, cleared, lowest_terms, sparse_apply, sparse_rows
 from .rationals import (
     InputError,
     JsonLoadable,
@@ -25,7 +25,6 @@ from .rationals import (
     read_modes,
 )
 
-_ZERO = Fraction(0)
 _HEADER = ("ny", "nu", "p", "m")
 
 
@@ -146,19 +145,33 @@ def simulate_sarx(model: SarxModel, word: HybridWord):
     kept as a shift register from zero: each step y_t = h_{q_t} phi_t, then
     y_t and u_t enter at the top of their blocks and the oldest drop out,
     the update the companion embedding of `lss.associated_lss` encodes.
+    Each h_q = H / d is cleared to integers once, and phi is kept as an int
+    vector over a positive int s, brought to one denominator when y_t and
+    u_t enter and divided by its gcd with s.  Each output entry is one
+    Fraction.
     """
-    rows = {q: sparse_rows(h.to_lists()) for q, h in model.modes.items()}
-    top = model.ny * model.p
-    phi = [_ZERO] * model.width
+    rows = {}
+    for q, h in model.modes.items():
+        d, ints = cleared(h.to_lists())
+        rows[q] = (d, sparse_rows(ints))
+    top, p, m = model.ny * model.p, model.p, model.m
+    phi, s = [0] * model.width, 1
     outputs = []
     for q, u in word:
         if q not in rows:
             raise InputError("unknown mode label %r" % q)
-        if len(u) != model.m:
-            raise InputError("input dimension %d != m=%d" % (len(u), model.m))
-        y = sparse_apply(rows[q], phi)
-        outputs.append(tuple(y))
-        phi = [*y, *phi[: top - model.p], *u, *phi[top : -model.m]]
+        if len(u) != m:
+            raise InputError("input dimension %d != m=%d" % (len(u), m))
+        d, h = rows[q]
+        y = sparse_apply(h, phi)
+        outputs.append(tuple(Fraction(a, d * s) for a in y))
+        # y = Y / (d s), the register phi / s and u = U / v, over d s v
+        v, (u,) = cleared([u])
+        if d * v != 1:
+            y = [v * a for a in y]
+            phi = [d * v * a for a in phi]
+        phi = [*y, *phi[: top - p], *[d * s * a for a in u], *phi[top:-m]]
+        phi, s = lowest_terms(phi, d * s * v)
     return outputs
 
 

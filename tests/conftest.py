@@ -37,10 +37,13 @@ def rand_fraction(rng, lo=-5, hi=5, max_den=1):
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 
 
-def random_word(labels, m, horizon, rng, lo=-3, hi=3):
+def random_word(labels, m, horizon, rng, lo=-3, hi=3, max_den=1):
     return HybridWord(
         [
-            (rng.choice(labels), [Fraction(rng.randint(lo, hi)) for _ in range(m)])
+            (rng.choice(labels), [
+                Fraction(rng.randint(lo, hi), rng.randint(1, max_den) if max_den > 1 else 1)
+                for _ in range(m)
+            ])
             for _ in range(horizon)
         ]
     )
@@ -86,6 +89,18 @@ def random_lss(rng, max_n=5, max_modes=3):
         )
     x0 = RatMatrix.column([rand_fraction(rng, -2, 2) for _ in range(n)])
     return Lss(n=n, m=m, p=p, modes=modes, x0=x0)
+
+
+def random_rational_lss(rng, n, m, p, modes=2, max_den=4):
+    """Every entry of A, B, C and x0 a fraction with denominator up to max_den."""
+
+    def block(rows, cols):
+        return RatMatrix([[rand_fraction(rng, -3, 3, max_den) for _ in range(cols)]
+                          for _ in range(rows)], cols)
+
+    return Lss(n=n, m=m, p=p, x0=block(n, 1),
+               modes={str(q): LssMode(a=block(n, n), b=block(n, m), c=block(p, n))
+                      for q in range(1, modes + 1)})
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ word enumeration, or sympy) so that agreement is meaningful evidence.
 """
 
 import random
+from bisect import insort
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -14,6 +15,7 @@ import sympy
 from sarxid import Z_RING, IsoSolution, MultiPoly, RatMatrix, Subspace, solve_affine
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def to_sympy(m: RatMatrix):
@@ -214,6 +216,109 @@ def normal_form_reference(f: MultiPoly, basis, order) -> MultiPoly:
         else:
             remainder[lm] = work.pop(lm)
     return MultiPoly(f.vars, remainder)
+
+
+# -- the elimination over Fraction ------------------------------------------
+
+
+def reference_insert(basis, v):
+    """Add the row v to a reduced echelon basis over Fraction, in place.
+
+    The reference for `linalg._insert`, which inserts primitive integer
+    rows into an echelon basis instead.  basis is a list of
+    (pivot, row) pairs sorted by pivot, each row 1 at its own pivot and 0 at
+    every other.  v is reduced by the basis; what is left, divided by its
+    leading entry, clears its pivot column from the other rows and is
+    inserted in pivot order.  Returns None when v is in the span, else
+    (pivot, leading entry, new row).
+    """
+    for p, row in basis:
+        c = v[p]
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+    pivot = next((i for i, x in enumerate(v) if x), None)
+    if pivot is None:
+        return None
+    lead = v[pivot]
+    v = [x / lead for x in v]
+    for k, (p, row) in enumerate(basis):
+        c = row[pivot]
+        if c:
+            basis[k] = (p, [a - c * b for a, b in zip(row, v)])
+    insort(basis, (pivot, v))
+    return pivot, lead, v
+
+
+def reference_gauss_jordan(m: RatMatrix):
+    """(rref rows, pivots, determinant) of m, by `reference_insert` row by row.
+
+    The determinant is the product of the leading entries with the sign of
+    the permutation that sorts the pivots, and 0 when m is rank-deficient.
+    """
+    basis = []
+    product = _ONE
+    for row in m.to_lists():
+        found = reference_insert(basis, row)
+        if found is not None:
+            pivot, lead, _ = found
+            product *= -lead if sum(p > pivot for p, _ in basis) % 2 else lead
+    rows = [row for _, row in basis] + [[_ZERO] * m.cols] * (m.rows - len(basis))
+    return rows, [p for p, _ in basis], product if len(basis) == m.rows else _ZERO
+
+
+def reference_kernel(rows, pivots, cols):
+    """Kernel vectors, 1 at each free column, off rref rows whose first `cols` columns are an rref."""
+    out = []
+    for k in range(cols):
+        if k not in pivots:
+            v = [_ZERO] * cols
+            v[k] = _ONE
+            for row, p in zip(rows, pivots):
+                v[p] = -row[k]
+            out.append(v)
+    return out
+
+
+def reference_solve_affine(a: RatMatrix, b: RatMatrix):
+    """(particular, kernel) of A x = b as coordinate lists, or None, from the rref of [A | b]."""
+    aug = RatMatrix([ra + rb for ra, rb in zip(a.to_lists(), b.to_lists())], a.cols + 1)
+    rows, pivots, _ = reference_gauss_jordan(aug)
+    if a.cols in pivots:
+        return None
+    x = [_ZERO] * a.cols
+    for row, p in zip(rows, pivots):
+        x[p] = row[a.cols]
+    return x, reference_kernel(rows, pivots, a.cols)
+
+
+def reference_closure(n, vectors, maps):
+    """The rref rows of the smallest span holding the vectors and invariant under the maps.
+
+    The worklist of `linalg.Subspace` over Fraction, with dense products.
+    """
+    maps = [m.to_lists() for m in maps]
+    work = [list(v) for v in vectors]
+    basis = []
+    while work and len(basis) < n:
+        found = reference_insert(basis, work.pop())
+        if found is not None:
+            v = found[2]
+            work.extend([sum((a * x for a, x in zip(r, v)), _ZERO) for r in m] for m in maps)
+    return [row for _, row in basis]
+
+
+def lss_trace_oracle(sys, word):
+    """y_t = C x_t, x_(t+1) = A x_t + B u_t on dense Fraction lists, from x0."""
+    x = list(sys.x0.col(0))
+    ys = []
+    for q, u in word:
+        md = sys.modes[q]
+        ys.append(tuple(sum((c * xi for c, xi in zip(row, x)), _ZERO) for row in md.c.to_lists()))
+        x = [
+            sum((a * xi for a, xi in zip(ra + rb, x + list(u))), _ZERO)
+            for ra, rb in zip(md.a.to_lists(), md.b.to_lists())
+        ]
+    return ys
 
 
 # -- switched-system oracles ------------------------------------------

@@ -4,9 +4,29 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_fraction, rank
-from oracles import from_sympy, matrix_from_sympy, rank_by_minors, to_sympy
-from sarxid import RatMatrix, Subspace, solve_affine
+from conftest import rand_fraction, random_rational_lss, random_word, rank
+from oracles import (
+    from_sympy,
+    lss_trace_oracle,
+    matrix_from_sympy,
+    rank_by_minors,
+    reference_closure,
+    reference_gauss_jordan,
+    reference_kernel,
+    reference_solve_affine,
+    siso_trace_oracle,
+    to_sympy,
+)
+from sarxid import (
+    RatMatrix,
+    SarxModel,
+    Subspace,
+    reachable_span,
+    simulate_lss,
+    simulate_sarx,
+    solve_affine,
+    unobservable_space,
+)
 
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):
@@ -244,3 +264,124 @@ def test_subspace_is_the_rref_of_its_vectors_in_any_order(case):
     assert Subspace(n, shuffled) == s
     assert contains(s, RatMatrix.column(member))
     assert contains(s, RatMatrix.column(probe)) == (sym(vs + [probe]).rank() == s.dim)
+
+
+# -- the integer elimination against the Fraction reference ------------------
+
+# small entries, and entries whose denominators run to 10^9
+wide_entries = st.one_of(
+    entries, st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**9)
+)
+any_shapes = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
+@st.composite
+def closures(draw, max_n=5):
+    """(n, vectors, maps), n from 0: the vectors mix fresh draws, zeros and
+    combinations; the maps mix dense, zero and rank-one matrices."""
+    n = draw(st.integers(0, max_n))
+    vector = st.lists(wide_entries, min_size=n, max_size=n)
+    vs = []
+    for kind in draw(st.lists(st.sampled_from(["fresh", "zero", "combination"]), max_size=4)):
+        if kind == "zero":
+            vs.append([Fraction(0)] * n)
+        elif kind == "fresh" or not vs:
+            vs.append(draw(vector))
+        else:
+            coeffs = draw(st.lists(entries, min_size=len(vs), max_size=len(vs)))
+            vs.append([sum((c * v[j] for c, v in zip(coeffs, vs)), Fraction(0)) for j in range(n)])
+    maps = []
+    for kind in draw(st.lists(st.sampled_from(["dense", "zero", "rank-one"]), max_size=3)):
+        if kind == "dense":
+            maps.append(draw(matrices(n, n, st.one_of(sparse_entries, wide_entries))))
+        elif kind == "zero":
+            maps.append(RatMatrix.zeros(n, n))
+        else:
+            x, y = draw(vector), draw(vector)
+            maps.append(RatMatrix([[a * b for b in y] for a in x], n))
+    return n, vs, maps
+
+
+@properties
+@given(closures(), st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool))
+def test_integer_closure_matches_the_fraction_reference(case, c):
+    n, vs, maps = case
+    s = Subspace(n, vs, maps)
+    reference = reference_closure(n, vs, maps)
+    assert s.dim == len(reference)
+    assert s.basis_rows_matrix().to_lists() == reference
+    # scaling a vector or a map does not change the closure
+    assert Subspace(n, [[c * x for x in v] for v in vs], [m.scale(c) for m in maps]) == s
+
+
+@properties
+@given(any_shapes.flatmap(lambda s: matrices(*s, wide_entries)))
+def test_rref_and_kernel_match_the_fraction_reference(m):
+    rows, pivots, _ = reference_gauss_jordan(m)
+    red, red_pivots = m.rref()
+    assert red.shape == m.shape
+    assert red.to_lists() == rows
+    assert red_pivots == pivots
+    assert [list(v.col(0)) for v in m.kernel_basis()] == reference_kernel(rows, pivots, m.cols)
+
+
+@properties
+@given(st.one_of(
+    square_matrices(),
+    st.integers(0, 4).flatmap(lambda n: matrices(n, n, wide_entries)),
+))
+def test_determinant_matches_the_fraction_reference(m):
+    assert m.determinant() == reference_gauss_jordan(m)[2]
+
+
+@properties
+@given(any_shapes.flatmap(lambda s: st.tuples(
+    matrices(*s, wide_entries), matrices(s[0], 1, wide_entries), matrices(s[1], 1), st.booleans()
+)))
+def test_solve_affine_matches_the_fraction_reference(system):
+    a, b, x, consistent = system
+    if consistent:
+        b = a @ x
+    sol, reference = solve_affine(a, b), reference_solve_affine(a, b)
+    if reference is None:
+        assert sol is None
+        return
+    particular, kernel = sol
+    assert (list(particular.col(0)), [list(v.col(0)) for v in kernel]) == reference
+
+
+def test_closures_and_simulators_do_no_fraction_arithmetic(rng, monkeypatch):
+    """Closures, their dimensions, a determinant and both simulators run over int."""
+    sys = random_rational_lss(rng, n=5, m=2, p=2)
+    model = SarxModel(ny=2, nu=1, p=1, m=1, modes={
+        "1": RatMatrix([[Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)]]),
+        "2": RatMatrix([[Fraction(3), Fraction(1, 5), Fraction(-1, 4)]]),
+    })
+    lss_word = random_word(sys.labels, sys.m, 10, rng, max_den=5)
+    sarx_word = random_word(model.labels, 1, 10, rng, max_den=5)
+    square = RatMatrix([[rand_fraction(rng, max_den=9) for _ in range(5)] for _ in range(5)])
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic reached")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__",
+                 "__rmod__", "__divmod__", "__rdivmod__", "__pow__", "__rpow__", "__neg__",
+                 "__pos__", "__abs__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    reached = reachable_span(sys).dim
+    unobservable = unobservable_space(sys).dim
+    det = square.determinant()
+    traces = simulate_lss(sys, lss_word), simulate_sarx(model, sarx_word)
+    monkeypatch.undo()
+
+    modes = list(sys.modes.values())
+    seeds = [sys.x0.col(0)] + [md.b.col(j) for md in modes for j in range(sys.m)]
+    outputs = [md.c.row(i) for md in modes for i in range(sys.p)]
+    assert reached == len(reference_closure(sys.n, seeds, [md.a for md in modes]))
+    assert unobservable == sys.n - len(
+        reference_closure(sys.n, outputs, [md.a.transpose() for md in modes])
+    )
+    assert det == reference_gauss_jordan(square)[2]
+    assert traces[0] == lss_trace_oracle(sys, lss_word)
+    assert traces[1] == siso_trace_oracle(model, sarx_word)

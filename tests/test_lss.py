@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     fixture_path,
     random_lss,
+    random_rational_lss,
     random_mimo_model,
     random_siso_model,
     random_word,
@@ -17,6 +18,7 @@ from oracles import (
     brute_force_reachable,
     brute_force_unobservable,
     kronecker_solve,
+    lss_trace_oracle,
     matrix_from_sympy,
     to_sympy,
 )
@@ -141,6 +143,17 @@ def test_simulate_without_inputs():
     swap = LssMode(a=RatMatrix([[0, 1], [1, 0]]), b=RatMatrix.zeros(2, 0), c=RatMatrix([[1, 0]]))
     sys = Lss(n=2, m=0, p=1, modes={"1": swap}, x0=RatMatrix.column([1, 2]))
     assert simulate_lss(sys, HybridWord([("1", [])] * 3)) == [(1,), (2,), (1,)]
+
+
+def test_rational_systems_match_the_direct_recurrence(rng):
+    # x0, A, B and C with denominators, inputs with denominators, and m = 0
+    for _ in range(20):
+        sys = random_rational_lss(rng, n=rng.randint(1, 5), m=rng.randint(0, 2),
+                                  p=rng.randint(1, 2), modes=rng.randint(1, 3))
+        w = random_word(sys.labels, sys.m, 12, rng, max_den=5)
+        trace = simulate_lss(sys, w)
+        assert trace == lss_trace_oracle(sys, w)
+        assert all(type(y) is Fraction for ys in trace for y in ys)
 
 
 def test_embedding_state_is_regressor(rng):
@@ -394,6 +407,27 @@ def test_neither_pairs_match_the_kronecker_oracle(rng):
             assert_isomorphism(sol.witness, a, b)
 
 
+def test_large_neither_pair_matches_the_kronecker_oracle(rng, monkeypatch):
+    # n = 10 with k = 4 states neither reached nor observed: the residual
+    # system has rows only at the k non-pivot columns, n + p per mode
+    n, k = 10, 4
+    shapes = []
+
+    def recording_solve_affine(m, rhs):
+        shapes.append(m.shape)
+        return solve_affine(m, rhs)
+
+    sys = decoupled(rng, n, k)
+    conj = conjugate(sys, random_invertible(rng, n))
+    for other in (conj, perturbed(conj)):
+        monkeypatch.setattr(lss, "solve_affine", recording_solve_affine)
+        sol = find_isomorphisms(sys, other, seed=5)
+        monkeypatch.undo()
+        assert sol == kronecker_solve(sys, other, seed=5)
+    assert shapes == [(3 * (n + 1) * k, n * k)]
+    assert sol.kind == "none"
+
+
 def one_mode(a, b, c):
     """One mode with m = p = 1 and x0 = 0, from integer rows."""
     mode = LssMode(a=RatMatrix(a), b=RatMatrix(b), c=RatMatrix(c))
@@ -403,13 +437,21 @@ def one_mode(a, b, c):
 DIAG = one_mode([[1, 0], [0, 2]], [[1], [0]], [[0, 1]])
 # (kind, family_dim, shape of the residual system or None, a, b)
 RESIDUAL_CASES = [
-    # one solution of a 10 x 2 residual system
-    ("unique-identity", 0, (10, 2), DIAG, DIAG),
-    # S e1 = e1 is fixed, and C' S = C then asks 2 = 1
-    ("none", -1, (10, 2), one_mode([[0, 0], [0, 0]], [[1], [0]], [[1, 0]]),
-     one_mode([[0, 0], [0, 0]], [[1], [0]], [[2, 0]])),
+    # one solution of a 3 x 2 residual system: the A family and the C family
+    # at e2, the one non-pivot column
+    ("unique-identity", 0, (3, 2), DIAG, DIAG),
+    # S e2 = e2 is fixed; at e1 the A family asks 2 S[0, 0] = 1 and the C
+    # family S[0, 0] = 1
+    ("none", -1, (3, 2), one_mode([[0, 0], [1, 0]], [[0], [1]], [[-1, 0]]),
+     one_mode([[0, 0], [2, 0]], [[0], [1]], [[-1, 0]])),
     # the closure fixes S = 0, which solves every equation and is singular
     ("none", 0, None, one_mode([[1]], [[1]], [[0]]), one_mode([[1]], [[0]], [[0]])),
+    # S e1 = e1 is fixed, and C' S = C then asks 2 = 1 on it: no system is solved
+    ("none", -1, None, one_mode([[0, 0], [0, 0]], [[1], [0]], [[1, 0]]),
+     one_mode([[0, 0], [0, 0]], [[1], [0]], [[2, 0]])),
+    # span-reachable, so S = I is fixed, and the same check refuses it
+    ("none", -1, None, one_mode([[0, 0], [1, 0]], [[1], [0]], [[1, 0]]),
+     one_mode([[0, 0], [1, 0]], [[1], [0]], [[2, 0]])),
 ]
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import random_mimo_model, random_siso_model, random_word
+from conftest import rand_fraction, random_mimo_model, random_siso_model, random_word
 from oracles import mimo_trace_oracle, siso_trace_oracle, unipoly_to_sympy
 from sarxid import (
     HybridWord,
@@ -12,7 +12,9 @@ from sarxid import (
     RatMatrix,
     SarxModel,
     arx_is_minimal,
+    associated_lss,
     reduce_trailing_zero,
+    simulate_lss,
     simulate_sarx,
     theorem2_polynomials,
 )
@@ -68,6 +70,28 @@ def test_simulation_builds_no_matrix_per_step(rng, monkeypatch):
     trace = simulate_sarx(m, w)
     monkeypatch.undo()  # the oracle multiplies RatMatrix blocks
     assert trace == mimo_trace_oracle(m, w)
+
+
+def test_simulation_of_rational_data_matches_the_recurrences(rng):
+    # coefficients and inputs with denominators, so the integer register
+    # changes its denominator from step to step
+    for k in range(30):
+        siso = k % 2 == 0
+        ny = rng.randint(1, 3)
+        nu = rng.randint(1, ny)
+        p, m = (1, 1) if siso else (rng.randint(1, 2), rng.randint(1, 2))
+        modes = {
+            str(q): RatMatrix([[rand_fraction(rng, -5, 5, 6) for _ in range(ny * p + nu * m)]
+                               for _ in range(p)])
+            for q in range(1, rng.randint(2, 3) + 1)
+        }
+        model = SarxModel(ny=ny, nu=nu, p=p, m=m, modes=modes)
+        w = random_word(model.labels, m, 12, rng, max_den=5)
+        trace = simulate_sarx(model, w)
+        assert trace == (siso_trace_oracle if siso else mimo_trace_oracle)(model, w)
+        assert simulate_lss(associated_lss(model), w) == trace
+        # the CLI formats each entry with format_rational
+        assert all(type(y) is Fraction for ys in trace for y in ys)
 
 
 def test_prehistory_is_zero(rng):
