@@ -3,22 +3,25 @@
 Values enter and leave as `Fraction`: a `RatMatrix` holds Fractions, and
 every rref, kernel vector, solution and determinant it hands back is one.
 Inside, the work is over `int`; `cleared` scales rows to integers by their
-least common denominator.  One elimination, `_insert`, adds a primitive
-integer row to an echelon basis by fraction-free steps (`_reduce`, the
-step of `multipoly._remainder` for polynomials; Bareiss, Math. Comp. 22,
-1968), and `_back_substitute` takes the basis to its reduced form with the
-same step.  rref, kernel, determinant and every linear solve read their
-answer off it, and each reduces its matrix once.  One product,
-`sparse_apply`, applies an integer matrix read once as sparse rows to an
-integer vector: `@`, the subspace closure, the state update of
-`lss.simulate_lss` and the output step of `sarx.simulate_sarx` all go
-through it.  `Subspace` is the one subspace builder: the span of some
+least common denominator.  A `RatMatrix` is immutable, so it keeps its
+cleared form, its integer form, once a caller has asked for it: `@`, the
+eliminations, both simulators and `Subspace` read that form, and a matrix
+that several of them read is cleared once.  One elimination, `_insert`,
+adds a primitive integer row to an echelon basis by fraction-free steps
+(`_reduce`, the step of `multipoly._remainder` for polynomials; Bareiss,
+Math. Comp. 22, 1968), and `_back_substitute` takes the basis to its
+reduced form with the same step.  rref, kernel, determinant and every
+linear solve read their answer off it, and each reduces its matrix once.
+One product, `sparse_apply`, applies an integer matrix read once as
+sparse rows to an integer vector: `@`, the subspace closure, the state
+update of `lss.simulate_lss` and the output step of `sarx.simulate_sarx`
+all go through it.  `Subspace` is the one subspace builder: the span of some
 vectors, closed under some maps, by a worklist over `_insert`.  Scaling a
-map or a vector does not change that span, so each is cleared to integers
-once, and the canonical rref is built only when a caller reads rows.  In
-`lss` it is always a reachable span, of a system, its dual or a direct
-sum; the isomorphism route reads S off one, and `solve_affine` does the
-rest.
+map or a vector does not change that span, so it works on each map's
+integer form and on each vector cleared once, and the canonical rref is
+built only when a caller reads rows.  In `lss` it is always a reachable
+span, of a system, its dual or a direct sum; the isomorphism route reads
+S off one, and `solve_affine` does the rest.
 """
 
 from __future__ import annotations
@@ -34,21 +37,31 @@ _ONE = Fraction(1)
 
 
 class RatMatrix:
-    """Immutable dense matrix of Fractions, row-major."""
+    """Immutable dense matrix of Fractions, row-major.
 
-    __slots__ = ("rows", "cols", "_data")
+    `integer_form` is (d, rows), `cleared` of the entries: d > 0 and the int
+    rows d times the matrix.  It is computed at the first call and kept, and
+    callers read it without changing it.  `RatMatrix(...)` checks and
+    converts each entry it is given; `_of` takes rows that are already
+    tuples of Fractions, as parsing, `transpose`, `@` and the reduced rows
+    of a `Subspace` make them, and checks nothing.
+    """
+
+    __slots__ = ("rows", "cols", "_data", "_ints")
 
     def __init__(self, data, cols=0):
         """data: a list of rows; cols: the column count when there are no rows."""
         data = [tuple(x if type(x) is Fraction else parse_rational(x) if isinstance(x, str)
                       else exact(x) for x in row) for row in data]
-        if data:
-            cols = len(data[0])
-            if any(len(row) != cols for row in data):
-                raise ValueError("ragged rows")
-        self.rows = len(data)
-        self.cols = cols
-        self._data = tuple(data)
+        self.rows, self.cols = len(data), _width(data, cols)
+        self._data, self._ints = tuple(data), None
+
+    @classmethod
+    def _of(cls, data, cols):
+        """The matrix with these rows, each a tuple of `cols` Fractions, unchecked."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._data, m._ints = len(data), cols, tuple(data), None
+        return m
 
     # -- constructors -------------------------------------------------
 
@@ -68,7 +81,8 @@ class RatMatrix:
     def from_strings(cls, data):
         if not (isinstance(data, list) and all(isinstance(r, list) for r in data)):
             raise ValueError("a matrix must be a list of rows, each a list")
-        return cls([[parse_rational(x) for x in row] for row in data])
+        data = [tuple(map(parse_rational, row)) for row in data]
+        return cls._of(data, _width(data, 0))
 
     # -- access -------------------------------------------------------
 
@@ -81,6 +95,12 @@ class RatMatrix:
 
     def col(self, j):
         return tuple(self._data[i][j] for i in range(self.rows))
+
+    def integer_form(self):
+        """(d, rows): `cleared` of the entries, computed at the first call and kept."""
+        if self._ints is None:
+            self._ints = cleared(self._data)
+        return self._ints
 
     def to_lists(self):
         return [list(row) for row in self._data]
@@ -133,22 +153,20 @@ class RatMatrix:
             raise ValueError(
                 "shape mismatch for product: %s @ %s" % (self.shape, other.shape)
             )
-        # each row of self and each column of other cleared to integers: the
-        # entry (i, j) is one integer product over d_i * d_j
-        left = [cleared([row]) for row in self._data]
-        rows = sparse_rows([r for _, (r,) in left])
-        right = [cleared([other.col(j)]) for j in range(other.cols)]
-        out = [sparse_apply(rows, c) for _, (c,) in right]
-        return RatMatrix(
-            [[Fraction(col[i], d * e) for col, (e, _) in zip(out, right)]
-             for i, (d, _) in enumerate(left)],
+        # self = L / d and other = R / e: the entry (i, j) is (L R)[i, j] / (d e)
+        (d, left), (e, right) = self.integer_form(), other.integer_form()
+        rows, de = sparse_rows(left), d * e
+        out = [sparse_apply(rows, c) for c in (zip(*right) if right else [()] * other.cols)]
+        return RatMatrix._of(
+            [tuple(Fraction(x, de) if x else _ZERO for x in row) for row in zip(*out)]
+            if out else [()] * self.rows,
             other.cols,
         )
 
     def transpose(self):
         if not (self.rows and self.cols):
             return RatMatrix.zeros(self.cols, self.rows)
-        return RatMatrix(list(zip(*self._data)))
+        return RatMatrix._of(list(zip(*self._data)), self.rows)
 
     def trace(self):
         if not self.is_square():
@@ -162,20 +180,20 @@ class RatMatrix:
     # -- elimination --------------------------------------------------
 
     def _echelon(self):
-        """Insert the rows, each cleared to integers, one at a time into an echelon basis.
+        """Insert the rows of the integer form one at a time into an echelon basis.
 
         Returns (basis, determinant); the determinant is exact when the
-        matrix is square and every row was inserted.  Row i enters as d_i
+        matrix is square and every row was inserted.  Row i enters as d
         times itself, and `_insert` returns it scaled by mul/div after
         subtracting earlier rows, so det = sign * prod(lead * div / (mul * d)),
         the sign that of the permutation sorting the pivots.
         """
         basis = []
         num = den = 1
-        for row in self._data:
+        d, rows = self.integer_form()
+        for v in rows:
             if len(basis) == self.cols:
                 break
-            (d, (v,)) = cleared([row])
             found = _insert(basis, v)
             if found is not None:
                 pivot, v, mul, div = found
@@ -206,6 +224,15 @@ class RatMatrix:
 
     def __repr__(self):
         return "RatMatrix(%r)" % (self.to_strings(),)
+
+
+def _width(data, cols):
+    """The length of every row, or cols when there are none; ragged rows are refused."""
+    if data:
+        cols = len(data[0])
+        if any(len(row) != cols for row in data):
+            raise ValueError("ragged rows")
+    return cols
 
 
 def cleared(rows):
@@ -299,7 +326,7 @@ def _back_substitute(basis):
 
 
 def _fractions(row, d):
-    return [Fraction(x, d) if x else _ZERO for x in row]
+    return tuple(Fraction(x, d) if x else _ZERO for x in row)
 
 
 def _null_rows(reduced, cols):
@@ -355,7 +382,7 @@ def solve_affine(a: RatMatrix, b: RatMatrix):
     """
     if a.rows != b.rows or b.cols != 1:
         raise ValueError("shape mismatch in solve_affine")
-    augmented = RatMatrix([ra + rb for ra, rb in zip(a._data, b._data)], a.cols + 1)
+    augmented = RatMatrix._of([ra + rb for ra, rb in zip(a._data, b._data)], a.cols + 1)
     reduced = _back_substitute(augmented._echelon()[0])
     if reduced and reduced[-1][0] == a.cols:
         return None
@@ -390,7 +417,7 @@ class Subspace:
                 raise ValueError("vector length mismatch")
             v = [x if type(x) in (int, Fraction) else exact(x) for x in v]
             work.append(cleared([v])[1][0])
-        rows = [sparse_rows(cleared(m._data)[1]) for m in maps]
+        rows = [sparse_rows(m.integer_form()[1]) for m in maps]
         basis = []
         while work and len(basis) < ambient_dim:
             found = _insert(basis, work.pop())
@@ -410,7 +437,8 @@ class Subspace:
         return self._reduced
 
     def basis_rows_matrix(self):
-        return RatMatrix([_fractions(row, row[p]) for p, row in self._rows()], self.ambient_dim)
+        rows = [_fractions(row, row[p]) for p, row in self._rows()]
+        return RatMatrix._of(rows, self.ambient_dim)
 
     def annihilator(self):
         """{x : v . x = 0 for every v in the subspace}, read off the reduced rows."""

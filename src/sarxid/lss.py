@@ -49,6 +49,12 @@ class Lss(JsonLoadable):
     x0: RatMatrix  # n x 1
 
     def __post_init__(self):
+        # m = 0 and p = 0 stay legal: the dual of an input-free system has p = 0
+        if self.n < 1:
+            raise InputError("need a positive state dimension n, got %d" % self.n)
+        for k, v in (("m", self.m), ("p", self.p)):
+            if v < 0:
+                raise InputError("need a nonnegative dimension %s, got %d" % (k, v))
         if not self.modes:
             raise InputError("mode set must be nonempty")
         if self.x0.shape != (self.n, 1):
@@ -130,7 +136,7 @@ def simulate_lss(sys: Lss, word: HybridWord):
     """
     modes = {}
     for q, md in sys.modes.items():
-        e, c = cleared(md.c.to_lists())
+        e, c = md.c.integer_form()
         d, ab = cleared([ra + rb for ra, rb in zip(md.a.to_lists(), md.b.to_lists())])
         modes[q] = (e, sparse_rows(c), d, sparse_rows(ab))
     s, (x,) = cleared([sys.x0.col(0)])
@@ -319,12 +325,12 @@ def _graph_map(a, b):
     annihilate, us lists the u_i, and the T are T0 plus combinations of
     the e_j f_k^T.
     """
-    n, z = a.n, [_ZERO] * a.n
+    n, z = a.n, (_ZERO,) * a.n
     modes = [(a.modes[q], b.modes[q]) for q in a.labels]
     seeds = [a.x0.col(0) + b.x0.col(0)]
     seeds += [ma.b.col(j) + mb.b.col(j) for ma, mb in modes for j in range(a.m)]
-    diags = [RatMatrix([r + z for r in ma.a.to_lists()] + [z + r for r in mb.a.to_lists()])
-             for ma, mb in modes]
+    diags = [RatMatrix._of([ma.a.row(i) + z for i in range(n)]
+                           + [z + mb.a.row(i) for i in range(n)], 2 * n) for ma, mb in modes]
     w = Subspace(2 * n, seeds, diags).basis_rows_matrix()
     rows = [w.row(i) for i in range(w.rows)]
     if rows and not any(rows[-1][:n]):

@@ -53,7 +53,24 @@ def parse_rational(value) -> Fraction:
     Floats are rejected: a float literal has already lost exactness and
     silently accepting it would corrupt rank/coprimality verdicts.  So is
     exponent notation, since "1e999999999" would expand to a billion digits.
+
+    An integer string is read by `int`, without `Fraction`'s regex; every
+    other string takes the regex.  `int` accepts nothing here that
+    `Fraction` refuses, once "_" is left to the regex (Python 3.10's `int`
+    reads "1_000", its `Fraction` does not).
     """
+    if isinstance(value, str):
+        if "_" not in value:
+            try:
+                return Fraction(int(value))
+            except ValueError:
+                pass
+        if "e" in value.lower():
+            raise ValueError("exponent notation not accepted: %r" % value)
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError("cannot parse rational from %r" % value) from exc
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -64,13 +81,6 @@ def parse_rational(value) -> Fraction:
         raise ValueError(
             "float %r not accepted; pass a string like '0.001' for exact parsing" % value
         )
-    if isinstance(value, str):
-        if "e" in value.lower():
-            raise ValueError("exponent notation not accepted: %r" % value)
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError("cannot parse rational from %r" % value) from exc
     raise ValueError("cannot parse rational from %r" % (value,))
 
 

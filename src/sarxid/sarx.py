@@ -152,7 +152,7 @@ def simulate_sarx(model: SarxModel, word: HybridWord):
     """
     rows = {}
     for q, h in model.modes.items():
-        d, ints = cleared(h.to_lists())
+        d, ints = h.integer_form()
         rows[q] = (d, sparse_rows(ints))
     top, p, m = model.ny * model.p, model.p, model.m
     phi, s = [0] * model.width, 1

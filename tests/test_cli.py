@@ -239,6 +239,16 @@ def one_state_lss(c):
     return {"n": 1, "m": 1, "p": 1, "modes": {"1": mode}, "x0": ["0"]}
 
 
+def test_lss_dimensions_are_checked_by_name(capsys, tmp_path):
+    # n = 0 would ask for shapes such as a 0 x 1 B, which JSON cannot write
+    path = tmp_path / "bad.json"
+    for field, value in (("n", -1), ("n", 0), ("m", -1), ("p", -1)):
+        path.write_text(json.dumps(dict(one_state_lss("1"), **{field: value})))
+        code, out, err = run_cli(capsys, "iso", path, path)
+        assert code == 2 and not out, (field, value)
+        assert err.startswith("error: ") and " %s, got %d" % (field, value) in err, err
+
+
 def silent_lss(a):
     """n = 2, one mode, B = 0, C = 0, x0 = 0: every S with S A = A' S solves."""
     mode = {"A": a, "B": [["0"], ["0"]], "C": [["0", "0"]]}

@@ -1,6 +1,7 @@
 from datetime import timedelta
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,12 +22,15 @@ from sarxid import (
     RatMatrix,
     SarxModel,
     Subspace,
+    dual,
     reachable_span,
     simulate_lss,
     simulate_sarx,
     solve_affine,
     unobservable_space,
 )
+from sarxid import linalg
+from sarxid.linalg import cleared
 
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):
@@ -385,3 +389,59 @@ def test_closures_and_simulators_do_no_fraction_arithmetic(rng, monkeypatch):
     assert det == reference_gauss_jordan(square)[2]
     assert traces[0] == lss_trace_oracle(sys, lss_word)
     assert traces[1] == siso_trace_oracle(model, sarx_word)
+
+
+# -- the kept integer form ----------------------------------------------------
+
+
+def assert_integer_form_kept(m):
+    """m's integer form is `cleared` of its rows, and RatMatrix(...) builds the same matrix."""
+    assert m.integer_form() == cleared(m.to_lists())
+    assert m.integer_form() is m.integer_form()
+    built = RatMatrix(m.to_lists(), m.cols)
+    assert built == m and built.to_strings() == m.to_strings()
+    assert all(type(x) is Fraction for row in m.to_lists() for x in row)
+
+
+@properties
+@given(
+    any_shapes.flatmap(lambda s: st.tuples(
+        matrices(*s, wide_entries), matrices(*s, wide_entries), matrices(s[1], s[0], wide_entries)
+    )),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+def test_every_matrix_keeps_its_integer_form(abt, c):
+    a, b, t = abt
+    derived = [
+        a, RatMatrix.from_strings(a.to_strings()), a.transpose(), a @ t, t @ a, a + b, a - b,
+        a.scale(c), a.rref()[0], Subspace(a.cols, a.to_lists()).basis_rows_matrix(),
+    ]
+    for m in derived:
+        assert_integer_form_kept(m)
+
+
+def test_from_strings_refuses_ragged_and_non_list_rows():
+    for bad in ([["1"], ["1", "2"]], [["1", "2"], []], [["1"], "12"], ["1"], "1", [("1",)]):
+        with pytest.raises(ValueError):
+            RatMatrix.from_strings(bad)
+    assert RatMatrix.from_strings([]).shape == (0, 0)
+    assert RatMatrix.from_strings([[], []]).shape == (2, 0)
+    assert RatMatrix.from_strings([["1/2", 3]]) == RatMatrix([[Fraction(1, 2), 3]])
+
+
+def test_each_map_is_cleared_once(rng, monkeypatch):
+    """Closures that share a map clear it once, as an n-row matrix."""
+    sys = random_rational_lss(rng, n=4, m=1, p=2, modes=3)
+    transposed = dual(sys)
+    calls = []
+    real = linalg.cleared
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "cleared", counted)
+    for _ in range(2):
+        reachable_span(sys)
+        reachable_span(transposed)
+    assert calls.count(sys.n) == 2 * len(sys.modes)
