@@ -10,8 +10,10 @@ that several of them read is cleared once.  One elimination, `_insert`,
 adds a primitive integer row to an echelon basis by fraction-free steps
 (`_reduce`, the step of `multipoly._remainder` for polynomials; Bareiss,
 Math. Comp. 22, 1968), and `_back_substitute` takes the basis to its
-reduced form with the same step.  rref, kernel, determinant and every
-linear solve read their answer off it, and each reduces its matrix once.
+reduced form with the same step.  rref, kernel and every linear solve
+read their answer off the basis; only `determinant` tracks the scalings,
+and it stops at the first dependent row.  `_null_rows` is the one reader
+of null directions, for kernels, `annihilator` and `lss._graph_map`.
 One product, `sparse_apply`, applies an integer matrix read once as
 sparse rows to an integer vector: `@`, the subspace closure, the state
 update of `lss.simulate_lss` and the output step of `sarx.simulate_sarx`
@@ -51,8 +53,7 @@ class RatMatrix:
 
     def __init__(self, data, cols=0):
         """data: a list of rows; cols: the column count when there are no rows."""
-        data = [tuple(x if type(x) is Fraction else parse_rational(x) if isinstance(x, str)
-                      else exact(x) for x in row) for row in data]
+        data = [tuple(x if type(x) is Fraction else parse_rational(x) for x in row) for row in data]
         self.rows, self.cols = len(data), _width(data, cols)
         self._data, self._ints = tuple(data), None
 
@@ -180,26 +181,13 @@ class RatMatrix:
     # -- elimination --------------------------------------------------
 
     def _echelon(self):
-        """Insert the rows of the integer form one at a time into an echelon basis.
-
-        Returns (basis, determinant); the determinant is exact when the
-        matrix is square and every row was inserted.  Row i enters as d
-        times itself, and `_insert` returns it scaled by mul/div after
-        subtracting earlier rows, so det = sign * prod(lead * div / (mul * d)),
-        the sign that of the permutation sorting the pivots.
-        """
+        """The echelon basis of the integer form's rows, inserted one at a time by `_insert`."""
         basis = []
-        num = den = 1
-        d, rows = self.integer_form()
-        for v in rows:
+        for v in self.integer_form()[1]:
             if len(basis) == self.cols:
                 break
-            found = _insert(basis, v)
-            if found is not None:
-                pivot, v, mul, div = found
-                num *= -v[pivot] * div if sum(p > pivot for p, _ in basis) % 2 else v[pivot] * div
-                den *= mul * d
-        return basis, Fraction(num, den)
+            _insert(basis, v)
+        return basis
 
     def rref(self):
         """Reduced row echelon form, built from the integer echelon form.
@@ -207,20 +195,33 @@ class RatMatrix:
         Returns (R, pivot_columns).  rank == len(pivot_columns).
         `test_rref_is_idempotent_and_rank_revealing` checks it against sympy.
         """
-        reduced = _back_substitute(self._echelon()[0])
+        reduced = _back_substitute(self._echelon())
         m = [_fractions(row, row[p]) for p, row in reduced]
         m += [[_ZERO] * self.cols] * (self.rows - len(m))
         return RatMatrix(m, self.cols), [p for p, _ in reduced]
 
     def kernel_basis(self):
         """Basis of {x : Mx = 0} as a list of n x 1 column matrices."""
-        return _kernel(_back_substitute(self._echelon()[0]), self.cols)
+        return _kernel(_back_substitute(self._echelon()), self.cols)
 
     def determinant(self):
+        """Bareiss: the integer form's rows inserted one at a time; 0 at the first dependent one.
+
+        Row i enters as d times itself and `_insert` returns it scaled by mul/div,
+        so det = sign * prod(lead * div / (mul * d)), the sign sorting the pivots.
+        """
         if not self.is_square():
             raise ValueError("determinant of non-square matrix")
-        basis, det = self._echelon()
-        return det if len(basis) == self.rows else _ZERO
+        basis, num, den = [], 1, 1
+        d, rows = self.integer_form()
+        for v in rows:
+            found = _insert(basis, v)
+            if found is None:
+                return _ZERO
+            pivot, v, mul, div = found
+            num *= -v[pivot] * div if sum(p > pivot for p, _ in basis) % 2 else v[pivot] * div
+            den *= mul * d
+        return Fraction(num, den)
 
     def __repr__(self):
         return "RatMatrix(%r)" % (self.to_strings(),)
@@ -383,7 +384,7 @@ def solve_affine(a: RatMatrix, b: RatMatrix):
     if a.rows != b.rows or b.cols != 1:
         raise ValueError("shape mismatch in solve_affine")
     augmented = RatMatrix._of([ra + rb for ra, rb in zip(a._data, b._data)], a.cols + 1)
-    reduced = _back_substitute(augmented._echelon()[0])
+    reduced = _back_substitute(augmented._echelon())
     if reduced and reduced[-1][0] == a.cols:
         return None
     x = [_ZERO] * a.cols
@@ -437,6 +438,7 @@ class Subspace:
         return self._reduced
 
     def basis_rows_matrix(self):
+        """The reduced rows; `test_subspace_is_the_rref_of_its_vectors_in_any_order` checks them."""
         rows = [_fractions(row, row[p]) for p, row in self._rows()]
         return RatMatrix._of(rows, self.ambient_dim)
 

@@ -20,6 +20,8 @@ from fractions import Fraction
 from .linalg import (
     RatMatrix,
     Subspace,
+    _fractions,
+    _null_rows,
     cleared,
     lowest_terms,
     solve_affine,
@@ -90,13 +92,14 @@ class Lss(JsonLoadable):
     @classmethod
     def from_json_dict(cls, obj):
         with malformed("LSS"):
+            n, m, p = (parse_int(obj[k]) for k in ("n", "m", "p"))
+            # JSON writes a 0 x n C (p = 0) as [], which does not give its width
             modes = read_modes(obj, lambda md: LssMode(
                 a=RatMatrix.from_strings(md["A"]),
                 b=RatMatrix.from_strings(md["B"]),
-                c=RatMatrix.from_strings(md["C"]),
+                c=RatMatrix.zeros(0, n) if md["C"] == [] else RatMatrix.from_strings(md["C"]),
             ))
             x0 = RatMatrix.from_strings([obj["x0"]]).transpose()
-            n, m, p = (parse_int(obj[k]) for k in ("n", "m", "p"))
             return cls(n=n, m=m, p=p, modes=modes, x0=x0)
 
 
@@ -252,7 +255,7 @@ def find_isomorphisms(a: Lss, b: Lss, seed=0) -> IsoSolution:
         outs.append((a.x0.transpose(), b.x0.transpose()))
     outs = [(cp, cp @ t0 - c) for cp, c in outs]
     span = RatMatrix(us, n).transpose()
-    if any(any(_entries(r @ span)) for _, r in outs):
+    if any(any(row) for _, r in outs for row in (r @ span).to_lists()):
         return none
 
     def oriented(t):
@@ -322,8 +325,8 @@ def _graph_map(a, b):
     (0, v): no T exists.  Else (T0, kernel, us): T0 sends each u_i to v_i
     and each non-pivot e_k to 0, kernel maps each non-pivot k to f_k, the
     vector with 1 at k and 0 at the other non-pivots that the u_i
-    annihilate, us lists the u_i, and the T are T0 plus combinations of
-    the e_j f_k^T.
+    annihilate (`_null_rows`), us lists integer multiples of the u_i, and
+    the T are T0 plus combinations of the e_j f_k^T.
     """
     n, z = a.n, (_ZERO,) * a.n
     modes = [(a.modes[q], b.modes[q]) for q in a.labels]
@@ -331,19 +334,14 @@ def _graph_map(a, b):
     seeds += [ma.b.col(j) + mb.b.col(j) for ma, mb in modes for j in range(a.m)]
     diags = [RatMatrix._of([ma.a.row(i) + z for i in range(n)]
                            + [z + mb.a.row(i) for i in range(n)], 2 * n) for ma, mb in modes]
-    w = Subspace(2 * n, seeds, diags).basis_rows_matrix()
-    rows = [w.row(i) for i in range(w.rows)]
-    if rows and not any(rows[-1][:n]):
+    reduced = Subspace(2 * n, seeds, diags)._rows()
+    if reduced and reduced[-1][0] >= n:
         return None
-    by_pivot = {next(k for k, x in enumerate(row) if x): row for row in rows}
-    t0 = RatMatrix([by_pivot[k][n:] if k in by_pivot else z for k in range(n)]).transpose()
-    kernel = {k: [_ONE if i == k else -by_pivot[i][k] if i in by_pivot else _ZERO for i in range(n)]
-              for k in range(n) if k not in by_pivot}
-    return t0, kernel, [row[:n] for row in rows]
-
-
-def _entries(m):
-    return [x for i in range(m.rows) for x in m.row(i)]
+    by_pivot = dict(reduced)
+    t0 = RatMatrix._of([_fractions(by_pivot[k][n:], by_pivot[k][k]) if k in by_pivot else z
+                        for k in range(n)], n).transpose()
+    kernel = {k: _fractions(v, v[k]) for k, v in _null_rows(reduced, n)}
+    return t0, kernel, [row[:n] for _, row in reduced]
 
 
 def _unique(s):

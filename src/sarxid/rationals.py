@@ -2,7 +2,9 @@
 
 All numeric data in this package is held as `fractions.Fraction`.  Decimal
 literals from input files ("0.001") are converted exactly, never through
-binary floating point.
+binary floating point.  `exact` is the one refusal, by `TypeError`, of
+any other scalar, floats and bools among them; `parse_rational` hands it
+every value that is not a string.
 
 Input the program refuses, from an unreadable file to a model of the wrong
 shape, raises `InputError`; the CLI turns it into exit code 2.
@@ -48,46 +50,37 @@ def malformed(what):
 
 
 def parse_rational(value) -> Fraction:
-    """Parse "8", "-3/2", "0.001" or a plain int into an exact Fraction.
+    """Parse "8", "-3/2" or "0.001" into an exact Fraction; any other value goes to `exact`.
 
-    Floats are rejected: a float literal has already lost exactness and
-    silently accepting it would corrupt rank/coprimality verdicts.  So is
-    exponent notation, since "1e999999999" would expand to a billion digits.
-
-    An integer string is read by `int`, without `Fraction`'s regex; every
-    other string takes the regex.  `int` accepts nothing here that
-    `Fraction` refuses, once "_" is left to the regex (Python 3.10's `int`
-    reads "1_000", its `Fraction` does not).
+    Exponent notation is refused, since "1e999999999" would expand to a
+    billion digits.  An integer string is read by `int`, without
+    `Fraction`'s regex; every other string takes the regex.  `int` accepts
+    nothing here that `Fraction` refuses, once "_" is left to the regex
+    (Python 3.10's `int` reads "1_000", its `Fraction` does not).
     """
-    if isinstance(value, str):
-        if "_" not in value:
-            try:
-                return Fraction(int(value))
-            except ValueError:
-                pass
-        if "e" in value.lower():
-            raise ValueError("exponent notation not accepted: %r" % value)
+    if not isinstance(value, str):
+        return exact(value)
+    if "_" not in value:
         try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError("cannot parse rational from %r" % value) from exc
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise ValueError("booleans are not rationals")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise ValueError(
-            "float %r not accepted; pass a string like '0.001' for exact parsing" % value
-        )
-    raise ValueError("cannot parse rational from %r" % (value,))
+            return Fraction(int(value))
+        except ValueError:
+            pass
+    if "e" in value.lower():
+        raise ValueError("exponent notation not accepted: %r" % value)
+    try:
+        return Fraction(value.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError("cannot parse rational from %r" % value) from exc
 
 
 def exact(value) -> Fraction:
-    """An int or a Fraction as a Fraction; a bool, a float or anything else is refused."""
+    """An int or a Fraction as a Fraction; anything else raises `TypeError`.
+
+    A float has already lost exactness, and a bool is not a number.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise TypeError("%r is not an int or a Fraction" % (value,))
+        raise TypeError("%r is not an int or a Fraction; write a decimal exactly, as a string"
+                        " like '0.001' or as Fraction('0.001')" % (value,))
     return Fraction(value)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import fixture_path
-from sarxid import MultiPoly, RatMatrix, SarxModel, cli, groebner
+from sarxid import Lss, LssMode, MultiPoly, RatMatrix, SarxModel, cli, dual, groebner
 from sarxid.cli import main
 
 SRC = Path(__file__).parent.parent / "src"
@@ -247,6 +247,84 @@ def test_lss_dimensions_are_checked_by_name(capsys, tmp_path):
         code, out, err = run_cli(capsys, "iso", path, path)
         assert code == 2 and not out, (field, value)
         assert err.startswith("error: ") and " %s, got %d" % (field, value) in err, err
+
+
+ONE_STATE = one_state_lss("1")
+MODEL = {"ny": 1, "nu": 1, "p": 1, "m": 1, "modes": {"1": [["1", "2"]]}}
+TERM = {"terms": [{"c": "1", "e": [1]}]}
+FAMILY = {"vars": ["t"], "ny": 1, "nu": 1, "p": 1, "m": 1, "modes": {"1": [TERM, TERM]}}
+
+
+def spoiled_mode(**fields):
+    return dict(ONE_STATE, modes={"1": dict(ONE_STATE["modes"]["1"], **fields)})
+
+
+# (subcommand, its input files, a fragment of the one error line): refusals
+# that the malformed-input cases above do not reach; iso reads its file twice
+REFUSALS = [
+    ("iso", [dict(ONE_STATE, modes={})], "mode set must be nonempty"),
+    ("iso", [dict(ONE_STATE, x0=["0", "0"])], "x0 must be an n x 1 column"),
+    ("iso", [spoiled_mode(A=[["1", "1"]])], "A must be 1 x 1"),
+    ("iso", [spoiled_mode(B=[["1", "1"]])], "B must be 1 x 1"),
+    ("iso", [spoiled_mode(C=[["1"], ["1"]])], "C must be 1 x 1"),
+    # an empty C is read as a C without rows, which p = 1 refuses
+    ("iso", [spoiled_mode(C=[])], "C must be 1 x 1"),
+    ("simulate", [MODEL, {"steps": []}], "hybrid word must be nonempty"),
+    ("simulate", [MODEL, {"steps": [{"q": "2", "u": ["1"]}]}], "unknown mode label '2'"),
+    ("simulate", [MODEL, {"steps": [{"q": "1", "u": ["1", "1"]}]}], "input dimension 2 != m=1"),
+    ("param-analyze", [dict(FAMILY, modes={"1": [TERM]})], "has 1 coefficient polynomials"),
+    ("param-analyze", [dict(FAMILY, vars=["z"])], 'parameter variable named "z"'),
+    # a JSON float or bool where a coefficient belongs
+    ("check-min", [dict(MODEL, modes={"1": [[0.5, "2"]]})], "0.5 is not an int or a Fraction"),
+    ("check-min", [dict(MODEL, modes={"1": [[True, "2"]]})], "True is not an int or a Fraction"),
+    ("iso", [spoiled_mode(A=[[0.5]])], "0.5 is not an int or a Fraction"),
+    ("param-analyze", [dict(FAMILY, modes={"1": [{"terms": [{"c": 0.5, "e": [1]}]}, TERM]})],
+     "0.5 is not an int or a Fraction"),
+    ("simulate", [MODEL, {"steps": [{"q": "1", "u": [False]}]}], "False is not an int or a Fraction"),
+]
+
+
+def write_inputs(tmp_path, cmd, objs):
+    paths = []
+    for i, obj in enumerate(objs):
+        paths.append(tmp_path / ("input%d.json" % i))
+        paths[-1].write_text(json.dumps(obj))
+    if cmd == "iso":
+        return paths * 2
+    return paths + ["--compare-lss"] if cmd == "simulate" else paths
+
+
+def test_refusal_cases_spoil_accepted_inputs(capsys, tmp_path):
+    for cmd, objs in (("iso", [ONE_STATE]), ("simulate", [MODEL, {"steps": [{"q": "1", "u": ["1"]}]}]),
+                      ("param-analyze", [FAMILY]), ("check-min", [MODEL])):
+        code, _, err = run_cli(capsys, cmd, *write_inputs(tmp_path, cmd, objs))
+        assert code in (0, 1), (cmd, err)
+
+
+@pytest.mark.parametrize("cmd, objs, message", REFUSALS, ids=lambda x: x if isinstance(x, str) else "")
+def test_refusal_exits_two_with_one_error_line(capsys, tmp_path, cmd, objs, message):
+    code, out, err = run_cli(capsys, cmd, *write_inputs(tmp_path, cmd, objs))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], err
+    assert "Traceback" not in err
+
+
+def test_iso_reads_systems_without_outputs(capsys, tmp_path):
+    # the dual of an input-free system has p = 0, and JSON writes its C as []
+    def dual_of_input_free(a):
+        mode = LssMode(a=RatMatrix(a), b=RatMatrix.zeros(2, 0), c=RatMatrix([[1, 0]]))
+        return dual(Lss(n=2, m=0, p=1, modes={"1": mode}, x0=RatMatrix.column([1, 1])))
+
+    paths = []
+    for name, a in (("a.json", [[1, 2], [0, 1]]), ("b.json", [[1, 0], [3, 1]])):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(dual_of_input_free(a).to_json_dict()))
+        assert json.loads(paths[-1].read_text())["modes"]["1"]["C"] == []
+    for pair in ([paths[0], paths[0]], paths):
+        code, out, err = run_cli(capsys, "iso", *pair)
+        assert code in (0, 1), err
+        assert json.loads(out)["kind"] in ("none", "unique-identity", "unique-other", "affine-family")
 
 
 def silent_lss(a):

@@ -8,6 +8,7 @@ import sympy
 from conftest import fixture_path, rand_fraction
 from oracles import groebner_sympy, multipoly_to_sympy
 from sarxid import (
+    IdentifiableRegion,
     InputError,
     MonomialOrder,
     MultiPoly,
@@ -92,6 +93,17 @@ def test_symbolic_data_specializes_to_numeric(rng, name):
         assert sym.psi.keys() == data.psi.keys()
         for pair, seq in sym.psi.items():
             assert [specialize(p, theta) for p in seq] == data.psi[pair], pair
+
+
+def test_family_refuses_a_foreign_ring_and_a_parameter_of_the_wrong_length(two_param_family):
+    t, s = MultiPoly.variable(("t",), 0), MultiPoly.variable(("s",), 0)
+    with pytest.raises(InputError, match="different ring"):
+        PolyParametrization(1, 1, 1, 1, {"1": (t, s)}, vars=("t",))
+    with pytest.raises(InputError, match="parameter length 1 != 2"):
+        two_param_family.instantiate([1])
+    region = IdentifiableRegion(("t", "s"), (t,), (), (), {}, {}, {})
+    with pytest.raises(InputError, match="parameter length 3 != 2"):
+        verify_region_membership(region, [1, 2, 3])
 
 
 def test_region_polynomials_certify_strong_minimality(rng, two_param_family):

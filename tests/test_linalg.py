@@ -76,6 +76,20 @@ def test_determinant_multiplicative(rng):
         assert (a @ b).determinant() == a.determinant() * b.determinant()
 
 
+def test_determinant_stops_at_the_first_dependent_row(monkeypatch):
+    """Row 2 is twice row 1: the second insertion finds it in the span, and row 3 is never inserted."""
+    calls = []
+    original = linalg._insert
+
+    def counting(basis, v):
+        calls.append(v)
+        return original(basis, v)
+
+    monkeypatch.setattr(linalg, "_insert", counting)
+    assert RatMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 5]]).determinant() == 0
+    assert len(calls) == 2
+
+
 def test_solve_affine_full_solution_set(rng):
     for _ in range(40):
         a = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))

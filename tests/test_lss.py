@@ -282,6 +282,32 @@ def test_json_roundtrip(rng):
     assert again == sys
 
 
+def test_json_roundtrip_without_inputs_or_outputs(rng):
+    # JSON writes an n x 0 B as n empty rows but a 0 x n C as [], so the
+    # reader takes the width of C from n
+    for _ in range(10):
+        sys = random_lss(rng, max_n=4, max_modes=3)
+        n = sys.n
+        no_inputs = Lss(n=n, m=0, p=sys.p, x0=sys.x0, modes={
+            q: LssMode(a=md.a, b=RatMatrix.zeros(n, 0), c=md.c) for q, md in sys.modes.items()
+        })
+        no_outputs = Lss(n=n, m=sys.m, p=0, x0=sys.x0, modes={
+            q: LssMode(a=md.a, b=md.b, c=RatMatrix.zeros(0, n)) for q, md in sys.modes.items()
+        })
+        for s in (no_inputs, no_outputs, dual(no_inputs), dual(no_outputs)):
+            assert Lss.from_json_dict(json.loads(json.dumps(s.to_json_dict()))) == s
+
+
+def test_simulate_lss_refuses_a_word_it_cannot_run():
+    # `simulate --compare-lss` runs simulate_sarx first, which refuses these words itself
+    mode = LssMode(a=RatMatrix([[1]]), b=RatMatrix([[1]]), c=RatMatrix([[1]]))
+    sys = Lss(n=1, m=1, p=1, modes={"1": mode}, x0=RatMatrix.zeros(1, 1))
+    with pytest.raises(InputError, match="unknown mode label '2'"):
+        simulate_lss(sys, HybridWord([("2", [1])]))
+    with pytest.raises(InputError, match="input dimension 2 != m=1"):
+        simulate_lss(sys, HybridWord([("1", [1, 2])]))
+
+
 def test_self_isomorphism_identity_on_reference_model():
     sys = associated_lss(SarxModel.load(fixture_path("example3.json")))
     sol = find_isomorphisms(sys, sys)

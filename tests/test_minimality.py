@@ -199,6 +199,12 @@ def test_condition_b_scalar_requires_nonzero_divisor():
         condition_b_scalar(m, "1", "2")
 
 
+def test_gamma_polynomials_require_nonzero_leading_coefficient():
+    m = SarxModel(ny=1, nu=1, p=1, m=1, modes={"1": RatMatrix([[1, 0]])})
+    with pytest.raises(InputError, match="leading input coefficient of mode '1' is zero"):
+        gamma_polynomials(m, "1")
+
+
 def test_theorem2_rejects_mimo():
     m = SarxModel(
         ny=1, nu=1, p=2, m=1,

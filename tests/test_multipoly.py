@@ -20,6 +20,7 @@ from sarxid import (
     Subspace,
     buchberger,
     normal_form,
+    parse_rational,
     uni_gcd,
     verify_region_membership,
 )
@@ -146,6 +147,10 @@ def test_floats_are_refused():
         lambda: x.substitute({0: 0.1}),
         lambda: family.instantiate([0.1, 0, 0]),
         lambda: verify_region_membership(region, [0.1, 0, 0]),
+        # the string reader hands every other value to the same refusal
+        lambda: parse_rational(0.1),
+        lambda: parse_rational(True),
+        lambda: parse_rational(None),
     ):
         with pytest.raises(TypeError):
             call()

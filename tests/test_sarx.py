@@ -140,3 +140,11 @@ def test_reduce_trailing_zero_preserves_traces(rng):
     for _ in range(10):
         w = random_word(padded.labels, 1, 10, rng)
         assert simulate_sarx(padded, w) == simulate_sarx(reduced, w)
+
+
+def test_reduce_trailing_zero_refusals():
+    with pytest.raises(InputError, match="n_u must be at least 2"):
+        reduce_trailing_zero(SarxModel(ny=1, nu=1, p=1, m=1, modes={"1": RatMatrix([[1, 0]])}))
+    modes = {"1": RatMatrix([[1, 0, 1, 0]]), "2": RatMatrix([[1, 0, 1, 1]])}
+    with pytest.raises(InputError, match="not zero in every mode"):
+        reduce_trailing_zero(SarxModel(ny=2, nu=2, p=1, m=1, modes=modes))
