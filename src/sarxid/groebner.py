@@ -168,11 +168,11 @@ def elimination_ideal(generators, drop):
     """
     if not generators:
         return []
-    nvars = len(generators[0].vars)
-    keep = [i for i in range(nvars) if i not in drop]
+    ring = generators[0].vars
+    kept = [v for i, v in enumerate(ring) if i not in drop]
     return [
-        g.restrict(keep)
-        for g in buchberger(generators, MonomialOrder.elimination(nvars, drop))
+        g.in_ring(kept)
+        for g in buchberger(generators, MonomialOrder.elimination(len(ring), drop))
         if not any(g.involves(i) for i in drop)
     ]
 

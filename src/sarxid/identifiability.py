@@ -103,7 +103,7 @@ def symbolic_theorem2(par: PolyParametrization) -> Theorem2Data:
         raise InputError('parameter variable named "z" collides with the indeterminate')
     ring = par.vars + Z_RING
     h = {
-        q: [par.coeff_poly(q, j).embed(ring) for j in range(1, par.width + 1)]
+        q: [par.coeff_poly(q, j).in_ring(ring) for j in range(1, par.width + 1)]
         for q in par.labels
     }
     return _theorem2(par.ny, par.nu, h, ring)
@@ -166,7 +166,7 @@ def procedure1(par: PolyParametrization) -> IdentifiableRegion:
         s_a[pair] = elimination_ideal([sym.chi[q], sym.phi_next[pair]], [d])
         raw = elimination_ideal([sym.chi[q], sym.upsilon[qh]], [d])
         s_b_raw[pair] = raw
-        scale = sym.b_scale[pair].restrict(range(d))
+        scale = sym.b_scale[pair].in_ring(par.vars)
         s_b[pair] = [f * scale for f in raw]
 
     gens_a = [f for polys in s_a.values() for f in polys]

@@ -31,6 +31,7 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, sub
 
 from .rationals import exact, format_rational, parse_rational
 
@@ -45,8 +46,8 @@ class RatMatrix:
     rows d times the matrix.  It is computed at the first call and kept, and
     callers read it without changing it.  `RatMatrix(...)` checks and
     converts each entry it is given; `_of` takes rows that are already
-    tuples of Fractions, as parsing, `transpose`, `@` and the reduced rows
-    of a `Subspace` make them, and checks nothing.
+    tuples of Fractions, as parsing, `transpose`, `@`, `+`, `-` and the
+    reduced rows of a `Subspace` make them, and checks nothing.
     """
 
     __slots__ = ("rows", "cols", "_data", "_ints")
@@ -125,25 +126,17 @@ class RatMatrix:
             and self._data == other._data
         )
 
+    def _entrywise(self, other, op):
+        if self.shape != other.shape:
+            raise ValueError("shape mismatch: %s vs %s" % (self.shape, other.shape))
+        return RatMatrix._of([tuple(map(op, ra, rb)) for ra, rb in zip(self._data, other._data)],
+                             self.cols)
+
     def __add__(self, other):
-        self._check_same_shape(other)
-        return RatMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._data, other._data)
-            ],
-            self.cols,
-        )
+        return self._entrywise(other, add)
 
     def __sub__(self, other):
-        self._check_same_shape(other)
-        return RatMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._data, other._data)
-            ],
-            self.cols,
-        )
+        return self._entrywise(other, sub)
 
     def scale(self, c):
         c = exact(c)
@@ -173,10 +166,6 @@ class RatMatrix:
         if not self.is_square():
             raise ValueError("trace of non-square matrix")
         return sum((self._data[i][i] for i in range(self.rows)), _ZERO)
-
-    def _check_same_shape(self, other):
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch: %s vs %s" % (self.shape, other.shape))
 
     # -- elimination --------------------------------------------------
 

@@ -239,16 +239,16 @@ def find_isomorphisms(a: Lss, b: Lss, seed=0) -> IsoSolution:
     if (a.n, a.m, a.p) != (b.n, b.m, b.p) or a.labels != b.labels:
         raise InputError("systems must share dimensions and mode labels")
     n = a.n
-    graph, transposed = _graph_map(a, b), False
+    graph, transposed, (first, second) = _graph_map(a, b), False, (a, b)
     if graph is not None and graph[1]:
-        other = _graph_map(dual(b), dual(a))
+        duals = dual(b), dual(a)
+        other = _graph_map(*duals)
         if other is None or len(other[1]) < len(graph[1]):
-            graph, transposed = other, True
+            graph, transposed, (first, second) = other, True, duals
     none = IsoSolution(kind="none", witness=None, family_dim=-1)
     if graph is None:
         return none
     t0, kernel, us = graph
-    first, second = (dual(b), dual(a)) if transposed else (a, b)
     # each (C', R) asks C' T = C, and R = C' T0 - C must vanish on the u_i
     outs = [(second.modes[q].c, first.modes[q].c) for q in a.labels]
     if transposed:

@@ -211,10 +211,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, vars, c):
-        c = exact(c)
-        if c == 0:
-            return cls(vars)
-        return cls(vars, {tuple([0] * len(vars)): c})
+        return cls(vars, {(0,) * len(vars): c})
 
     @classmethod
     def variable(cls, vars, index, power=1):
@@ -332,29 +329,24 @@ class MultiPoly:
             out[key] = out.get(key, _ZERO) + coef
         return MultiPoly(self.vars, out)
 
-    def restrict(self, keep):
-        """Project onto the subring of the variables listed in `keep`.
+    def in_ring(self, vars):
+        """The same polynomial over `vars`, each variable matched by name.
 
-        Fails if any dropped variable occurs.
+        One ring change for both directions: projecting onto a subring
+        (a variable of this ring that `vars` leaves out must not occur) and
+        embedding into a larger one.
         """
-        keep = list(keep)
-        dropped = [i for i in range(len(self.vars)) if i not in keep]
-        out = {}
-        for exp, c in self.terms.items():
-            if any(exp[i] > 0 for i in dropped):
-                raise ValueError("polynomial involves a dropped variable")
-            out[tuple(exp[i] for i in keep)] = c
-        return MultiPoly([self.vars[i] for i in keep], out)
-
-    def embed(self, vars):
-        """Re-embed into a larger ring containing all current variables."""
         vars = tuple(vars)
-        positions = [vars.index(v) for v in self.vars]
+        where = {v: i for i, v in enumerate(vars)}
+        positions = [where.get(v) for v in self.vars]
         out = {}
         for exp, c in self.terms.items():
             new_exp = [0] * len(vars)
             for pos, e in zip(positions, exp):
-                new_exp[pos] = e
+                if e:
+                    if pos is None:
+                        raise ValueError("polynomial involves a dropped variable")
+                    new_exp[pos] = e
             out[tuple(new_exp)] = c
         return MultiPoly(vars, out)
 

@@ -53,22 +53,27 @@ def parse_rational(value) -> Fraction:
     """Parse "8", "-3/2" or "0.001" into an exact Fraction; any other value goes to `exact`.
 
     Exponent notation is refused, since "1e999999999" would expand to a
-    billion digits.  An integer string is read by `int`, without
-    `Fraction`'s regex; every other string takes the regex.  `int` accepts
-    nothing here that `Fraction` refuses, once "_" is left to the regex
-    (Python 3.10's `int` reads "1_000", its `Fraction` does not).
+    billion digits.  So are digit separators ("1_000") and whitespace
+    inside a number ("1 /2"), which `Fraction` reads on some Python
+    versions and not on others: a file reads the same on all of them.  An
+    integer string is read by `int`, without `Fraction`'s regex; every
+    other string takes the regex.
     """
     if not isinstance(value, str):
         return exact(value)
-    if "_" not in value:
-        try:
-            return Fraction(int(value))
-        except ValueError:
-            pass
-    if "e" in value.lower():
-        raise ValueError("exponent notation not accepted: %r" % value)
+    if "_" in value:
+        raise ValueError("digit separators not accepted: %r" % value)
     try:
-        return Fraction(value.strip())
+        return Fraction(int(value))
+    except ValueError:
+        pass
+    text = value.strip()
+    if "e" in text.lower():
+        raise ValueError("exponent notation not accepted: %r" % value)
+    if len(text.split()) > 1:
+        raise ValueError("whitespace inside a number not accepted: %r" % value)
+    try:
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError("cannot parse rational from %r" % value) from exc
 

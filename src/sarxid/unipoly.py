@@ -27,8 +27,7 @@ def _univariate(f: MultiPoly):
 def uni_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Monic gcd by the Euclidean algorithm; errors if both inputs are zero."""
     _univariate(a)
-    if a.vars != b.vars:
-        raise ValueError("polynomials live in different rings")
+    a._check_ring(b)
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     ring, guard = a.vars, _ORDER.guard

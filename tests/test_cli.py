@@ -277,6 +277,8 @@ REFUSALS = [
     # a JSON float or bool where a coefficient belongs
     ("check-min", [dict(MODEL, modes={"1": [[0.5, "2"]]})], "0.5 is not an int or a Fraction"),
     ("check-min", [dict(MODEL, modes={"1": [[True, "2"]]})], "True is not an int or a Fraction"),
+    # digit separators, which some Python versions' Fraction reads and others refuse
+    ("check-min", [dict(MODEL, modes={"1": [["1_000", "2"]]})], "digit separators not accepted"),
     ("iso", [spoiled_mode(A=[[0.5]])], "0.5 is not an int or a Fraction"),
     ("param-analyze", [dict(FAMILY, modes={"1": [{"terms": [{"c": 0.5, "e": [1]}]}, TERM]})],
      "0.5 is not an int or a Fraction"),

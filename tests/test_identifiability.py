@@ -77,10 +77,9 @@ PARAMETRIZATIONS = (
 def test_symbolic_data_specializes_to_numeric(rng, name):
     par = PolyParametrization.load(fixture_path(name + ".json"))
     sym = symbolic_theorem2(par)
-    z = par.dim
 
     def specialize(poly, theta):
-        return poly.substitute(dict(enumerate(theta))).restrict([z])
+        return poly.substitute(dict(enumerate(theta))).in_ring(("z",))
 
     for _ in range(10):
         theta = [rand_fraction(rng) for _ in range(par.dim)]
@@ -269,6 +268,17 @@ def test_identifiability_verdict_positive(first_family):
     verdict = identifiability_verdict(first_family, region, injectivity_probe(first_family))
     assert verdict.identifiable
     assert verdict.region_nonempty
+
+
+@pytest.mark.parametrize("name, missing", [
+    ("theta_squared_param", "parametrization is not injective"),  # collision (1), (-1)
+    ("example2_param", "injectivity is unproven"),  # no collision found
+])
+def test_identifiability_verdict_names_what_is_missing(name, missing):
+    par = PolyParametrization.load(fixture_path(name + ".json"))
+    verdict = identifiability_verdict(par, procedure1(par), injectivity_probe(par))
+    assert not verdict.identifiable
+    assert missing in verdict.missing
 
 
 # The intermediate ideals of Procedure 1 on the fixture families, as reduced

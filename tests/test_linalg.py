@@ -1,3 +1,4 @@
+import re
 from datetime import timedelta
 from fractions import Fraction
 
@@ -432,6 +433,25 @@ def test_every_matrix_keeps_its_integer_form(abt, c):
     ]
     for m in derived:
         assert_integer_form_kept(m)
+
+
+SHAPE_REFUSALS = [
+    ("product", lambda a: a @ a, "shape mismatch for product"),
+    ("sum", lambda a: a + a.transpose(), "shape mismatch: (2, 3) vs (3, 2)"),
+    ("difference", lambda a: a - a.transpose(), "shape mismatch: (2, 3) vs (3, 2)"),
+    ("trace", lambda a: a.trace(), "trace of non-square matrix"),
+    ("determinant", lambda a: a.determinant(), "determinant of non-square matrix"),
+    ("solve_affine", lambda a: solve_affine(a, RatMatrix.column([1, 2, 3])),
+     "shape mismatch in solve_affine"),
+    ("subspace column", lambda a: Subspace(3, [RatMatrix.column([1, 2])]), "vector shape mismatch"),
+    ("subspace vector", lambda a: Subspace(3, [[1, 2]]), "vector length mismatch"),
+]
+
+
+@pytest.mark.parametrize("name, call, message", SHAPE_REFUSALS, ids=[c[0] for c in SHAPE_REFUSALS])
+def test_shape_mismatches_are_refused(name, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(RatMatrix([[1, 2, 3], [4, 5, 6]]))
 
 
 def test_from_strings_refuses_ragged_and_non_list_rows():

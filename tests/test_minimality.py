@@ -213,3 +213,7 @@ def test_theorem2_rejects_mimo():
     with pytest.raises(InputError):
         theorem2_polynomials(m)
 
+
+def test_unknown_minimality_method_is_refused(reference_model):
+    with pytest.raises(ValueError, match="unknown method 'x'"):
+        check_strong_minimality(reference_model, method="x")

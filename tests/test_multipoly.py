@@ -110,9 +110,9 @@ def test_eval_substitute_consistency(rng):
 
 def test_restrict_embed_roundtrip():
     f = MultiPoly(VARS, {(2, 0, 1): Fraction(3), (0, 0, 0): Fraction(-1)})
-    small = f.restrict([0, 2])
+    small = f.in_ring(("x", "w"))
     assert small.vars == ("x", "w")
-    assert small.embed(VARS) == f
+    assert small.in_ring(VARS) == f
 
 
 def test_json_terms_roundtrip(rng):
@@ -313,11 +313,27 @@ def test_new_monomials_that_overflow_raise():
         buchberger([x_half + 1, y_half + y], MonomialOrder.grevlex(len(VARS)))
 
 
+POLY_REFUSALS = [
+    ("exponent length", lambda x: MultiPoly(VARS, {(1, 0): 1}), "exponent length mismatch"),
+    ("ring of a sum", lambda x: x + MultiPoly.variable(("x",), 0), "different rings"),
+    ("point length", lambda x: x.eval([1, 2]), "point length 2 != variable count 3"),
+    ("ring change", lambda x: x.in_ring(("y", "w")), "involves a dropped variable"),
+]
+
+
+@pytest.mark.parametrize("name, call, message", POLY_REFUSALS, ids=[c[0] for c in POLY_REFUSALS])
+def test_polynomial_refusals(name, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(MultiPoly.variable(VARS, 0))
+
+
 def test_monomial_order_checks_its_drop_indices():
     with pytest.raises(ValueError):
         MonomialOrder(2, drop=[5])
     with pytest.raises(ValueError):
         MonomialOrder(2, drop=[-1])
+    with pytest.raises(ValueError, match="elimination split must be proper"):
+        MonomialOrder.elimination(2, [0, 1])
     x, y = MultiPoly.variable(("x", "y"), 0), MultiPoly.variable(("x", "y"), 1)
     with pytest.raises(ValueError):
         groebner.elimination_ideal([x - y], [5])

@@ -1,3 +1,4 @@
+import re
 from datetime import timedelta
 from fractions import Fraction
 
@@ -81,6 +82,19 @@ def test_gcd_refuses_two_rings():
     w = MultiPoly.variable(("w",), 0)
     with pytest.raises(ValueError):
         uni_gcd(zpoly(-1, 1), w * w - 1)
+
+
+UNIPOLY_REFUSALS = [
+    ("gcd of zeros", lambda: uni_gcd(MultiPoly(Z_RING), MultiPoly(Z_RING)), "gcd(0, 0) is undefined"),
+    ("eval_matrix", lambda: eval_matrix(zpoly(1, 1), RatMatrix([[1, 2]])), "needs a square matrix"),
+    ("char_poly", lambda: char_poly(RatMatrix([[1, 2]])), "needs a square matrix"),
+]
+
+
+@pytest.mark.parametrize("name, call, message", UNIPOLY_REFUSALS, ids=[c[0] for c in UNIPOLY_REFUSALS])
+def test_univariate_refusals(name, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_charpoly_matches_cofactor_expansion(rng):
