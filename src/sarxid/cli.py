@@ -4,8 +4,7 @@ Every subcommand reads JSON files, runs one analysis, and returns a report
 and whether its verdict is affirmative.  `main` alone prints the report, as
 JSON (the contract format) or as an indented text rendering of the same
 data, and turns the verdict into the exit code: 0 affirmative, 1 negative
-or inconclusive, 2 for an `InputError`.  All randomness flows from --seed,
-which the SARX_SEED environment variable overrides.
+or inconclusive, 2 for an `InputError`.  All randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from .identifiability import (
@@ -156,13 +154,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    env_seed = os.environ.get("SARX_SEED")
-    if env_seed is not None:
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            print("invalid SARX_SEED %r" % env_seed, file=sys.stderr)
-            return 2
     try:
         report, positive = args.func(args)
     except InputError as exc:

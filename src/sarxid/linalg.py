@@ -9,10 +9,11 @@ eliminations, both simulators and `Subspace` read that form, and a matrix
 that several of them read is cleared once.  One elimination, `_insert`,
 adds a primitive integer row to an echelon basis by fraction-free steps
 (`_reduce`, the step of `multipoly._remainder` for polynomials; Bareiss,
-Math. Comp. 22, 1968), and `_back_substitute` takes the basis to its
-reduced form with the same step.  rref, kernel and every linear solve
-read their answer off the basis; only `determinant` tracks the scalings,
-and it stops at the first dependent row.  `_null_rows` is the one reader
+Math. Comp. 22, 1968).  Its callers are the `Subspace` worklist and
+`determinant`, which tracks the scalings and stops at the first dependent
+row.  The row space of a matrix is a `Subspace` of its integer rows:
+rref, kernels and `solve_affine` read their answer off its reduced rows,
+which `Subspace` builds with the same step.  `_null_rows` is the one reader
 of null directions, for kernels, `annihilator` and `lss._graph_map`.
 One product, `sparse_apply`, applies an integer matrix read once as
 sparse rows to an integer vector: `@`, the subspace closure, the state
@@ -169,29 +170,24 @@ class RatMatrix:
 
     # -- elimination --------------------------------------------------
 
-    def _echelon(self):
-        """The echelon basis of the integer form's rows, inserted one at a time by `_insert`."""
-        basis = []
-        for v in self.integer_form()[1]:
-            if len(basis) == self.cols:
-                break
-            _insert(basis, v)
-        return basis
+    def _row_space(self):
+        """The row space, the integer rows fed last-first so that the worklist inserts them in order."""
+        return Subspace(self.cols, reversed(self.integer_form()[1]))
 
     def rref(self):
-        """Reduced row echelon form, built from the integer echelon form.
+        """Reduced row echelon form, read off the reduced rows of the row space.
 
         Returns (R, pivot_columns).  rank == len(pivot_columns).
         `test_rref_is_idempotent_and_rank_revealing` checks it against sympy.
         """
-        reduced = _back_substitute(self._echelon())
+        reduced = self._row_space()._rows()
         m = [_fractions(row, row[p]) for p, row in reduced]
         m += [[_ZERO] * self.cols] * (self.rows - len(m))
         return RatMatrix(m, self.cols), [p for p, _ in reduced]
 
     def kernel_basis(self):
         """Basis of {x : Mx = 0} as a list of n x 1 column matrices."""
-        return _kernel(_back_substitute(self._echelon()), self.cols)
+        return _kernel(self._row_space()._rows(), self.cols)
 
     def determinant(self):
         """Bareiss: the integer form's rows inserted one at a time; 0 at the first dependent one.
@@ -301,20 +297,6 @@ def _insert(basis, v):
     return pivot, v, mul, div
 
 
-def _back_substitute(basis):
-    """The reduced echelon form of an echelon basis, as primitive integer rows.
-
-    Each row, from the last up, is reduced at the pivots below it by
-    `_reduce`, which keeps its own pivot entry positive; row i of the rref
-    is row i divided by its entry at its pivot.
-    """
-    done = []
-    for p, v in reversed(basis):
-        done.append((p, _reduce(v, done)[0]))
-    done.reverse()
-    return done
-
-
 def _fractions(row, d):
     return tuple(Fraction(x, d) if x else _ZERO for x in row)
 
@@ -373,7 +355,7 @@ def solve_affine(a: RatMatrix, b: RatMatrix):
     if a.rows != b.rows or b.cols != 1:
         raise ValueError("shape mismatch in solve_affine")
     augmented = RatMatrix._of([ra + rb for ra, rb in zip(a._data, b._data)], a.cols + 1)
-    reduced = _back_substitute(augmented._echelon())
+    reduced = augmented._row_space()._rows()
     if reduced and reduced[-1][0] == a.cols:
         return None
     x = [_ZERO] * a.cols
@@ -407,6 +389,8 @@ class Subspace:
                 raise ValueError("vector length mismatch")
             v = [x if type(x) in (int, Fraction) else exact(x) for x in v]
             work.append(cleared([v])[1][0])
+        if any(m.shape != (ambient_dim, ambient_dim) for m in maps):
+            raise ValueError("map shape mismatch")
         rows = [sparse_rows(m.integer_form()[1]) for m in maps]
         basis = []
         while work and len(basis) < ambient_dim:
@@ -421,9 +405,17 @@ class Subspace:
         return len(self._basis)
 
     def _rows(self):
-        """The canonical basis: the rref rows, each as its primitive integer multiple."""
+        """The canonical basis: the rref rows, each as its primitive integer multiple.
+
+        Each basis row, from the last up, is reduced at the pivots below it by
+        `_reduce`, which keeps its pivot entry positive; row i of the rref is
+        row i divided by its entry at its pivot.
+        """
         if self._reduced is None:
-            self._reduced = _back_substitute(self._basis)
+            done = []
+            for p, v in reversed(self._basis):
+                done.append((p, _reduce(v, done)[0]))
+            self._reduced = done[::-1]
         return self._reduced
 
     def basis_rows_matrix(self):

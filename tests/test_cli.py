@@ -497,11 +497,13 @@ def test_main_builds_one_parser(capsys):
     assert cli.build_parser.cache_info().misses == 1
 
 
-def test_env_seed_overrides(capsys, monkeypatch):
-    monkeypatch.setenv("SARX_SEED", "not-an-int")
-    code, _, err = run_cli(capsys, "param-generic", fixture_path("engine_family.json"))
-    assert code == 2
-    assert "SARX_SEED" in err
-    monkeypatch.setenv("SARX_SEED", "3")
-    code, out, _ = run_cli(capsys, "param-generic", fixture_path("engine_family.json"))
-    assert code == 0
+def test_env_seed_is_ignored(capsys, monkeypatch):
+    """--seed is the one seed: SARX_SEED, valid or not, changes neither exit code nor output."""
+    argv = ("param-generic", fixture_path("engine_family.json"))
+    monkeypatch.delenv("SARX_SEED", raising=False)
+    plain = run_cli(capsys, *argv)
+    assert plain[0] == 0
+    assert run_cli(capsys, *argv, "--seed", 3)[1] != plain[1]
+    for value in ("3", "not-an-int"):
+        monkeypatch.setenv("SARX_SEED", value)
+        assert run_cli(capsys, *argv) == plain

@@ -91,6 +91,31 @@ def test_determinant_stops_at_the_first_dependent_row(monkeypatch):
     assert len(calls) == 2
 
 
+TALL = [[1, 2, 0], [0, 1, 1], [3, 0, 1], [1, 1, 1], [2, 5, 7]]
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: m.rref(),
+    lambda m: m.kernel_basis(),
+    lambda m: solve_affine(RatMatrix([r[:2] for r in m.to_lists()]), RatMatrix.column(m.col(2))),
+], ids=["rref", "kernel_basis", "solve_affine"])
+def test_eliminations_insert_rows_in_order_and_stop_once_full(monkeypatch, call):
+    """The first three rows of the 5 x 3 matrix are independent: only they are inserted, in order.
+
+    For solve_affine they are [A | b] of an inconsistent system with A of rank 2.
+    """
+    calls = []
+    original = linalg._insert
+
+    def counting(basis, v):
+        calls.append(list(v))
+        return original(basis, v)
+
+    monkeypatch.setattr(linalg, "_insert", counting)
+    call(RatMatrix(TALL))
+    assert calls == TALL[:3]
+
+
 def test_solve_affine_full_solution_set(rng):
     for _ in range(40):
         a = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
@@ -445,6 +470,11 @@ SHAPE_REFUSALS = [
      "shape mismatch in solve_affine"),
     ("subspace column", lambda a: Subspace(3, [RatMatrix.column([1, 2])]), "vector shape mismatch"),
     ("subspace vector", lambda a: Subspace(3, [[1, 2]]), "vector length mismatch"),
+    ("subspace small map", lambda a: Subspace(3, [[1, 0, 0]], [RatMatrix([[0, 1], [1, 0]])]),
+     "map shape mismatch"),
+    ("subspace large map", lambda a: Subspace(2, [[1, 0]], [RatMatrix.identity(3)]),
+     "map shape mismatch"),
+    ("subspace non-square map", lambda a: Subspace(3, [[1, 0, 0]], [a]), "map shape mismatch"),
 ]
 
 
