@@ -11,9 +11,10 @@ route is sound but not complete.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from .lss import associated_lss, is_minimal_lss
 from .rationals import InputError, format_rational
@@ -45,15 +46,19 @@ class Theorem2Data:
     psi, phi and phi_next hold q = qh too; b_scale holds only `pairs`.  On the
     diagonal psi_j = z^j, so phi[(q,q)] = sum_{j<=nu} h_q^(ny+j) z^(nu-j) is the
     numerator N_q of mode q's transfer function.
+
+    psi, phi and phi_next are read-only mappings that build a pair's value on
+    its first read and cache it, so a check that stops at its first passing
+    pair builds no other pair; phi and phi_next read their pair's cached psi.
     """
 
     pairs: tuple
     chi: dict
     upsilon: dict
     d: dict
-    psi: dict
-    phi: dict
-    phi_next: dict
+    psi: Mapping
+    phi: Mapping
+    phi_next: Mapping
     b_scale: dict
 
 
@@ -62,6 +67,31 @@ def _horner(lead, coeffs, z):
     for c in coeffs:
         lead = lead * z + c
     return lead
+
+
+class _PairMap(Mapping):
+    """Read-only map over every ordered pair of `labels`, diagonal included,
+    q outer; a pair's value is `build(pair)`, made on its first read and
+    cached.  A pair outside the labels raises KeyError."""
+
+    def __init__(self, labels, build):
+        self._values = dict.fromkeys(product(labels, repeat=2))
+        self._build = build
+
+    def __getitem__(self, pair):
+        value = self._values[pair]
+        if value is None:
+            value = self._values[pair] = self._build(pair)
+        return value
+
+    def __contains__(self, pair):
+        return pair in self._values
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self):
+        return len(self._values)
 
 
 def _theorem2(ny, nu, h, ring) -> Theorem2Data:
@@ -85,17 +115,25 @@ def _theorem2(ny, nu, h, ring) -> Theorem2Data:
             prev = seq[-1]
             seq.append((sum(c * x for c, x in zip(hq, prev)),) + prev[:-1])
         d[q] = seq
-    psi, phi, phi_next = {}, {}, {}
-    for q in labels:
-        for qh in labels:
-            diff = [a - b for a, b in zip(h[qh][:ny], h[q][:ny])]
-            seq = [one]
-            for j in range(nu):
-                seq.append(z * seq[-1] + sum(c * x for c, x in zip(diff, d[qh][j])))
-            num = h[qh][ny:]
-            psi[(q, qh)] = seq
-            phi[(q, qh)] = sum((c * p for c, p in zip(num, reversed(seq[:-1]))), zero)
-            phi_next[(q, qh)] = sum((c * p for c, p in zip(num, reversed(seq[1:]))), zero)
+
+    def psi_of(pair):
+        q, qh = pair
+        diff = [a - b for a, b in zip(h[qh][:ny], h[q][:ny])]
+        seq = [one]
+        for j in range(nu):
+            seq.append(z * seq[-1] + sum(c * x for c, x in zip(diff, d[qh][j])))
+        return seq
+
+    def weighted(pair, seq):
+        return sum((c * p for c, p in zip(h[pair[1]][ny:], reversed(seq))), zero)
+
+    def phi_of(pair):
+        return weighted(pair, psi[pair][:-1])
+
+    def phi_next_of(pair):
+        return weighted(pair, psi[pair][1:])
+
+    psi = _PairMap(labels, psi_of)
     pairs = tuple(permutations(labels, 2))
     t = {q: hq[-1] for q, hq in h.items()}
     b_scale = {
@@ -108,8 +146,8 @@ def _theorem2(ny, nu, h, ring) -> Theorem2Data:
         upsilon=upsilon,
         d=d,
         psi=psi,
-        phi=phi,
-        phi_next=phi_next,
+        phi=_PairMap(labels, phi_of),
+        phi_next=_PairMap(labels, phi_next_of),
         b_scale=b_scale,
     )
 

@@ -156,12 +156,21 @@ def _remainder(work, divisors, guard):
 
     Returns (remainder, scale): scale * work and the remainder differ by a
     member of the ideal.
+
+    A monomial order puts a monomial at or above each of its divisors, so
+    once the work's leading monomial is below every divisor's, no divisor
+    divides any work term: the rest of the work joins the remainder, whose
+    terms are earlier and larger leading monomials, in one step.
     """
     # raw term dicts avoid per-step polynomial construction in the hot loop
     scale = 1
     remainder = {}
+    low = min((g[0] for g in divisors), default=None)
     while work:
         lm = max(work)
+        if low is None or lm < low:
+            remainder.update(work)
+            break
         w = work.pop(lm)
         for glm, lc, tail, top in divisors:
             shift = lm - glm

@@ -1,6 +1,7 @@
 from datetime import timedelta
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from sarxid import (
     ideals_equal,
     normal_form,
 )
+from sarxid import multipoly
 from test_multipoly import SYMS, VARS, random_mpoly
 
 
@@ -241,3 +243,32 @@ def test_normal_form_matches_fraction_reference(f, divisors, kind):
     # leading coefficient
     order = PROPERTY_ORDERS[kind]
     assert normal_form(f, divisors, order) == normal_form_reference(f, divisors, order)
+
+
+@pytest.mark.parametrize("kind", sorted(PROPERTY_ORDERS))
+def test_remainder_moves_work_below_every_divisor_at_once(kind, monkeypatch):
+    order = PROPERTY_ORDERS[kind]
+    x, y, w = (MultiPoly.variable(VARS, i) for i in range(len(VARS)))
+
+    def remainder(f, divisors):
+        """(remainder, scale, leading monomials the division looked up)."""
+        forms = [multipoly._primitive(order.pack(g.terms)[1], order.guard) for g in divisors]
+        leads = []
+
+        def counting_max(work):
+            leads.append(max(work))
+            return leads[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(multipoly, "max", counting_max, raising=False)
+            r, scale = multipoly._remainder(order.pack(f.terms)[1], forms, order.guard)
+        return MultiPoly(VARS, {order.unpack(e): c for e, c in r.items()}), scale, len(leads)
+
+    # every term is below x*y, the lower leading monomial in both orders
+    below, low_divisors = y * w + w * 2 - 1, [x * x + y, x * y * 2 - 1]
+    assert remainder(below, low_divisors) == (below, 1, 1)
+    # one division step by 3x^2 + y, then four terms below x^2 move at once
+    f, divisors = x * x * x * 2 + x * w + w + 1, [x * x * 3 + y]
+    assert remainder(f, divisors) == (x * w * 3 - x * y * 2 + w * 3 + 3, 3, 2)
+    for g, basis in [(below, low_divisors), (f, divisors)]:
+        assert normal_form(g, basis, order) == normal_form_reference(g, basis, order)

@@ -7,6 +7,7 @@ from conftest import fixture_path, matrix_power, random_siso_model, rank, zpoly
 from oracles import theorem2_witnesses_sympy, vstack
 from sarxid import (
     InputError,
+    PolyParametrization,
     RatMatrix,
     SarxModel,
     arx_is_minimal,
@@ -18,9 +19,11 @@ from sarxid import (
     condition_b_scalar,
     eval_matrix,
     gamma_polynomials,
+    procedure1,
     sarx_minimality_sufficient,
     theorem2_polynomials,
 )
+from sarxid import minimality
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +65,54 @@ def test_counterexample_not_strongly_minimal():
     verdict = check_strong_minimality(m, method="exact-rank")
     assert verdict.strong_minimal is False
     assert verdict.unobservable_dim > 0
+
+
+@pytest.fixture
+def pair_builds(monkeypatch):
+    """(builder name, pair) for each psi, phi and phi_next value built."""
+    built = []
+    init = minimality._PairMap.__init__
+
+    def counting_init(self, labels, build):
+        def counted(pair):
+            built.append((build.__name__, pair))
+            return build(pair)
+
+        init(self, labels, counted)
+
+    monkeypatch.setattr(minimality._PairMap, "__init__", counting_init)
+    return built
+
+
+def test_pair_data_is_built_on_first_read(reference_model, pair_builds):
+    data = theorem2_polynomials(reference_model)
+    assert list(data.phi) == [("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")]
+    assert ("2", "1") in data.phi_next and ("1", "3") not in data.psi
+    assert pair_builds == []
+    # condition A passes on its first pair, and condition B reads no pair data
+    assert check_condition_a(data) == ("1", "2")
+    assert check_condition_b(data) == ("1", "2")
+    assert sorted(pair_builds) == [("phi_of", ("1", "2")), ("psi_of", ("1", "2"))]
+    # phi_next reads the cached psi, and a second read builds nothing
+    data.phi_next[("1", "2")]
+    data.phi[("1", "2")]
+    assert sorted(pair_builds) == [
+        ("phi_next_of", ("1", "2")),
+        ("phi_of", ("1", "2")),
+        ("psi_of", ("1", "2")),
+    ]
+    for missing in [("1", "3"), ("3", "3"), "1"]:
+        with pytest.raises(KeyError):
+            data.phi[missing]
+
+
+def test_procedure1_builds_only_off_diagonal_phi_next(pair_builds):
+    par = PolyParametrization.load(fixture_path("example8_first_family.json"))
+    procedure1(par)
+    pairs = [(q, qh) for q in par.labels for qh in par.labels if q != qh]
+    assert sorted(pair_builds) == sorted(
+        [("phi_next_of", pair) for pair in pairs] + [("psi_of", pair) for pair in pairs]
+    )
 
 
 def test_strong_minimality_despite_nonminimal_arx_modes(reference_model):
