@@ -12,21 +12,19 @@ genericity evidence.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .groebner import buchberger, elimination_ideal
 from .linalg import RatMatrix
 from .minimality import Theorem2Data, _theorem2, check_strong_minimality
 from .multipoly import MonomialOrder, MultiPoly
-from .rationals import InputError, exact, malformed, read_modes
+from .rationals import InputError, Record, exact, malformed, read_modes
 from .sarx import SarxModel, SarxType
 from .unipoly import Z_RING
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
 class PolyParametrization(SarxType):
     """Map from parameter space Q^d to SARX models of its type, polynomial per coefficient.
 
@@ -34,7 +32,7 @@ class PolyParametrization(SarxType):
     entry of the mode's coefficient matrix, each in the ring of `vars`.
     """
 
-    vars: tuple = field(kw_only=True)
+    vars: tuple
 
     def __post_init__(self):
         super().__post_init__()
@@ -109,8 +107,7 @@ def symbolic_theorem2(par: PolyParametrization) -> Theorem2Data:
     return _theorem2(par.ny, par.nu, h, ring)
 
 
-@dataclass(frozen=True)
-class IdentifiableRegion:
+class IdentifiableRegion(Record):
     """Region {theta : some P in s does not vanish} of strongly minimal instances."""
 
     vars: tuple
@@ -198,8 +195,7 @@ def verify_region_membership(region: IdentifiableRegion, theta) -> bool:
     return any(f.eval(theta) != 0 for f in region.s)
 
 
-@dataclass(frozen=True)
-class InjectivityEvidence:
+class InjectivityEvidence(Record):
     """kind: "injective-affine", "collision" or "no-collision-found"."""
 
     kind: str
@@ -282,8 +278,7 @@ def genericity_witness(par: PolyParametrization, samples=20, seed=0):
     return None, samples
 
 
-@dataclass(frozen=True)
-class IdentifiabilityReport:
+class IdentifiabilityReport(Record):
     identifiable: bool
     region_nonempty: bool
     injectivity: InjectivityEvidence

@@ -14,7 +14,6 @@ one linear solve finds the n(n - r) entries of S that it leaves.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (
@@ -28,22 +27,20 @@ from .linalg import (
     sparse_apply,
     sparse_rows,
 )
-from .rationals import InputError, JsonLoadable, malformed, parse_int, read_modes
+from .rationals import InputError, JsonLoadable, Record, malformed, parse_int, read_modes
 from .sarx import HybridWord, SarxModel
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class LssMode:
+class LssMode(Record):
     a: RatMatrix
     b: RatMatrix
     c: RatMatrix
 
 
-@dataclass(frozen=True)
-class Lss(JsonLoadable):
+class Lss(Record, JsonLoadable):
     n: int
     m: int
     p: int
@@ -179,8 +176,7 @@ def unobservable_space(sys: Lss) -> Subspace:
     return reachable_span(dual(sys)).annihilator()
 
 
-@dataclass(frozen=True)
-class LssMinimalityCertificate:
+class LssMinimalityCertificate(Record):
     minimal: bool
     reachable_dim: int
     unobservable_dim: int
@@ -199,8 +195,7 @@ def is_minimal_lss(sys: Lss) -> LssMinimalityCertificate:
     )
 
 
-@dataclass(frozen=True)
-class IsoSolution:
+class IsoSolution(Record):
     """Solution set of the exact intertwining system between two systems.
 
     kind is one of "none", "unique-identity", "unique-other",

@@ -12,12 +12,11 @@ route is sound but not complete.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
 from .lss import associated_lss, is_minimal_lss
-from .rationals import InputError, format_rational
+from .rationals import InputError, Record, format_rational
 from .sarx import SarxModel
 from .multipoly import MultiPoly
 from .unipoly import Z_RING, is_coprime
@@ -26,8 +25,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Theorem2Data:
+class Theorem2Data(Record):
     """Polynomial data backing the sufficient strong-minimality conditions.
 
     Polynomials are MultiPoly in z over the ring of the coefficients h_q^j:
@@ -218,8 +216,7 @@ def check_condition_b(data: Theorem2Data):
     return None
 
 
-@dataclass(frozen=True)
-class MinimalityVerdict:
+class MinimalityVerdict(Record):
     """Outcome of a strong-minimality check.
 
     strong_minimal is None when only the sufficient conditions were run and

@@ -8,6 +8,11 @@ every value that is not a string.
 
 Input the program refuses, from an unreadable file to a model of the wrong
 shape, raises `InputError`; the CLI turns it into exit code 2.
+
+`Record` is the one immutable value type: the models, systems, verdicts and
+reports of the package are its subclasses.  It stands in for frozen
+dataclasses, whose import and per-class code generation were most of the
+package's start-up time.
 """
 
 import json
@@ -36,6 +41,62 @@ class JsonLoadable:
     @classmethod
     def load(cls, path):
         return cls.from_json_dict(load_json(path))
+
+
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or a deletion of, an attribute of a `Record`."""
+
+
+class Record:
+    """An immutable value whose fields are its class annotations, base fields first.
+
+    Each subclass gets, at its creation, a generated `__init__` that takes
+    the fields by position or by keyword, with class-level values as
+    defaults, sets them and then runs `__post_init__`, if the class has one.
+    `==` compares two records of the same class field by field, `hash`
+    hashes the field tuple, and assigning or deleting an attribute raises
+    `FrozenInstanceError`.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        # the class's own annotations: `cls.__annotations__` may be a base's
+        own = cls.__dict__.get("__annotations__", {})
+        cls._fields = fields = cls._fields + tuple(f for f in own if f not in cls._fields)
+        # one __init__ per class, written out the way `collections.namedtuple`
+        # writes its __new__: a generic *args/**kwargs one is 2.7 times slower
+        defaults = {f: getattr(cls, f) for f in fields if hasattr(cls, f)}
+        params = ", ".join(f + "=_defaults[%r]" % f if f in defaults else f for f in fields)
+        body = ["_set(self, %r, %s)" % (f, f) for f in fields]
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        namespace = {"_set": object.__setattr__, "_defaults": defaults}
+        exec("def __init__(self, %s):\n    %s" % (params, "\n    ".join(body)), namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = cls.__qualname__ + ".__init__"
+        cls.__init__ = init
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
 
 
 @contextmanager

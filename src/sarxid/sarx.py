@@ -10,13 +10,13 @@ product, to that regressor kept as a shift register.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import RatMatrix, cleared, lowest_terms, sparse_apply, sparse_rows
 from .rationals import (
     InputError,
     JsonLoadable,
+    Record,
     exact,
     format_rational,
     malformed,
@@ -28,8 +28,7 @@ from .rationals import (
 _HEADER = ("ny", "nu", "p", "m")
 
 
-@dataclass(frozen=True)
-class SarxType(JsonLoadable):
+class SarxType(Record, JsonLoadable):
     """A SARX type (n_y, n_u, p, m) and its modes.
 
     A model (`SarxModel`) holds a coefficient matrix per mode, a family
@@ -75,7 +74,6 @@ class SarxType(JsonLoadable):
         return [parse_int(obj[k]) for k in _HEADER]
 
 
-@dataclass(frozen=True)
 class SarxModel(SarxType):
     """A SARX type with one p x width coefficient matrix h_q per mode."""
 

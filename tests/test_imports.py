@@ -1,11 +1,14 @@
-"""Every import in the package and its tests is used.
+"""Every import in the package and its tests is used, and start-up stays light.
 
 No linter is a dependency of this project, so this AST scan is the check.
 `__init__.py` files re-export their imports and are skipped.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -148,3 +151,20 @@ class Box:
 def test_every_definition_is_used_or_names_its_check():
     sources = {p.stem: p.read_text() for p in PACKAGE}
     assert unchecked_surface(sources, TESTS) == []
+
+
+# -- start-up: a CLI call imports no code generator ------------------------
+
+HEAVY = ("dataclasses", "inspect", "ast")
+
+
+def test_cli_import_loads_no_heavy_module():
+    """`dataclasses` pulls in `inspect`, `ast` and `dis`: most of the import
+    time of `sarxid.cli` before `rationals.Record` replaced it.  pytest
+    itself loads these modules, so a fresh interpreter checks; -S keeps
+    site-packages' own start-up hooks out of the count."""
+    code = "import sys, sarxid.cli; print(*sorted(set(%r) & set(sys.modules)))" % (HEAVY,)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == []
