@@ -211,7 +211,7 @@ class InjectivityEvidence(Record):
 
 
 def _affine_linear_part(par: PolyParametrization):
-    """Rows of linear coefficients if every coefficient poly is affine, else None."""
+    """The matrix of linear coefficients if every coefficient poly is affine, else None."""
     rows = []
     for q in par.labels:
         for f in par.modes[q]:
@@ -222,7 +222,7 @@ def _affine_linear_part(par: PolyParametrization):
                 exp = tuple(1 if j == i else 0 for j in range(par.dim))
                 row.append(f.terms.get(exp, _ZERO))
             rows.append(row)
-    return RatMatrix(rows) if rows else None
+    return RatMatrix(rows)
 
 
 def _draw_theta(rng, dim):

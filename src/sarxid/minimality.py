@@ -15,7 +15,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import permutations, product
 
-from .lss import associated_lss, is_minimal_lss
+from .lss import LssMinimalityCertificate, associated_lss, is_minimal_lss
 from .rationals import InputError, Record, format_rational
 from .sarx import SarxModel
 from .multipoly import MultiPoly
@@ -221,6 +221,7 @@ class MinimalityVerdict(Record):
 
     strong_minimal is None when only the sufficient conditions were run and
     they failed (the conditions are not necessary, so nothing follows).
+    certificate is the rank route's evidence, None when only Theorem 2 ran.
     """
 
     method: str
@@ -228,10 +229,14 @@ class MinimalityVerdict(Record):
     condition_a_witness: tuple | None = None
     condition_b_witness: tuple | None = None
     condition_b_value: Fraction | None = None
-    sufficient_holds: bool | None = None
-    reachable_dim: int | None = None
-    unobservable_dim: int | None = None
-    state_dim: int | None = None
+    certificate: LssMinimalityCertificate | None = None
+
+    @property
+    def sufficient_holds(self) -> bool | None:
+        """Whether both Theorem-2 witnesses were found; None when Theorem 2 did not run."""
+        if self.method == "exact-rank":
+            return None
+        return self.condition_a_witness is not None and self.condition_b_witness is not None
 
     def to_json_dict(self):
         out = {
@@ -257,11 +262,11 @@ class MinimalityVerdict(Record):
                     else None,
                 },
             }
-        if self.reachable_dim is not None:
+        if self.certificate is not None:
             out["certificates"] = {
-                "reachable_dim": self.reachable_dim,
-                "unobservable_dim": self.unobservable_dim,
-                "state_dim": self.state_dim,
+                "reachable_dim": self.certificate.reachable_dim,
+                "unobservable_dim": self.certificate.unobservable_dim,
+                "state_dim": self.certificate.state_dim,
             }
         return out
 
@@ -269,22 +274,18 @@ class MinimalityVerdict(Record):
 def check_strong_minimality(model: SarxModel, method="exact-rank") -> MinimalityVerdict:
     if method not in ("exact-rank", "theorem2", "both"):
         raise ValueError("unknown method %r" % method)
-    wa = wb = None
-    value = None
-    sufficient = None
-    if method in ("theorem2", "both"):
+    wa = wb = value = cert = None
+    if method != "exact-rank":
         data = theorem2_polynomials(model)
         wa = check_condition_a(data)
         wb = check_condition_b(data)
         if wb is not None:
             value = condition_b_scalar(model, *wb)
-        sufficient = wa is not None and wb is not None
-    cert = None
-    if method in ("exact-rank", "both"):
-        cert = is_minimal_lss(associated_lss(model))
+    sufficient = wa is not None and wb is not None
     if method == "theorem2":
         strong = True if sufficient else None
     else:
+        cert = is_minimal_lss(associated_lss(model))
         strong = cert.minimal
         if sufficient and not strong:
             raise AssertionError(
@@ -297,10 +298,7 @@ def check_strong_minimality(model: SarxModel, method="exact-rank") -> Minimality
         condition_a_witness=wa,
         condition_b_witness=wb,
         condition_b_value=value,
-        sufficient_holds=sufficient,
-        reachable_dim=cert.reachable_dim if cert else None,
-        unobservable_dim=cert.unobservable_dim if cert else None,
-        state_dim=cert.state_dim if cert else None,
+        certificate=cert,
     )
 
 

@@ -77,7 +77,7 @@ def test_criterion_02_counterexample_discrimination():
     bad = SarxModel.load(fixture_path("remark1_counterexample.json"))
     verdict = check_strong_minimality(bad, method="exact-rank")
     assert verdict.strong_minimal is False
-    assert verdict.unobservable_dim > 0
+    assert verdict.certificate.unobservable_dim > 0
     good = SarxModel.load(fixture_path("example3.json"))
     assert check_strong_minimality(good).strong_minimal is True
     assert not arx_is_minimal(theorem2_polynomials(good), "1")

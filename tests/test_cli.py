@@ -30,6 +30,84 @@ def test_check_min_exit_codes(capsys):
     assert json.loads(out)["strong_minimal"] is False
 
 
+def sufficient(a, b, scalar):
+    """The "sufficient_conditions" entry for witnesses a and b and condition B's scalar."""
+    return {
+        "hold": a is not None and b is not None,
+        "A": {"holds": a is not None, "witness": a},
+        "B": {"holds": b is not None, "witness": b, "scalar": scalar},
+    }
+
+
+def certificates(reachable, unobservable, n):
+    return {"reachable_dim": reachable, "unobservable_dim": unobservable, "state_dim": n}
+
+
+# one model with both witnesses for mode pair (1, 2), one whose condition B
+# fails, and one where neither condition holds (nothing follows: null, exit 1)
+NEITHER = {"ny": 1, "nu": 1, "p": 1, "m": 1, "modes": {"1": [["1", "0"]], "2": [["2", "0"]]}}
+CHECK_MIN_REPORTS = [
+    ("example3.json", "exact-rank", 0,
+     {"method": "exact-rank", "strong_minimal": True, "certificates": certificates(4, 0, 4)}),
+    ("example3.json", "theorem2", 0,
+     {"method": "theorem2", "strong_minimal": True,
+      "sufficient_conditions": sufficient(["1", "2"], ["1", "2"], "-3")}),
+    ("example3.json", "both", 0,
+     {"method": "both", "strong_minimal": True,
+      "sufficient_conditions": sufficient(["1", "2"], ["1", "2"], "-3"),
+      "certificates": certificates(4, 0, 4)}),
+    ("remark1_counterexample.json", "both", 1,
+     {"method": "both", "strong_minimal": False,
+      "sufficient_conditions": sufficient(["1", "2"], None, None),
+      "certificates": certificates(4, 2, 4)}),
+    ("neither.json", "theorem2", 1,
+     {"method": "theorem2", "strong_minimal": None,
+      "sufficient_conditions": sufficient(None, None, None)}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, method, expected, report", CHECK_MIN_REPORTS,
+    ids=["%s %s" % (name, method) for name, method, _, _ in CHECK_MIN_REPORTS],
+)
+def test_check_min_report_is_pinned(capsys, tmp_path, name, method, expected, report):
+    if name == "neither.json":
+        path = tmp_path / name
+        path.write_text(json.dumps(NEITHER))
+    else:
+        path = fixture_path(name)
+    code, out, err = run_cli(capsys, "check-min", path, "--method", method)
+    assert (code, err) == (expected, "")
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def test_check_min_text_keeps_the_report_order(capsys):
+    code, out, _ = run_cli(
+        capsys, "check-min", fixture_path("remark1_counterexample.json"),
+        "--method", "both", "--format", "text",
+    )
+    assert code == 1
+    assert out.splitlines() == [
+        "method: both",
+        "strong_minimal: False",
+        "sufficient_conditions:",
+        "  hold: False",
+        "  A:",
+        "    holds: True",
+        "    witness:",
+        "      - 1",
+        "      - 2",
+        "  B:",
+        "    holds: False",
+        "    witness: None",
+        "    scalar: None",
+        "certificates:",
+        "  reachable_dim: 4",
+        "  unobservable_dim: 2",
+        "  state_dim: 4",
+    ]
+
+
 def test_malformed_input_exits_two(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"ny": 2')

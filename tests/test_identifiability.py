@@ -233,6 +233,21 @@ def test_injectivity_collision_for_rank_deficient_affine_family(capsys, tmp_path
     assert json.loads(capsys.readouterr().out)["kind"] == "collision"
 
 
+def test_injectivity_probe_is_inconclusive_for_an_injective_cubic(capsys, tmp_path):
+    # theta -> theta^3 is injective but not affine: no proof and no collision.
+    # Each of these seeds draws a pair with theta2 = theta1 (theta1 = 0 is its
+    # own negation), which the probe must skip rather than report
+    par = PolyParametrization(
+        vars=("theta",), ny=1, nu=1, p=1, m=1,
+        modes={"1": (MultiPoly.variable(("theta",), 0, 3), MultiPoly.constant(("theta",), 1))},
+    )
+    for seed in range(3):
+        assert injectivity_probe(par, seed=seed).kind == "no-collision-found", seed
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(par.to_json_dict()))
+    assert main(["param-injective", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"kind": "no-collision-found"}
+
 def test_family_type_is_checked_at_construction():
     # p = 0 or m = 0 was accepted and failed only when instantiated
     t = MultiPoly.variable(("t",), 0)

@@ -7,6 +7,7 @@ from conftest import fixture_path, matrix_power, random_siso_model, rank, zpoly
 from oracles import theorem2_witnesses_sympy, vstack
 from sarxid import (
     InputError,
+    LssMinimalityCertificate,
     PolyParametrization,
     RatMatrix,
     SarxModel,
@@ -55,7 +56,7 @@ def test_reference_verdicts(reference_model):
     both = check_strong_minimality(reference_model, method="both")
     assert both.strong_minimal is True
     assert both.sufficient_holds is True
-    assert both.reachable_dim == 4 and both.unobservable_dim == 0
+    assert both.certificate.reachable_dim == 4 and both.certificate.unobservable_dim == 0
     only = check_strong_minimality(reference_model, method="theorem2")
     assert only.strong_minimal is True
 
@@ -64,7 +65,7 @@ def test_counterexample_not_strongly_minimal():
     m = SarxModel.load(fixture_path("remark1_counterexample.json"))
     verdict = check_strong_minimality(m, method="exact-rank")
     assert verdict.strong_minimal is False
-    assert verdict.unobservable_dim > 0
+    assert verdict.certificate.unobservable_dim > 0
 
 
 @pytest.fixture
@@ -268,3 +269,20 @@ def test_theorem2_rejects_mimo():
 def test_unknown_minimality_method_is_refused(reference_model):
     with pytest.raises(ValueError, match="unknown method 'x'"):
         check_strong_minimality(reference_model, method="x")
+
+
+def test_soundness_cross_check_raises(reference_model, monkeypatch):
+    # a rank route that calls the reference model non-minimal while both
+    # coprimality conditions hold contradicts Theorem 2's soundness
+    calls = []
+
+    def not_minimal(sys):
+        calls.append(sys)
+        return LssMinimalityCertificate(False, sys.n, 1, sys.n)
+
+    monkeypatch.setattr(minimality, "is_minimal_lss", not_minimal)
+    with pytest.raises(AssertionError, match="soundness"):
+        check_strong_minimality(reference_model, method="both")
+    assert len(calls) == 1
+    assert check_strong_minimality(reference_model, method="theorem2").strong_minimal is True
+    assert len(calls) == 1

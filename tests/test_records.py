@@ -32,8 +32,8 @@ def test_construction_by_position_keyword_and_default():
     assert LssMode(a, b, c) == LssMode(c=c, a=a, b=b)
     assert LssMode(a, b, c).b is b
     verdict = MinimalityVerdict("exact-rank", True)
-    assert verdict == MinimalityVerdict(method="exact-rank", strong_minimal=True, state_dim=None)
-    assert verdict.condition_a_witness is None and verdict.state_dim is None
+    assert verdict == MinimalityVerdict(method="exact-rank", strong_minimal=True, certificate=None)
+    assert verdict.condition_a_witness is None and verdict.certificate is None
     assert InjectivityEvidence("no-collision-found").collision is None
 
 
