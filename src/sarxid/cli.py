@@ -164,7 +164,3 @@ def main(argv=None):
     else:
         print("\n".join(_render_text(report, [])))
     return 0 if positive else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -49,11 +49,6 @@ class PolyParametrization(SarxType):
     def dim(self):
         return len(self.vars)
 
-    def coeff_poly(self, q, i):
-        """SISO coefficient polynomial for h_q^i, 1-based."""
-        self.require_siso("scalar coefficient access")
-        return self.modes[q][i - 1]
-
     def instantiate(self, theta) -> SarxModel:
         theta = [exact(x) for x in theta]
         if len(theta) != self.dim:
@@ -99,11 +94,9 @@ def symbolic_theorem2(par: PolyParametrization) -> Theorem2Data:
     """
     if Z_RING[0] in par.vars:
         raise InputError('parameter variable named "z" collides with the indeterminate')
+    par.require_siso("scalar coefficient access")
     ring = par.vars + Z_RING
-    h = {
-        q: [par.coeff_poly(q, j).in_ring(ring) for j in range(1, par.width + 1)]
-        for q in par.labels
-    }
+    h = {q: [f.in_ring(ring) for f in par.modes[q]] for q in par.labels}
     return _theorem2(par.ny, par.nu, h, ring)
 
 

@@ -47,8 +47,8 @@ class RatMatrix:
     rows d times the matrix.  It is computed at the first call and kept, and
     callers read it without changing it.  `RatMatrix(...)` checks and
     converts each entry it is given; `_of` takes rows that are already
-    tuples of Fractions, as parsing, `transpose`, `@`, `+`, `-` and the
-    reduced rows of a `Subspace` make them, and checks nothing.
+    tuples of Fractions, as parsing, `transpose`, `@`, `+`, `-`, `scale`
+    and the reduced rows of a `Subspace` make them, and checks nothing.
     """
 
     __slots__ = ("rows", "cols", "_data", "_ints")
@@ -141,7 +141,7 @@ class RatMatrix:
 
     def scale(self, c):
         c = exact(c)
-        return RatMatrix([[c * x for x in row] for row in self._data], self.cols)
+        return RatMatrix._of([tuple(c * x for x in row) for row in self._data], self.cols)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -153,7 +153,7 @@ class RatMatrix:
         rows, de = sparse_rows(left), d * e
         out = [sparse_apply(rows, c) for c in (zip(*right) if right else [()] * other.cols)]
         return RatMatrix._of(
-            [tuple(Fraction(x, de) if x else _ZERO for x in row) for row in zip(*out)]
+            [_fractions(row, de) for row in zip(*out)]
             if out else [()] * self.rows,
             other.cols,
         )
@@ -182,8 +182,8 @@ class RatMatrix:
         """
         reduced = self._row_space()._rows()
         m = [_fractions(row, row[p]) for p, row in reduced]
-        m += [[_ZERO] * self.cols] * (self.rows - len(m))
-        return RatMatrix(m, self.cols), [p for p, _ in reduced]
+        m += [(_ZERO,) * self.cols] * (self.rows - len(m))
+        return RatMatrix._of(m, self.cols), [p for p, _ in reduced]
 
     def kernel_basis(self):
         """Basis of {x : Mx = 0} as a list of n x 1 column matrices."""

@@ -217,19 +217,22 @@ def find_isomorphisms(a: Lss, b: Lss, seed=0) -> IsoSolution:
     """Solve {S A_q = A'_q S, S B_q = B'_q, C'_q S = C_q, S x0 = x0'} for S.
 
     A solution's graph {(x, Sx)} holds the reachable span W of the direct sum
-    of a and b (`_graph_map`): every T in T0 + span{e_j f^T} maps each u_i to
-    v_i, for the rows (u_i, v_i) of W.  The graph of S^T holds that of dual(b)
-    and dual(a).  The closure leaving fewer unknowns is kept, as T = S or
-    T = S^T, and only the equations it leaves open are written:
+    of a and b (`_graph_map`): the T mapping each u_i to v_i, for the rows
+    (u_i, v_i) of W, are T = T0 + X F, X any n x k matrix.  The graph of S^T
+    holds that of dual(b) and dual(a).  The closure leaving the smaller k is
+    kept, as T = S or T = S^T, and only the equations it leaves open are
+    written, at the k non-pivot columns, where F is the identity:
     - T A_q - A'_q T vanishes on the u_i, since W is invariant under
-      diag(A_q, A'_q), so it is written at the non-pivot e_k only;
+      diag(A_q, A'_q); there it reads X G_q - A'_q X = -R_q, with
+      G_q = F A_q and R_q = T0 A_q - A'_q T0;
     - T B_q = B'_q and T x0 = x0' hold, since their seeds lie in W;
     - C'_q T = C_q is, on the u_i, the constant check C'_q v_i = C_q u_i,
-      and it is written at the e_k.
+      and there it reads C'_q X = -R, with R = C'_q T0 - C_q.
     When T = S^T, (dual(b), dual(a)) takes the place of (a, b), and S x0 = x0'
-    is one more family like C's, x0^T T = x0'^T.  When r = n the checks
-    decide; else the rows become one system in the n(n - r) unknowns, and a
-    family is classified by one generic point and a determinant.
+    is one more family like C's, x0^T T = x0'^T.  When k = 0 the checks
+    decide; else the rows become one system in the n k entries of X, and a
+    family is classified by the first of up to 20 drawn points whose T is
+    invertible.
     """
     if (a.n, a.m, a.p) != (b.n, b.m, b.p) or a.labels != b.labels:
         raise InputError("systems must share dimensions and mode labels")
@@ -243,66 +246,55 @@ def find_isomorphisms(a: Lss, b: Lss, seed=0) -> IsoSolution:
     none = IsoSolution(kind="none", witness=None, family_dim=-1)
     if graph is None:
         return none
-    t0, kernel, us = graph
+    t0, free, f, span = graph
     # each (C', R) asks C' T = C, and R = C' T0 - C must vanish on the u_i
     outs = [(second.modes[q].c, first.modes[q].c) for q in a.labels]
     if transposed:
         outs.append((a.x0.transpose(), b.x0.transpose()))
     outs = [(cp, cp @ t0 - c) for cp, c in outs]
-    span = RatMatrix(us, n).transpose()
     if any(any(row) for _, r in outs for row in (r @ span).to_lists()):
         return none
 
     def oriented(t):
         return t.transpose() if transposed else t
 
-    if not kernel:
+    if not free:
         return _unique(oriented(t0))
 
-    # the unknowns are the entries of S (of S^T when transposed) at the
-    # non-pivot columns, in S's row-major order, the order of the Kronecker
-    # reference; unknown (j, i) is the coefficient of e_j f_i^T in T
-    free, fs = list(kernel), list(kernel.values())
-    if transposed:
-        unknowns = [(j, i) for i in range(len(fs)) for j in range(n)]
-    else:
-        unknowns = [(j, i) for j in range(n) for i in range(len(fs))]
-    column = {u: c for c, u in enumerate(unknowns)}
-    rows, rhs = [], []
+    # X[j, i] takes column j k + i of the system, or i n + j when T = S^T:
+    # either way S's row-major order, the order of the Kronecker reference
+    k, rows, rhs = len(free), [], []
+
+    def col(j, i):
+        return i * n + j if transposed else j * k + i
 
     def equation(entries, value):
-        row = [_ZERO] * len(unknowns)
-        for u, x in entries:
-            row[column[u]] += x
+        row = [_ZERO] * (n * k)
+        for (j, i), x in entries:
+            row[col(j, i)] += x
         rows.append(row)
         rhs.append(-value)
 
-    # f_i is 1 at its own non-pivot k_i and 0 at the others, so at e_(k_i),
-    # e_j f_i'^T A_q contributes (f_i'^T A_q)[k_i] to row j and A'_q e_j f_i'^T
-    # contributes column j of A'_q, for i' = i only
-    funcs = RatMatrix(fs)
     for q in a.labels:
         fa, sa = first.modes[q].a, second.modes[q].a
-        res, g, sa_rows = t0 @ fa - sa @ t0, funcs @ fa, sa.to_lists()
-        for i, k in enumerate(free):
+        res, g, sa_rows = t0 @ fa - sa @ t0, f @ fa, sa.to_lists()
+        for i, c in enumerate(free):
             for r in range(n):
-                equation([((r, i2), g[i2, k]) for i2 in range(len(fs))]
-                         + [((j, i), -sa_rows[r][j]) for j in range(n)], res[r, k])
+                equation([((r, i2), g[i2, c]) for i2 in range(k)]
+                         + [((j, i), -sa_rows[r][j]) for j in range(n)], res[r, c])
     for cp, res in outs:
-        for i, k in enumerate(free):
+        for i, c in enumerate(free):
             for r in range(cp.rows):
-                equation([((j, i), cp[r, j]) for j in range(n)], res[r, k])
-    solution = solve_affine(RatMatrix(rows, len(unknowns)), RatMatrix.column(rhs))
+                equation([((j, i), cp[r, j]) for j in range(n)], res[r, c])
+    solution = solve_affine(RatMatrix(rows, n * k), RatMatrix.column(rhs))
     if solution is None:
         return none
     particular, null = solution
 
     def at(point):
-        t = t0.to_lists()
-        for (j, i), c in zip(unknowns, point.col(0)):
-            if c:
-                t[j] = [x + c * y for x, y in zip(t[j], fs[i])]
-        return oriented(RatMatrix(t))
+        x = point.col(0)
+        return oriented(t0 + RatMatrix._of([tuple(x[col(j, i)] for i in range(k))
+                                            for j in range(n)], k) @ f)
 
     if not null:
         return _unique(at(particular))
@@ -317,11 +309,11 @@ def _graph_map(a, b):
 
     W is the closure of (x0, x0') and the (B_q e_j, B'_q e_j) under
     diag(A_q, A'_q).  Row i of W's rref is (u_i, v_i).  None when some row is
-    (0, v): no T exists.  Else (T0, kernel, us): T0 sends each u_i to v_i
-    and each non-pivot e_k to 0, kernel maps each non-pivot k to f_k, the
-    vector with 1 at k and 0 at the other non-pivots that the u_i
-    annihilate (`_null_rows`), us lists integer multiples of the u_i, and
-    the T are T0 plus combinations of the e_j f_k^T.
+    (0, v): no T exists.  Else (T0, free, F, U): T0 sends each u_i to v_i
+    and each non-pivot e_k to 0, free lists the k non-pivot columns, F's
+    rows are their f_k, each the vector with 1 at k and 0 at the other
+    non-pivots that the u_i annihilate (`_null_rows`), and U holds integer
+    multiples of the u_i as columns.  The T are T0 + X F, X any n x k matrix.
     """
     n, z = a.n, (_ZERO,) * a.n
     modes = [(a.modes[q], b.modes[q]) for q in a.labels]
@@ -335,8 +327,9 @@ def _graph_map(a, b):
     by_pivot = dict(reduced)
     t0 = RatMatrix._of([_fractions(by_pivot[k][n:], by_pivot[k][k]) if k in by_pivot else z
                         for k in range(n)], n).transpose()
-    kernel = {k: _fractions(v, v[k]) for k, v in _null_rows(reduced, n)}
-    return t0, kernel, [row[:n] for _, row in reduced]
+    null = _null_rows(reduced, n)
+    f = RatMatrix._of([_fractions(v, v[k]) for k, v in null], n)
+    return t0, [k for k, _ in null], f, RatMatrix([row[:n] for _, row in reduced], n).transpose()
 
 
 def _unique(s):

@@ -151,11 +151,8 @@ def _theorem2(ny, nu, h, ring) -> Theorem2Data:
 
 
 def theorem2_polynomials(model: SarxModel) -> Theorem2Data:
-    h = {
-        q: [model.coeff(q, j) for j in range(1, model.width + 1)]
-        for q in model.labels
-    }
-    return _theorem2(model.ny, model.nu, h, Z_RING)
+    model.require_siso("scalar coefficient access")
+    return _theorem2(model.ny, model.nu, {q: model.modes[q].row(0) for q in model.labels}, Z_RING)
 
 
 def arx_is_minimal(data: Theorem2Data, q) -> bool:

@@ -475,8 +475,8 @@ def kronecker_solve(a, b, seed=0) -> IsoSolution:
     """`find_isomorphisms` from the linear system in all n^2 entries of S.
 
     One Kronecker block per equation family, no closure.  A family is
-    classified by one generic point and an exact determinant, drawn as the
-    library draws it.
+    classified by the first of up to 20 drawn points with a nonzero exact
+    determinant, drawn as the library draws them.
     """
     n = a.n
     eye = RatMatrix.identity(n)

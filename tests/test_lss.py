@@ -25,6 +25,7 @@ from oracles import (
 from sarxid import (
     HybridWord,
     InputError,
+    IsoSolution,
     Lss,
     LssMode,
     RatMatrix,
@@ -599,3 +600,24 @@ def test_shape_mismatch_rejected(rng):
     )
     with pytest.raises(InputError):
         find_isomorphisms(a, b)
+
+
+# (a, non-pivot columns of the primal and of the dual closure, family_dim,
+# witness): self-pairs whose residual system leaves a family, so the witness,
+# the first drawn point with det != 0, pins the order of the unknowns.  The
+# first keeps the primal closure (a tie), the second the dual one.
+FAMILY_WITNESS_CASES = [
+    (one_mode([[0, 0, 0], [1, 0, 1], [0, -2, 2]], [[2], [-2], [-2]], [[-2, 0, 0]]),
+     (2, 2), 2, [[1, 0, 0], ["9/2", 7, "-3/2"], [6, 3, 4]]),
+    (one_mode([[1, 0, 0, 0], [0, -1, 0, 2], [0, -2, 0, 0], [0, -1, 0, 2]],
+              [[0], [0], [0], [0]], [[-1, 1, 0, 2]]),
+     (4, 2), 3, [[13, "27/2", 0, -27], [4, "11/2", 0, -9], [-8, 6, 1, 3], [4, "9/2", 0, -8]]),
+]
+
+
+@pytest.mark.parametrize("a, free, family_dim, witness", FAMILY_WITNESS_CASES)
+def test_family_witness_in_both_orientations(a, free, family_dim, witness):
+    assert tuple(len(lss._graph_map(*pair)[1]) for pair in ((a, a), (dual(a), dual(a)))) == free
+    sol = find_isomorphisms(a, a, seed=0)
+    assert sol == IsoSolution(kind="affine-family", witness=RatMatrix(witness), family_dim=family_dim)
+    assert_isomorphism(sol.witness, a, a)
