@@ -6,7 +6,7 @@ sub-parametrizations of polynomial model families with Groebner bases.
 All computation is over exact rationals.
 """
 
-from .groebner import buchberger, elimination_ideal, ideals_equal, normal_form
+from .groebner import buchberger, elimination_ideal, ideal_product, ideals_equal, normal_form
 from .identifiability import (
     IdentifiabilityReport,
     IdentifiableRegion,

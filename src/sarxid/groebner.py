@@ -16,6 +16,11 @@
   monomials with `int` coefficients: divisors are integer forms, primitive
   over `int`, and `normal_form` divides with `multipoly._remainder`.  Only
   the final reduced basis is unpacked and made monic over `Fraction`.
+- `ideal_product` gives the basis of a product ideal, Procedure 1's S: it
+  forms the products of the two bases packed, over `int`, and feeds them
+  to the same run in ascending order of leading monomial.
+- Every entry point takes polynomials of one ring and an order on that
+  ring, and refuses others by `ValueError`.
 - One final pass reduces each element by the others.  The result is the
   unique reduced basis, monic and sorted by leading monomial, largest
   first, whatever the order or scaling of the generators.
@@ -29,6 +34,7 @@ from math import gcd
 from .multipoly import (
     MonomialOrder,
     MultiPoly,
+    _fieldmax,
     _overflow,
     _primitive,
     _remainder,
@@ -36,7 +42,7 @@ from .multipoly import (
 
 
 class _Packed:
-    """A polynomial inside one `buchberger` call: packed monomial -> int."""
+    """A polynomial inside one Groebner run: packed monomial -> int."""
 
     __slots__ = ("terms",)
 
@@ -51,13 +57,15 @@ def normal_form(f, basis, order: MonomialOrder):
     """Remainder of f under multivariate division by `basis`.
 
     Divisors are tried in the order given.  f and `basis` are MultiPolys,
-    and so is the remainder; inside a `buchberger` call, f is the call's
+    and so is the remainder; inside a Groebner run, f is the run's
     packed polynomial, which the division consumes, `basis` holds integer
     forms, and the remainder is packed.
     """
     guard = order.guard
     if isinstance(f, _Packed):
         return _Packed(_remainder(f.terms, basis, guard)[0])
+    basis = list(basis)
+    _ring([f, *basis], order)
     d, work = order.pack(f.terms)
     forms = [_primitive(order.pack(g.terms)[1], guard) for g in basis if g.terms]
     r, scale = _remainder(work, forms, guard)
@@ -118,18 +126,67 @@ def _update(basis, pairs, ih, lead, order):
     return basis, pairs
 
 
+def _ring(polys, order: MonomialOrder):
+    """The one ring of the MultiPolys `polys`, which `order` must fit; None for none."""
+    for f in polys[1:]:
+        polys[0]._check_ring(f)
+    if polys and len(polys[0].vars) != len(order.weights):
+        raise ValueError(
+            "an order on %d variables cannot order polynomials in %d"
+            % (len(order.weights), len(polys[0].vars))
+        )
+    return polys[0].vars if polys else None
+
+
 def buchberger(generators, order: MonomialOrder):
     """The unique reduced Groebner basis of the generated ideal.
 
     The zero ideal yields an empty basis.
     """
+    generators = list(generators)
+    ring = _ring(generators, order)
+    return _reduced_basis([order.pack(g.terms)[1] for g in generators], ring, order)
+
+
+def ideal_product(a, b, order: MonomialOrder):
+    """The reduced Groebner basis of the product of the ideals <a> and <b>.
+
+    <a><b> is generated by the products f*g of f in a and g in b (Cox, Little
+    and O'Shea, *Ideals, Varieties, and Algorithms*, ch. 4, sec. 3).  Each
+    nonzero element is packed once in its integer form, and a product of
+    primitive polynomials is primitive (Gauss's lemma), so the products are
+    formed over packed monomials and `int`.  They enter the run smallest
+    leading monomial first, which leaves fewer S-polynomials to reduce.
+    """
+    a, b = list(a), list(b)
+    ring = _ring(a + b, order)
+    guard = order.guard
+    fa, fb = (
+        [_primitive(order.pack(f.terms)[1], guard) for f in polys if f.terms] for polys in (a, b)
+    )
+    products = []
+    for lf, cf, tf, topf in fa:
+        for lg, cg, tg, topg in fb:
+            # no field of a product's monomial exceeds the sum of the factors' maxima
+            if (_fieldmax(lf, topf, guard) + _fieldmax(lg, topg, guard)) & guard:
+                raise _overflow()
+            terms = {}
+            for e, c in [(lf, cf), *tf]:
+                for e2, c2 in [(lg, cg), *tg]:
+                    terms[e + e2] = terms.get(e + e2, 0) + c * c2
+            products.append({e: c for e, c in terms.items() if c})
+    return _reduced_basis(sorted(products, key=max), ring, order)
+
+
+def _reduced_basis(packed, ring, order: MonomialOrder):
+    """The reduced basis of the ideal that the packed int terms generate,
+    consuming them, as MultiPolys over `ring`."""
     guard = order.guard
     forms = []  # the integer form of every basis element of the run; basis and pairs index it
-    for g in generators:
-        r = normal_form(_Packed(order.pack(g.terms)[1]), forms, order)
+    for terms in packed:
+        r = normal_form(_Packed(terms), forms, order)
         if r.terms:
             forms.append(_primitive(r.terms, guard))
-        ring = g.vars
     lead = [form[0] for form in forms]
     basis, pairs = set(), {}
     for ih in sorted(range(len(forms)), key=lead.__getitem__):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .groebner import buchberger, elimination_ideal
+from .groebner import buchberger, elimination_ideal, ideal_product
 from .linalg import RatMatrix
 from .minimality import Theorem2Data, _theorem2, check_strong_minimality
 from .multipoly import MonomialOrder, MultiPoly
@@ -140,7 +140,7 @@ def procedure1(par: PolyParametrization) -> IdentifiableRegion:
     ideal (chi with the advanced phi) and from the observability ideal (chi
     with the other mode's upsilon, scaled by the pair's condition-B scale
     `b_scale`), then return the reduced Groebner basis of the product of the
-    two combined ideals.
+    two combined ideals, `ideal_product(I_A, I_B)`.
     """
     if not par.vars:
         raise InputError("region computation needs at least one parameter")
@@ -163,8 +163,7 @@ def procedure1(par: PolyParametrization) -> IdentifiableRegion:
     gens_b = [f for polys in s_b.values() for f in polys]
     i_a = buchberger(gens_a, param_order)
     i_b = buchberger(gens_b, param_order)
-    product = [f * g for f in i_a for g in i_b]
-    s = buchberger(product, param_order)
+    s = ideal_product(i_a, i_b, param_order)
     return IdentifiableRegion(
         vars=par.vars,
         s=tuple(s),

@@ -6,12 +6,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import groebner_sympy, multipoly_to_sympy, normal_form_reference
+from oracles import groebner_sympy, mul_reference, multipoly_to_sympy, normal_form_reference
 from sarxid import (
     MonomialOrder,
     MultiPoly,
     buchberger,
     elimination_ideal,
+    ideal_product,
     ideals_equal,
     normal_form,
 )
@@ -154,6 +155,62 @@ def test_ideal_contains_and_unit_zero():
     assert buchberger([x * -2 + 1, y * Fraction(-1, 3)], order) == [x - Fraction(1, 2), y]
 
 
+def test_groebner_calls_refuse_mixed_rings_and_a_foreign_order():
+    order = MonomialOrder.grevlex(2)
+    x, y = (MultiPoly.variable(("x", "y"), i) for i in range(2))
+    a, b = (MultiPoly.variable(("a", "b"), i) for i in range(2))
+    # before the check, the first relabelled x - y as a - b, the second gave 0
+    with pytest.raises(ValueError, match="different rings"):
+        buchberger([x - y, b * b], order)
+    with pytest.raises(ValueError, match="different rings"):
+        normal_form(x, [a], order)
+    with pytest.raises(ValueError, match="different rings"):
+        ideal_product([x], [a], order)
+    # a 2-variable order packs (0, 0, 1) as (0, 0): w would act as 1
+    w = MultiPoly.variable(VARS, 2)
+    assert order.key((0, 0, 1)) == 0
+    for call in (
+        lambda: buchberger([w], order),
+        lambda: normal_form(w, [w - 1], order),
+        lambda: normal_form(x, [], MonomialOrder.grevlex(3)),
+        lambda: ideal_product([w], [w], order),
+        lambda: ideal_product([], [w], order),
+    ):
+        with pytest.raises(ValueError, match="an order on"):
+            call()
+
+
+def test_ideal_product_edge_cases(rng):
+    order = MonomialOrder.grevlex(len(VARS))
+    one, zero = MultiPoly.constant(VARS, 1), MultiPoly(VARS)
+    a, b = small_system(rng), small_system(rng)
+    assert ideal_product([], b, order) == ideal_product(a, [], order) == []
+    assert ideal_product([zero], b, order) == []
+    assert ideal_product([one], b, order) == buchberger(b, order)
+    assert ideal_product([zero, *a, zero], [zero, *b], order) == ideal_product(a, b, order)
+
+
+def test_ideal_product_refuses_overflow_as_the_products_would():
+    order = MonomialOrder.grevlex(2)
+    x, y = (MultiPoly.variable(("x", "y"), i) for i in range(2))
+    f = MultiPoly.variable(("x", "y"), 0, 2**30) + y
+    with pytest.raises(OverflowError):
+        buchberger([f * f], order)
+    with pytest.raises(OverflowError):
+        ideal_product([f], [f], order)
+    # the guard is the sum of the factors' maxima: one field just fits
+    g = MultiPoly.variable(("x", "y"), 0, 2**30 - 1)
+    assert ideal_product([g], [x], order) == [f - y]
+
+
+def test_ideal_product_matches_sympy(rng):
+    order = MonomialOrder.grevlex(len(VARS))
+    for _ in range(5):
+        a, b = small_system(rng), small_system(rng)
+        mine = {multipoly_to_sympy(g, SYMS) for g in ideal_product(a, b, order)}
+        assert mine == groebner_sympy([mul_reference(f, g) for f in a for g in b], SYMS)
+
+
 def test_ideals_equal_by_mutual_reduction():
     order = MonomialOrder.grevlex(2)
     vars = ("x", "y")
@@ -272,3 +329,10 @@ def test_remainder_moves_work_below_every_divisor_at_once(kind, monkeypatch):
     assert remainder(f, divisors) == (x * w * 3 - x * y * 2 + w * 3 + 3, 3, 2)
     for g, basis in [(below, low_divisors), (f, divisors)]:
         assert normal_form(g, basis, order) == normal_form_reference(g, basis, order)
+
+
+@properties
+@given(systems, systems, order_names)
+def test_ideal_product_is_the_basis_of_the_products(a, b, kind):
+    order = PROPERTY_ORDERS[kind]
+    assert ideal_product(a, b, order) == buchberger([f * g for f in a for g in b], order)

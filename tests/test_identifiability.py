@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 import sympy
 
 from conftest import fixture_path, rand_fraction
-from oracles import groebner_sympy, multipoly_to_sympy
+from oracles import groebner_sympy, mul_reference, multipoly_to_sympy
 from sarxid import (
     IdentifiableRegion,
     InputError,
@@ -337,3 +338,30 @@ def test_region_intermediates_pinned(name):
         gens_b = [f for polys in region.s_b.values() for f in polys]
         mine = {multipoly_to_sympy(g, syms) for g in region.i_b_basis}
         assert mine == groebner_sympy(gens_b, syms)
+
+
+def _affine(c0, c1, c2):
+    """The entry c0 + c1*theta1 + c2*theta2, terms in that order."""
+    return {"terms": [{"c": str(c), "e": e} for c, e in zip((c0, c1, c2), ([0, 0], [1, 0], [0, 1]))]}
+
+
+def test_region_of_a_generated_family_with_three_by_three_product(capsys, tmp_path):
+    # a family as bench/workloads.py generates them: I_A and I_B have three
+    # elements each, so S comes from nine products
+    family = {
+        "vars": ["theta1", "theta2"], "ny": 1, "nu": 1, "p": 1, "m": 1,
+        "modes": {
+            "1": [_affine(-7, -5, 8), _affine(2, 3, -2)],
+            "2": [_affine(7, 6, 2), _affine(-6, -1, 1)],
+        },
+    }
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    region = procedure1(PolyParametrization.load(path))
+    assert (len(region.i_a_basis), len(region.i_b_basis), len(region.s)) == (3, 3, 5)
+    syms = sympy.symbols(region.vars)
+    products = [mul_reference(f, g) for f in region.i_a_basis for g in region.i_b_basis]
+    assert {multipoly_to_sympy(g, syms) for g in region.s} == groebner_sympy(products, syms)
+    assert main(["param-analyze", str(path)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "6c64d8dfcbd0b2922d43fdc5a37cd468b0b68cb45b4c455fad3382905b8b9f05"
