@@ -82,7 +82,7 @@ def cmd_param_analyze(args):
 def cmd_param_generic(args):
     par = PolyParametrization.load(args.param)
     theta, attempts = genericity_witness(par, samples=args.samples, seed=args.seed)
-    witness = [format_rational(x) for x in theta] if theta else None
+    witness = [format_rational(x) for x in theta] if theta is not None else None
     return {"witness": witness, "attempts": attempts}, theta is not None
 
 

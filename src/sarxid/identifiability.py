@@ -153,7 +153,7 @@ def procedure1(par: PolyParametrization) -> IdentifiableRegion:
     s_b = {}
     for pair in sym.pairs:
         q, qh = pair
-        s_a[pair] = elimination_ideal([sym.chi[q], sym.phi_next[pair]], [d])
+        s_a[pair] = elimination_ideal([sym.chi[q], sym.phi_next(q, qh)], [d])
         raw = elimination_ideal([sym.chi[q], sym.upsilon[qh]], [d])
         s_b_raw[pair] = raw
         scale = sym.b_scale[pair].in_ring(par.vars)

@@ -370,11 +370,11 @@ class Subspace:
     A worklist inserts each vector, as a primitive integer row, into an
     echelon basis of at most n rows; only a vector that is new to the span
     is pushed through the maps, each cleared to integers.  `dim` reads the
-    basis; the canonical reduced rows are built once, when a caller reads
+    basis; the canonical reduced rows are built each time a caller reads
     rows or compares.
     """
 
-    __slots__ = ("ambient_dim", "_basis", "_reduced")
+    __slots__ = ("ambient_dim", "_basis")
 
     def __init__(self, ambient_dim, vectors=(), maps=()):
         """vectors: n x 1 column matrices or coordinate sequences; maps: n x n RatMatrix."""
@@ -398,7 +398,6 @@ class Subspace:
             if found is not None:
                 work.extend(sparse_apply(m, found[1]) for m in rows)
         self._basis = basis
-        self._reduced = None
 
     @property
     def dim(self):
@@ -411,12 +410,10 @@ class Subspace:
         `_reduce`, which keeps its pivot entry positive; row i of the rref is
         row i divided by its entry at its pivot.
         """
-        if self._reduced is None:
-            done = []
-            for p, v in reversed(self._basis):
-                done.append((p, _reduce(v, done)[0]))
-            self._reduced = done[::-1]
-        return self._reduced
+        done = []
+        for p, v in reversed(self._basis):
+            done.append((p, _reduce(v, done)[0]))
+        return done[::-1]
 
     def basis_rows_matrix(self):
         """The reduced rows; `test_subspace_is_the_rref_of_its_vectors_in_any_order` checks them."""

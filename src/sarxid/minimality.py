@@ -11,9 +11,8 @@ route is sound but not complete.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 
 from .lss import LssMinimalityCertificate, associated_lss, is_minimal_lss
 from .rationals import InputError, Record, format_rational
@@ -36,27 +35,25 @@ class Theorem2Data(Record):
     chi[q]           monic z^ny - sum h_q^j z^(ny-j)
     upsilon[q]       sum_{j<=ny} h_q^j z^(ny-j)
     d[q][j]          the first ny entries of A_q^j e_1, j = 0..nu (the rest are 0)
-    psi[(q,qh)][j]   monic degree-j polynomials with psi_j(A_q) e_1 = A_qh^j e_1
-    phi[(q,qh)]      sum_j h_qh^(ny+j) psi_(nu-j); phi(A_q) e_1 = A_qh^nu B
-    phi_next[(q,qh)] sum_j h_qh^(ny+j) psi_(nu-j+1); represents A_qh^(nu+1) B
+    psi(q, qh)[j]    monic degree-j polynomials with psi_j(A_q) e_1 = A_qh^j e_1
+    phi(q, qh)       sum_j h_qh^(ny+j) psi_(nu-j); phi(A_q) e_1 = A_qh^nu B
+    phi_next(q, qh)  sum_j h_qh^(ny+j) psi_(nu-j+1); represents A_qh^(nu+1) B
     b_scale[(q,qh)]  t_q (h_qh^ny t_q - h_q^ny t_qh) = t_q^2 condition_b_scalar
 
-    psi, phi and phi_next hold q = qh too; b_scale holds only `pairs`.  On the
-    diagonal psi_j = z^j, so phi[(q,q)] = sum_{j<=nu} h_q^(ny+j) z^(nu-j) is the
-    numerator N_q of mode q's transfer function.
-
-    psi, phi and phi_next are read-only mappings that build a pair's value on
-    its first read and cache it, so a check that stops at its first passing
-    pair builds no other pair; phi and phi_next read their pair's cached psi.
+    psi, phi and phi_next are functions that build a pair's value when
+    called, q = qh included, and raise KeyError for an unknown label; b_scale
+    holds only `pairs`.  On the diagonal psi_j = z^j, so phi(q, q) =
+    sum_{j<=nu} h_q^(ny+j) z^(nu-j) is the numerator N_q of mode q's transfer
+    function.
     """
 
     pairs: tuple
     chi: dict
     upsilon: dict
     d: dict
-    psi: Mapping
-    phi: Mapping
-    phi_next: Mapping
+    psi: object
+    phi: object
+    phi_next: object
     b_scale: dict
 
 
@@ -65,31 +62,6 @@ def _horner(lead, coeffs, z):
     for c in coeffs:
         lead = lead * z + c
     return lead
-
-
-class _PairMap(Mapping):
-    """Read-only map over every ordered pair of `labels`, diagonal included,
-    q outer; a pair's value is `build(pair)`, made on its first read and
-    cached.  A pair outside the labels raises KeyError."""
-
-    def __init__(self, labels, build):
-        self._values = dict.fromkeys(product(labels, repeat=2))
-        self._build = build
-
-    def __getitem__(self, pair):
-        value = self._values[pair]
-        if value is None:
-            value = self._values[pair] = self._build(pair)
-        return value
-
-    def __contains__(self, pair):
-        return pair in self._values
-
-    def __iter__(self):
-        return iter(self._values)
-
-    def __len__(self):
-        return len(self._values)
 
 
 def _theorem2(ny, nu, h, ring) -> Theorem2Data:
@@ -103,7 +75,6 @@ def _theorem2(ny, nu, h, ring) -> Theorem2Data:
     z = MultiPoly.variable(ring, len(ring) - 1)
     one = MultiPoly.constant(ring, 1)
     zero = one * 0
-    labels = tuple(h)
     chi, upsilon, d = {}, {}, {}
     for q, hq in h.items():
         chi[q] = _horner(one, [-c for c in hq[:ny]], z)
@@ -114,25 +85,23 @@ def _theorem2(ny, nu, h, ring) -> Theorem2Data:
             seq.append((sum(c * x for c, x in zip(hq, prev)),) + prev[:-1])
         d[q] = seq
 
-    def psi_of(pair):
-        q, qh = pair
+    def psi(q, qh):
         diff = [a - b for a, b in zip(h[qh][:ny], h[q][:ny])]
         seq = [one]
         for j in range(nu):
             seq.append(z * seq[-1] + sum(c * x for c, x in zip(diff, d[qh][j])))
         return seq
 
-    def weighted(pair, seq):
-        return sum((c * p for c, p in zip(h[pair[1]][ny:], reversed(seq))), zero)
+    def weighted(qh, seq):
+        return sum((c * p for c, p in zip(h[qh][ny:], reversed(seq))), zero)
 
-    def phi_of(pair):
-        return weighted(pair, psi[pair][:-1])
+    def phi(q, qh):
+        return weighted(qh, psi(q, qh)[:-1])
 
-    def phi_next_of(pair):
-        return weighted(pair, psi[pair][1:])
+    def phi_next(q, qh):
+        return weighted(qh, psi(q, qh)[1:])
 
-    psi = _PairMap(labels, psi_of)
-    pairs = tuple(permutations(labels, 2))
+    pairs = tuple(permutations(h, 2))
     t = {q: hq[-1] for q, hq in h.items()}
     b_scale = {
         (q, qh): one * (t[q] * (h[qh][ny - 1] * t[q] - h[q][ny - 1] * t[qh]))
@@ -144,8 +113,8 @@ def _theorem2(ny, nu, h, ring) -> Theorem2Data:
         upsilon=upsilon,
         d=d,
         psi=psi,
-        phi=_PairMap(labels, phi_of),
-        phi_next=_PairMap(labels, phi_next_of),
+        phi=phi,
+        phi_next=phi_next,
         b_scale=b_scale,
     )
 
@@ -158,12 +127,12 @@ def theorem2_polynomials(model: SarxModel) -> Theorem2Data:
 def arx_is_minimal(data: Theorem2Data, q) -> bool:
     """Lone-mode ARX minimality: the transfer function z^(ny-nu) N_q / chi_q is reduced.
 
-    N_q is phi[(q, q)].  The delay factor counts when ny > nu.
+    N_q is phi(q, q).  The delay factor counts when ny > nu.
     `test_transfer_minimality_matches_sympy_gcd` checks it against sympy.
     """
     ny, nu = len(data.d[q][0]), len(data.d[q]) - 1
     delay = MultiPoly.variable(data.chi[q].vars, 0, max(ny - nu, 0))
-    return is_coprime(delay * data.phi[(q, q)], data.chi[q])
+    return is_coprime(delay * data.phi(q, q), data.chi[q])
 
 
 def gamma_polynomials(model: SarxModel, q):
@@ -191,7 +160,7 @@ def gamma_polynomials(model: SarxModel, q):
 def check_condition_a(data: Theorem2Data):
     """First pair (q0, q1) with chi_q0 coprime to phi_(q0,q1), or None."""
     for q0, q1 in data.pairs:
-        if is_coprime(data.chi[q0], data.phi[(q0, q1)]):
+        if is_coprime(data.chi[q0], data.phi(q0, q1)):
             return (q0, q1)
     return None
 

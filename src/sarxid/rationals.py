@@ -166,7 +166,15 @@ def read_modes(obj, read):
 
 
 def format_rational(x: Fraction) -> str:
-    """Canonical text form: integer as "n", otherwise "n/d" with d > 0."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+    """Canonical text form: integer as "n", otherwise "n/d" with d > 0.
+
+    A numerator or denominator past Python's int-to-str digit limit
+    (`sys.get_int_max_str_digits()`) cannot be written, so it is refused
+    as an `InputError` that names the limit.
+    """
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return "%d/%d" % (x.numerator, x.denominator)
+    except ValueError as exc:
+        raise InputError("cannot write an exact result: %s" % exc) from exc

@@ -62,9 +62,9 @@ def test_criterion_01_reference_model_reproduction():
     model = SarxModel.load(fixture_path("example3.json"))
     data = theorem2_polynomials(model)
     assert data.chi["1"] == zpoly(15, -8, 1)
-    assert data.psi[("1", "2")][1] == zpoly(-7, 1)
+    assert data.psi("1", "2")[1] == zpoly(-7, 1)
     assert data.upsilon["2"] == zpoly(2, 1)
-    assert data.phi[("1", "2")] == zpoly(-6, 1)
+    assert data.phi("1", "2") == zpoly(-6, 1)
     assert condition_b_scalar(model, "1", "2") == Fraction(-3)
     verdict = check_strong_minimality(model, method="both")
     assert verdict.strong_minimal is True
@@ -172,11 +172,11 @@ def test_criterion_06_structure_identities():
                 aq = sys.modes[q].a
                 for j in range(model.nu + 1):
                     assert (
-                        eval_matrix(data.psi[(qh, q)][j], ah) @ e1
+                        eval_matrix(data.psi(qh, q)[j], ah) @ e1
                         == matrix_power(aq, j) @ e1
                     )
                 assert (
-                    eval_matrix(data.phi[(qh, q)], ah) @ e1
+                    eval_matrix(data.phi(qh, q), ah) @ e1
                     == matrix_power(aq, model.nu) @ sys.modes[q].b
                 )
 

@@ -229,6 +229,36 @@ def test_huge_exponent_is_refused_at_once(tmp_path):
     assert proc.stdout == "" and "exponent above" in proc.stderr
 
 
+def test_result_past_the_digit_limit_exits_two(capsys, tmp_path):
+    # y_t = a y_(t-1) + u_(t-1) with a = 10^k: y_50 has about 49 k digits, more
+    # than Python writes as text, though the input itself is within the limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no int-to-str digit limit")
+    a = "1" + "0" * (limit // 40 + 1)
+    model = {"ny": 1, "nu": 1, "p": 1, "m": 1, "modes": {"1": [[a, "1"]]}}
+    word = {"steps": [{"q": "1", "u": ["1"]}] * 50}
+    paths = write_inputs(tmp_path, "simulate", [model, word])
+    for argv in (paths[:2], paths):
+        code, out, err = run_cli(capsys, "simulate", *argv)
+        assert code == 2 and out == "", argv
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "limit" in lines[0], err
+
+
+def test_param_generic_without_parameters_prints_an_empty_witness(capsys, tmp_path):
+    def const(c):
+        return {"terms": [{"c": c, "e": []}]}
+
+    family = {"vars": [], "ny": 1, "nu": 1, "p": 1, "m": 1,
+              "modes": {"1": [const("1"), const("1")], "2": [const("2"), const("1")]}}
+    path = tmp_path / "constant.json"
+    path.write_text(json.dumps(family))
+    code, out, _ = run_cli(capsys, "param-generic", path)
+    assert code == 0
+    assert json.loads(out) == {"attempts": 1, "witness": []}
+
+
 def test_output_is_deterministic(capsys):
     outs = []
     for _ in range(2):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 import sympy
@@ -85,14 +86,16 @@ def test_symbolic_data_specializes_to_numeric(rng, name):
     for _ in range(10):
         theta = [rand_fraction(rng) for _ in range(par.dim)]
         data = theorem2_polynomials(par.instantiate(theta))
-        for field in ("chi", "upsilon", "phi", "phi_next", "b_scale"):
+        for field in ("chi", "upsilon", "b_scale"):
             sym_polys, num_polys = getattr(sym, field), getattr(data, field)
             assert sym_polys.keys() == num_polys.keys()
             for key, poly in sym_polys.items():
                 assert specialize(poly, theta) == num_polys[key], (field, key)
-        assert sym.psi.keys() == data.psi.keys()
-        for pair, seq in sym.psi.items():
-            assert [specialize(p, theta) for p in seq] == data.psi[pair], pair
+        for pair in product(par.labels, repeat=2):
+            for field in ("phi", "phi_next"):
+                poly = getattr(sym, field)(*pair)
+                assert specialize(poly, theta) == getattr(data, field)(*pair), (field, pair)
+            assert [specialize(p, theta) for p in sym.psi(*pair)] == data.psi(*pair), pair
 
 
 def test_family_refuses_a_foreign_ring_and_a_parameter_of_the_wrong_length(two_param_family):
@@ -175,7 +178,7 @@ def test_region_membership_implies_instance_conditions():
             data = theorem2_polynomials(par.instantiate(theta))
             assert check_condition_b(data) is not None, (par, theta)
             assert any(
-                is_coprime(data.chi[q], data.phi_next[(q, qh)]) for q, qh in data.pairs
+                is_coprime(data.chi[q], data.phi_next(q, qh)) for q, qh in data.pairs
             ), (par, theta)
     assert members > 200
 

@@ -41,8 +41,8 @@ def test_reference_polynomials(reference_data):
     assert reference_data.chi["1"] == zpoly(15, -8, 1)
     assert reference_data.chi["2"] == zpoly(-2, -1, 1)
     assert reference_data.upsilon["2"] == zpoly(2, 1)
-    assert reference_data.psi[("1", "2")][1] == zpoly(-7, 1)
-    assert reference_data.phi[("1", "2")] == zpoly(-6, 1)
+    assert reference_data.psi("1", "2")[1] == zpoly(-7, 1)
+    assert reference_data.phi("1", "2") == zpoly(-6, 1)
 
 
 def test_reference_condition_witnesses(reference_model, reference_data):
@@ -70,50 +70,45 @@ def test_counterexample_not_strongly_minimal():
 
 @pytest.fixture
 def pair_builds(monkeypatch):
-    """(builder name, pair) for each psi, phi and phi_next value built."""
+    """(builder name, pair) for each call of a Theorem2Data's psi, phi and phi_next."""
     built = []
-    init = minimality._PairMap.__init__
+    init = minimality.Theorem2Data.__init__
 
-    def counting_init(self, labels, build):
-        def counted(pair):
-            built.append((build.__name__, pair))
-            return build(pair)
+    def counted(name, build):
+        def call(q, qh):
+            built.append((name, (q, qh)))
+            return build(q, qh)
 
-        init(self, labels, counted)
+        return call
 
-    monkeypatch.setattr(minimality._PairMap, "__init__", counting_init)
+    def counting_init(self, **fields):
+        for name in ("psi", "phi", "phi_next"):
+            fields[name] = counted(name, fields[name])
+        init(self, **fields)
+
+    monkeypatch.setattr(minimality.Theorem2Data, "__init__", counting_init)
     return built
 
 
-def test_pair_data_is_built_on_first_read(reference_model, pair_builds):
+def test_pair_data_is_built_when_called(reference_model, pair_builds):
     data = theorem2_polynomials(reference_model)
-    assert list(data.phi) == [("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")]
-    assert ("2", "1") in data.phi_next and ("1", "3") not in data.psi
     assert pair_builds == []
     # condition A passes on its first pair, and condition B reads no pair data
     assert check_condition_a(data) == ("1", "2")
     assert check_condition_b(data) == ("1", "2")
-    assert sorted(pair_builds) == [("phi_of", ("1", "2")), ("psi_of", ("1", "2"))]
-    # phi_next reads the cached psi, and a second read builds nothing
-    data.phi_next[("1", "2")]
-    data.phi[("1", "2")]
-    assert sorted(pair_builds) == [
-        ("phi_next_of", ("1", "2")),
-        ("phi_of", ("1", "2")),
-        ("psi_of", ("1", "2")),
-    ]
-    for missing in [("1", "3"), ("3", "3"), "1"]:
-        with pytest.raises(KeyError):
-            data.phi[missing]
+    assert pair_builds == [("phi", ("1", "2"))]
+    for name in ("psi", "phi", "phi_next"):
+        for missing in [("1", "3"), ("3", "1"), ("3", "3")]:
+            with pytest.raises(KeyError):
+                getattr(data, name)(*missing)
 
 
 def test_procedure1_builds_only_off_diagonal_phi_next(pair_builds):
+    # each phi_next builds its own pair's psi and no other
     par = PolyParametrization.load(fixture_path("example8_first_family.json"))
     procedure1(par)
     pairs = [(q, qh) for q in par.labels for qh in par.labels if q != qh]
-    assert sorted(pair_builds) == sorted(
-        [("phi_next_of", pair) for pair in pairs] + [("psi_of", pair) for pair in pairs]
-    )
+    assert sorted(pair_builds) == sorted(("phi_next", pair) for pair in pairs)
 
 
 def test_strong_minimality_despite_nonminimal_arx_modes(reference_model):
@@ -189,11 +184,11 @@ def test_psi_d_phi_identities(rng):
             for q in m.labels:
                 aq = sys.modes[q].a
                 for j in range(m.nu + 1):
-                    assert eval_matrix(data.psi[(qh, q)][j], ah) @ e1 == matrix_power(aq, j) @ e1
+                    assert eval_matrix(data.psi(qh, q)[j], ah) @ e1 == matrix_power(aq, j) @ e1
                 b = sys.modes[q].b
-                assert eval_matrix(data.phi[(qh, q)], ah) @ e1 == matrix_power(aq, m.nu) @ b
+                assert eval_matrix(data.phi(qh, q), ah) @ e1 == matrix_power(aq, m.nu) @ b
                 assert (
-                    eval_matrix(data.phi_next[(qh, q)], ah) @ e1
+                    eval_matrix(data.phi_next(qh, q), ah) @ e1
                     == matrix_power(aq, m.nu + 1) @ b
                 )
 

@@ -107,10 +107,10 @@ def test_transfer_minimality_matches_sympy_gcd(rng):
         m = random_siso_model(rng)
         data = theorem2_polynomials(m)
         for q in m.labels:
-            if data.phi[(q, q)].is_zero():
+            if data.phi(q, q).is_zero():
                 assert not arx_is_minimal(data, q)
                 continue
-            numerator = z ** (m.ny - m.nu) * unipoly_to_sympy(data.phi[(q, q)], z)
+            numerator = z ** (m.ny - m.nu) * unipoly_to_sympy(data.phi(q, q), z)
             g = sympy.gcd(numerator, unipoly_to_sympy(data.chi[q], z), z)
             assert arx_is_minimal(data, q) == (sympy.degree(g, z) == 0)
 
