@@ -18,11 +18,9 @@ from .groebner import buchberger, elimination_ideal, ideal_product
 from .linalg import RatMatrix
 from .minimality import Theorem2Data, _theorem2, check_strong_minimality
 from .multipoly import MonomialOrder, MultiPoly
-from .rationals import InputError, Record, exact, malformed, read_modes
+from .rationals import InputError, Record, _ZERO, exact, format_rational, malformed, read_modes
 from .sarx import SarxModel, SarxType
 from .unipoly import Z_RING
-
-_ZERO = Fraction(0)
 
 
 class PolyParametrization(SarxType):
@@ -196,9 +194,7 @@ class InjectivityEvidence(Record):
     def to_json_dict(self):
         out = {"kind": self.kind}
         if self.collision is not None:
-            out["collision"] = [
-                [str(x) for x in theta] for theta in self.collision
-            ]
+            out["collision"] = [[format_rational(x) for x in theta] for theta in self.collision]
         return out
 
 
@@ -243,10 +239,11 @@ def injectivity_probe(par: PolyParametrization, trials=100, seed=0) -> Injectivi
     rng = random.Random(seed)
     for _ in range(trials):
         theta1 = _draw_theta(rng, par.dim)
+        model1 = par.instantiate(theta1)
         for theta2 in (tuple(-x for x in theta1), _draw_theta(rng, par.dim)):
             if theta1 == theta2:
                 continue
-            if par.instantiate(theta1) == par.instantiate(theta2):
+            if par.instantiate(theta2) == model1:
                 return InjectivityEvidence(
                     kind="collision", collision=(theta1, theta2)
                 )

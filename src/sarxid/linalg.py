@@ -34,10 +34,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
 
-from .rationals import exact, format_rational, parse_rational
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .rationals import _ONE, _ZERO, exact, format_rational, parse_rational
 
 
 class RatMatrix:

@@ -27,11 +27,8 @@ from .linalg import (
     sparse_apply,
     sparse_rows,
 )
-from .rationals import InputError, JsonLoadable, Record, malformed, parse_int, read_modes
+from .rationals import InputError, JsonLoadable, Record, _ONE, _ZERO, malformed, parse_int, read_modes
 from .sarx import HybridWord, SarxModel
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class LssMode(Record):

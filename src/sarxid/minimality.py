@@ -15,13 +15,10 @@ from fractions import Fraction
 from itertools import permutations
 
 from .lss import LssMinimalityCertificate, associated_lss, is_minimal_lss
-from .rationals import InputError, Record, format_rational
+from .rationals import InputError, Record, _ONE, _ZERO, format_rational
 from .sarx import SarxModel
 from .multipoly import MultiPoly
 from .unipoly import Z_RING, is_coprime
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class Theorem2Data(Record):
@@ -182,6 +179,11 @@ def check_condition_b(data: Theorem2Data):
     return None
 
 
+def _condition(witness):
+    """The report block of one Theorem-2 condition: whether it holds, and its witness pair."""
+    return {"holds": witness is not None, "witness": list(witness) if witness else None}
+
+
 class MinimalityVerdict(Record):
     """Outcome of a strong-minimality check.
 
@@ -210,23 +212,12 @@ class MinimalityVerdict(Record):
             "strong_minimal": self.strong_minimal,
         }
         if self.sufficient_holds is not None:
+            value = self.condition_b_value
             out["sufficient_conditions"] = {
                 "hold": self.sufficient_holds,
-                "A": {
-                    "holds": self.condition_a_witness is not None,
-                    "witness": list(self.condition_a_witness)
-                    if self.condition_a_witness
-                    else None,
-                },
-                "B": {
-                    "holds": self.condition_b_witness is not None,
-                    "witness": list(self.condition_b_witness)
-                    if self.condition_b_witness
-                    else None,
-                    "scalar": format_rational(self.condition_b_value)
-                    if self.condition_b_value is not None
-                    else None,
-                },
+                "A": _condition(self.condition_a_witness),
+                "B": dict(_condition(self.condition_b_witness),
+                          scalar=None if value is None else format_rational(value)),
             }
         if self.certificate is not None:
             out["certificates"] = {

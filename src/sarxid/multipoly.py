@@ -42,10 +42,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add, mul
 
-from .rationals import exact, format_rational, parse_int, parse_rational
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .rationals import _ONE, _ZERO, exact, format_rational, parse_int, parse_rational
 
 # The largest exponent an input file may hold.  Every analysis raises the
 # parameters to their exponents exactly (param-generic evaluates theta^e at
@@ -306,36 +303,31 @@ class MultiPoly:
     # -- evaluation / substitution ------------------------------------
 
     def eval(self, point):
+        """The value at `point`, one value per variable: `substitute` at every variable."""
         if len(point) != len(self.vars):
             raise ValueError(
                 "point length %d != variable count %d" % (len(point), len(self.vars))
             )
-        point = [exact(x) for x in point]
-        acc = _ZERO
-        for exp, c in self.terms.items():
-            term = c
-            for x, e in zip(point, exp):
-                if e:
-                    term *= x**e
-            acc += term
-        return acc
+        return self.substitute(dict(enumerate(point))).terms.get((0,) * len(point), _ZERO)
 
     def substitute(self, assignment):
-        """Partially evaluate: assignment maps variable index -> Fraction.
+        """Partially evaluate: assignment maps variable index -> int or Fraction.
 
+        Each value goes through `exact` first, so a float is refused at any
+        variable, whether or not the polynomial involves it.
         `test_symbolic_data_specializes_to_numeric` checks the specialization.
         """
+        values = [(i, exact(x)) for i, x in assignment.items()]
         out = {}
         for exp, c in self.terms.items():
-            coef = c
             new_exp = list(exp)
-            for i, val in assignment.items():
+            for i, x in values:
                 e = exp[i]
                 if e:
-                    coef *= exact(val) ** e
-                new_exp[i] = 0
+                    c *= x**e
+                    new_exp[i] = 0
             key = tuple(new_exp)
-            out[key] = out.get(key, _ZERO) + coef
+            out[key] = out.get(key, _ZERO) + c
         return MultiPoly(self.vars, out)
 
     def in_ring(self, vars):

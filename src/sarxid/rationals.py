@@ -19,6 +19,9 @@ import json
 from contextlib import contextmanager
 from fractions import Fraction
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 class InputError(ValueError):
     """Input that cannot be read, is malformed, or is outside an analysis' scope."""
@@ -167,6 +170,9 @@ def read_modes(obj, read):
 
 def format_rational(x: Fraction) -> str:
     """Canonical text form: integer as "n", otherwise "n/d" with d > 0.
+
+    The one writer of rationals: every exact number the program prints
+    passes through it.
 
     A numerator or denominator past Python's int-to-str digit limit
     (`sys.get_int_max_str_digits()`) cannot be written, so it is refused

@@ -230,20 +230,42 @@ def test_huge_exponent_is_refused_at_once(tmp_path):
 
 
 def test_result_past_the_digit_limit_exits_two(capsys, tmp_path):
-    # y_t = a y_(t-1) + u_(t-1) with a = 10^k: y_50 has about 49 k digits, more
-    # than Python writes as text, though the input itself is within the limit
+    # every input is within the limit of digits Python writes as text, every
+    # result past it
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         pytest.skip("no int-to-str digit limit")
+
+    def refused(cmd, *argv):
+        code, out, err = run_cli(capsys, cmd, *argv)
+        assert code == 2 and out == "", (cmd, argv)
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "limit" in lines[0], err
+
+    # y_t = a y_(t-1) + u_(t-1) with a = 10^k: y_50 has about 49 k digits
     a = "1" + "0" * (limit // 40 + 1)
     model = {"ny": 1, "nu": 1, "p": 1, "m": 1, "modes": {"1": [[a, "1"]]}}
     word = {"steps": [{"q": "1", "u": ["1"]}] * 50}
     paths = write_inputs(tmp_path, "simulate", [model, word])
     for argv in (paths[:2], paths):
-        code, out, err = run_cli(capsys, "simulate", *argv)
-        assert code == 2 and out == "", argv
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ") and "limit" in lines[0], err
+        refused("simulate", *argv)
+    # b has 2/3 of the limit's digits.  The coefficient rows (b, b+1, 1) and
+    # (1, b, b+2) of an affine family in three parameters have rank 2, and its
+    # collision is their cross product scaled to end in 1: each entry a ratio
+    # of 2 x 2 minors, about b^2
+    b = 10 ** (limit * 2 // 3)
+
+    def affine(*coeffs):
+        return {"terms": [{"c": str(c), "e": [int(i == j) for j in range(3)]}
+                          for i, c in enumerate(coeffs)]}
+
+    family = {"vars": ["r", "s", "t"], "ny": 1, "nu": 1, "p": 1, "m": 1,
+              "modes": {"1": [affine(b, b + 1, 1), affine(1, b, b + 2)]}}
+    refused("param-injective", *write_inputs(tmp_path, "param-injective", [family]))
+    # condition B holds at ("1", "2"), where its scalar is 1 - (b + 1) b / 1
+    model = {"ny": 1, "nu": 1, "p": 1, "m": 1,
+             "modes": {"1": [[str(b), "1"]], "2": [["1", str(b + 1)]]}}
+    refused("check-min", *write_inputs(tmp_path, "check-min", [model]), "--method", "both")
 
 
 def test_param_generic_without_parameters_prints_an_empty_witness(capsys, tmp_path):

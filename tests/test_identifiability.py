@@ -11,6 +11,7 @@ from conftest import fixture_path, rand_fraction
 from oracles import groebner_sympy, mul_reference, multipoly_to_sympy
 from sarxid import (
     IdentifiableRegion,
+    InjectivityEvidence,
     InputError,
     MonomialOrder,
     MultiPoly,
@@ -251,6 +252,17 @@ def test_injectivity_probe_is_inconclusive_for_an_injective_cubic(capsys, tmp_pa
     path.write_text(json.dumps(par.to_json_dict()))
     assert main(["param-injective", str(path)]) == 1
     assert json.loads(capsys.readouterr().out) == {"kind": "no-collision-found"}
+
+
+def test_injectivity_probe_builds_each_first_model_once(monkeypatch, two_param_family):
+    # 100 trials without a collision: theta1's model once, then one per candidate theta2
+    calls = []
+    instantiate = PolyParametrization.instantiate
+    monkeypatch.setattr(PolyParametrization, "instantiate",
+                        lambda par, theta: calls.append(theta) or instantiate(par, theta))
+    assert injectivity_probe(two_param_family) == InjectivityEvidence(kind="no-collision-found")
+    assert len(calls) == 300
+
 
 def test_family_type_is_checked_at_construction():
     # p = 0 or m = 0 was accepted and failed only when instantiated

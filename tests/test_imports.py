@@ -153,6 +153,75 @@ def test_every_definition_is_used_or_names_its_check():
     assert unchecked_surface(sources, TESTS) == []
 
 
+# -- one construction each: no constant defined twice, no second writer ----
+
+
+def repeated_bindings(sources):
+    """Expressions bound to a module-level name in more than one module, each
+    with its (module, name) bindings.
+
+    sources maps a module name to its source text.
+    """
+    bindings = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        bindings.setdefault(ast.unparse(node.value), []).append((module, target.id))
+    return sorted((expr, where) for expr, where in bindings.items()
+                  if len({module for module, _ in where}) > 1)
+
+
+def test_binding_scan_finds_a_constant_bound_in_two_modules():
+    sources = {"a": "ZERO = Fraction(0)\nN = 3\n", "b": "_ZERO = Fraction(0)\n",
+               "c": "def f():\n    N = 3\n"}
+    assert repeated_bindings(sources) == [("Fraction(0)", [("a", "ZERO"), ("b", "_ZERO")])]
+
+
+def test_no_constant_is_bound_in_two_modules():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert repeated_bindings(sources) == []
+
+
+def str_calls(source):
+    """(enclosing definition, argument) of each `str(...)` call in the source."""
+    calls = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) \
+                    and child.func.id == "str":
+                calls.append((".".join(scope), ", ".join(ast.unparse(a) for a in child.args)))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sorted(calls)
+
+
+# `rationals.format_rational` is the one writer of rationals; `str` writes only
+# mode labels and the writer's own integers
+STR_SITES = [
+    ("rationals", "format_rational", "x.numerator"),
+    ("rationals", "read_modes", "q"),
+    ("sarx", "HybridWord.__init__", "q"),
+]
+
+
+def test_str_scan_finds_each_call_with_its_scope():
+    source = "def write(x):\n    return str(x)\n\n\nclass Box:\n"
+    source += "    def label(self, q):\n        return [str(q) for _ in f(str(1))]\n"
+    assert str_calls(source) == [("Box.label", "1"), ("Box.label", "q"), ("write", "x")]
+
+
+def test_str_is_called_only_at_named_sites():
+    found = sorted((p.stem, *call) for p in PACKAGE for call in str_calls(p.read_text()))
+    assert found == STR_SITES
+
+
 # -- start-up: a CLI call imports no code generator ------------------------
 
 HEAVY = ("dataclasses", "inspect", "ast")

@@ -145,6 +145,9 @@ def test_floats_are_refused():
         lambda: HybridWord([("1", [0.1])]),
         lambda: x.eval([0.1, 0, 0]),
         lambda: x.substitute({0: 0.1}),
+        # x does not involve y: each value is checked, not only those in use
+        lambda: x.eval([0, 0.1, 0]),
+        lambda: x.substitute({1: 0.1}),
         lambda: family.instantiate([0.1, 0, 0]),
         lambda: verify_region_membership(region, [0.1, 0, 0]),
         # the string reader hands every other value to the same refusal
