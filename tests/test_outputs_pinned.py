@@ -1,0 +1,162 @@
+"""CLI output pinned byte for byte: `iso` on one generated pair of each kind, `to-lss` and `simulate`.
+
+The expected reports are the program's output, captured once: a change in
+how entries are read, stored or multiplied that changes any output shows
+here.  The pairs are drawn from a
+fixed seed: entries are fractions with denominators 1 to 3, and halves are
+written as decimals, so the reader's three forms ("3", "-1/3", "1.5") all
+occur.
+"""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from conftest import fixture_path
+from sarxid.cli import main
+
+
+def text(x):
+    """"n", "n/d", or a decimal when d = 2."""
+    if x.denominator == 2:
+        return "%s%d.5" % ("-" if x < 0 else "", abs(x.numerator) // 2)
+    return str(x)
+
+
+def draw(rng):
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def dense(rng, rows, cols):
+    return [[draw(rng) for _ in range(cols)] for _ in range(rows)]
+
+
+def matmul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def unimodular(rng, n):
+    """T and its inverse, T a product of n elementary row additions with small integer factors."""
+    t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in t]
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        t = [[x + c * t[j][k] if r == i else x for k, x in enumerate(row)] for r, row in enumerate(t)]
+        # the inverse gains the inverse step on the right: column j -= c column i
+        inv = [[x - c * row[i] if k == j else x for k, x in enumerate(row)] for row in inv]
+    return t, inv
+
+
+def conjugate(modes, x0, t, inv):
+    """(T A T^-1, T B, C T^-1) per mode, and T x0."""
+    out = {q: (matmul(matmul(t, a), inv), matmul(t, b), matmul(c, inv)) for q, (a, b, c) in modes.items()}
+    return out, [row[0] for row in matmul(t, [[x] for x in x0])]
+
+
+def lss_json(n, m, p, modes, x0):
+    return {
+        "n": n, "m": m, "p": p,
+        "modes": {q: {"A": [[text(x) for x in row] for row in a],
+                      "B": [[text(x) for x in row] for row in b],
+                      "C": [[text(x) for x in row] for row in c]} for q, (a, b, c) in modes.items()},
+        "x0": [text(x) for x in x0],
+    }
+
+
+def pair(kind):
+    """(n, m, p, a modes, a x0, b modes, b x0) for the pair kind, from one fixed seed per kind."""
+    rng = random.Random("pinned:" + kind)
+    if kind == "self":
+        n, m, p = 4, 1, 1
+        modes = {q: (dense(rng, n, n), dense(rng, n, m), dense(rng, p, n)) for q in "12"}
+        return n, m, p, modes, [Fraction(0)] * n, modes, [Fraction(0)] * n
+    if kind == "no-io":
+        # m = p = 0: only x0 seeds the closure, and a non-cyclic x0 leaves a family
+        n, m, p = 4, 0, 0
+        modes = {q: ([[draw(rng) if (i < 2) == (j < 2) else Fraction(0) for j in range(n)]
+                      for i in range(n)], [[] for _ in range(n)], []) for q in "12"}
+        x0 = [draw(rng), draw(rng), Fraction(0), Fraction(0)]
+        return n, m, p, modes, x0, modes, x0
+    n, m, p = 5, 1, 1
+    if kind == "nonreachable":
+        # block upper-triangular with B and x0 in the first two coordinates
+        modes = {q: ([[draw(rng) if i < 2 or j >= 2 else Fraction(0) for j in range(n)]
+                      for i in range(n)],
+                     [[draw(rng) if i < 2 else Fraction(0)] for i in range(n)],
+                     dense(rng, p, n)) for q in "12"}
+        x0 = [draw(rng), draw(rng), Fraction(0), Fraction(0), Fraction(0)]
+    else:
+        modes = {q: (dense(rng, n, n), dense(rng, n, m), dense(rng, p, n)) for q in "12"}
+        x0 = [draw(rng) for _ in range(n)]
+    b_modes, b_x0 = conjugate(modes, x0, *unimodular(rng, n))
+    if kind == "perturbed":
+        # trace(A_1), which similarity keeps, gains 1: no isomorphism exists
+        a1, b1, c1 = b_modes["1"]
+        a1 = [row[:] for row in a1]
+        a1[0][0] += 1
+        b_modes["1"] = (a1, b1, c1)
+    return n, m, p, modes, x0, b_modes, b_x0
+
+
+def run(capsys, argv):
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def identity(n):
+    return [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+
+
+# kind -> (exit code, report)
+ISO = {
+    "self": (0, {"family_dim": 0, "kind": "unique-identity", "witness": identity(4)}),
+    "conjugated": (0, {"family_dim": 0, "kind": "unique-other", "witness": [
+        ["1", "0", "1", "1", "0"], ["0", "1", "0", "-2", "0"], ["0", "0", "1", "0", "0"],
+        ["0", "2", "1", "-3", "-1"], ["0", "-2", "0", "4", "1"]]}),
+    "perturbed": (1, {"family_dim": -1, "kind": "none", "witness": None}),
+    "nonreachable": (0, {"family_dim": 0, "kind": "unique-other", "witness": [
+        ["1", "0", "0", "0", "0"], ["0", "1", "0", "0", "-2"], ["0", "2", "1", "0", "-2"],
+        ["0", "0", "0", "1", "2"], ["0", "0", "0", "0", "1"]]}),
+    # the witness is the first invertible one of the points drawn from --seed
+    "no-io": (0, {"family_dim": 1, "kind": "affine-family", "witness": [
+        ["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-2", "0"], ["0", "0", "0", "-2"]]}),
+}
+
+
+def dumped(report):
+    """The bytes `main` writes for a report: indented, sorted JSON and a newline."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("kind", sorted(ISO))
+def test_iso_output_is_pinned(capsys, tmp_path, kind):
+    n, m, p, a_modes, a_x0, b_modes, b_x0 = pair(kind)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(lss_json(n, m, p, a_modes, a_x0)))
+    b.write_text(json.dumps(lss_json(n, m, p, b_modes, b_x0)))
+    assert run(capsys, ["iso", a, b, "--seed", "3"]) == (ISO[kind][0], dumped(ISO[kind][1]), "")
+
+
+def companion(top):
+    """Mode of example3's embedding: A with `top` as its first row, B = e_3 and C = `top`."""
+    return {"A": [top, ["1", "0", "0", "0"], ["0"] * 4, ["0", "0", "1", "0"]],
+            "B": [["0"], ["0"], ["1"], ["0"]], "C": [top]}
+
+
+TO_LSS = {"m": 1, "n": 4, "p": 1, "x0": ["0"] * 4, "modes": {
+    "1": companion(["8", "-15", "1", "-3"]), "2": companion(["1", "2", "1", "1"])}}
+SIMULATE = {"lss_agrees": True, "outputs": [["0"], ["1"], ["3"], ["6"], ["-6"], ["7"]]}
+
+
+def test_to_lss_output_is_pinned(capsys):
+    assert run(capsys, ["to-lss", fixture_path("example3.json")]) == (0, dumped(TO_LSS), "")
+
+
+def test_simulate_compare_lss_output_is_pinned(capsys):
+    argv = ["simulate", fixture_path("example3.json"), fixture_path("example3_word.json"),
+            "--compare-lss"]
+    assert run(capsys, argv) == (0, dumped(SIMULATE), "")
