@@ -1,12 +1,12 @@
 """Exact linear algebra over the rationals, computed over the integers.
 
-Values enter and leave as `Fraction`: a `RatMatrix` holds Fractions, and
-every rref, kernel vector, solution and determinant it hands back is one.
-Inside, the work is over `int`; `cleared` scales rows to integers by their
-least common denominator.  A `RatMatrix` is immutable, so it keeps its
-cleared form, its integer form, once a caller has asked for it: `@`, the
-eliminations, both simulators and `Subspace` read that form, and a matrix
-that several of them read is cleared once.  One elimination, `_insert`,
+A `RatMatrix` is its integer form (d, rows): d > 0 and the int rows d
+times the matrix, in lowest terms.  Input is read into that form entry by
+entry (`rationals.read_rational`), `@`, `+`, `-`, `transpose`, `scale`,
+the eliminations, both simulators and `Subspace` work on it, and Fractions
+are built only when a caller reads entries: `[i, j]`, `row`, `col`,
+`to_lists`, `to_strings`, a determinant or a trace.  `aligned` brings
+several matrices to one denominator.  One elimination, `_insert`,
 adds a primitive integer row to an echelon basis by fraction-free steps
 (`_reduce`, the step of `multipoly._remainder` for polynomials; Bareiss,
 Math. Comp. 22, 1968).  Its callers are the `Subspace` worklist and
@@ -21,10 +21,10 @@ update of `lss.simulate_lss` and the output step of `sarx.simulate_sarx`
 all go through it.  `Subspace` is the one subspace builder: the span of some
 vectors, closed under some maps, by a worklist over `_insert`.  Scaling a
 map or a vector does not change that span, so it works on each map's
-integer form and on each vector cleared once, and the canonical rref is
-built only when a caller reads rows.  In `lss` it is always a reachable
-span, of a system, its dual or a direct sum; the isomorphism route reads
-S off one, and `solve_affine` does the rest.
+integer form and on an integer multiple of each vector, and the canonical
+rref is built only when a caller reads rows.  In `lss` it is always a
+reachable span, of a system, its dual or a direct sum; the isomorphism
+route reads S off one, and `solve_affine` does the rest.
 """
 
 from __future__ import annotations
@@ -34,79 +34,92 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
 
-from .rationals import _ONE, _ZERO, exact, format_rational, parse_rational
+from .rationals import _ZERO, exact, format_rational, read_rational
 
 
 class RatMatrix:
-    """Immutable dense matrix of Fractions, row-major.
+    """Immutable dense matrix of rationals, row-major, held as its integer form.
 
-    `integer_form` is (d, rows), `cleared` of the entries: d > 0 and the int
-    rows d times the matrix.  It is computed at the first call and kept, and
-    callers read it without changing it.  `RatMatrix(...)` checks and
-    converts each entry it is given; `_of` takes rows that are already
-    tuples of Fractions, as parsing, `transpose`, `@`, `+`, `-`, `scale`
-    and the reduced rows of a `Subspace` make them, and checks nothing.
+    The integer form, the matrix's only state, is (d, rows): d > 0 and the
+    int rows d times the matrix, in lowest terms, so that d is the least
+    common denominator of the entries and equal matrices have equal forms.
+    `integer_form` hands it out, and callers read it without changing it.
+    `RatMatrix(...)` and `from_strings` read each entry through
+    `read_rational`; `_of` takes a form that is already over int and brings
+    it to lowest terms, as `transpose`, `@`, `+`, `-`, `scale`, `rref` and
+    the reduced rows of a `Subspace` make it.  Entries are Fractions when
+    they are read: `[i, j]`, `row`, `col`, `to_lists`, `to_strings`.
     """
 
-    __slots__ = ("rows", "cols", "_data", "_ints")
+    __slots__ = ("rows", "cols", "_form")
 
     def __init__(self, data, cols=0):
         """data: a list of rows; cols: the column count when there are no rows."""
-        data = [tuple(x if type(x) is Fraction else parse_rational(x) for x in row) for row in data]
+        data = [[read_rational(x) for x in row] for row in data]
         self.rows, self.cols = len(data), _width(data, cols)
-        self._data, self._ints = tuple(data), None
+        d = lcm(*{b for row in data for _, b in row})
+        if d == 1:
+            self._form = d, [[a for a, _ in row] for row in data]
+        else:
+            self._form = d, [[a * (d // b) for a, b in row] for row in data]
 
     @classmethod
-    def _of(cls, data, cols):
-        """The matrix with these rows, each a tuple of `cols` Fractions, unchecked."""
+    def _of(cls, d, ints, cols):
+        """The matrix ints / d, brought to lowest terms; int rows of `cols` entries, d > 0."""
+        if d != 1:
+            g = gcd(d, *[x for row in ints for x in row])
+            if g != 1:
+                d, ints = d // g, [[x // g for x in row] for row in ints]
         m = cls.__new__(cls)
-        m.rows, m.cols, m._data, m._ints = len(data), cols, tuple(data), None
+        m.rows, m.cols, m._form = len(ints), cols, (d, ints)
         return m
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls([[_ZERO] * cols for _ in range(rows)], cols)
+        return cls._of(1, [[0] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n):
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return cls._of(1, [[int(i == j) for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def column(cls, entries):
+        """The n x 1 matrix of the entries (`test_entries_are_read_off_the_integer_form`)."""
         return cls([[x] for x in entries], 1)
 
     @classmethod
     def from_strings(cls, data):
         if not (isinstance(data, list) and all(isinstance(r, list) for r in data)):
             raise ValueError("a matrix must be a list of rows, each a list")
-        data = [tuple(map(parse_rational, row)) for row in data]
-        return cls._of(data, _width(data, 0))
+        return cls(data)
 
     # -- access -------------------------------------------------------
 
     def __getitem__(self, ij):
         i, j = ij
-        return self._data[i][j]
+        d, ints = self._form
+        return Fraction(ints[i][j], d)
 
     def row(self, i):
-        return self._data[i]
+        return _fractions(self._form[1][i], self._form[0])
 
     def col(self, j):
-        return tuple(self._data[i][j] for i in range(self.rows))
+        """Column j (`test_entries_are_read_off_the_integer_form`)."""
+        d, ints = self._form
+        return _fractions([row[j] for row in ints], d)
 
     def integer_form(self):
-        """(d, rows): `cleared` of the entries, computed at the first call and kept."""
-        if self._ints is None:
-            self._ints = cleared(self._data)
-        return self._ints
+        """(d, rows), the state: d > 0 and the int rows d times the matrix, in lowest terms."""
+        return self._form
 
     def to_lists(self):
-        return [list(row) for row in self._data]
+        d, ints = self._form
+        return [list(_fractions(row, d)) for row in ints]
 
     def to_strings(self):
-        return [[format_rational(x) for x in row] for row in self._data]
+        return [[format_rational(x) for x in row] for row in self.to_lists()]
 
     @property
     def shape(self):
@@ -121,14 +134,14 @@ class RatMatrix:
         return (
             isinstance(other, RatMatrix)
             and self.shape == other.shape
-            and self._data == other._data
+            and self._form == other._form
         )
 
     def _entrywise(self, other, op):
         if self.shape != other.shape:
             raise ValueError("shape mismatch: %s vs %s" % (self.shape, other.shape))
-        return RatMatrix._of([tuple(map(op, ra, rb)) for ra, rb in zip(self._data, other._data)],
-                             self.cols)
+        d, (left, right) = aligned(self, other)
+        return RatMatrix._of(d, [list(map(op, ra, rb)) for ra, rb in zip(left, right)], self.cols)
 
     def __add__(self, other):
         return self._entrywise(other, add)
@@ -138,7 +151,9 @@ class RatMatrix:
 
     def scale(self, c):
         c = exact(c)
-        return RatMatrix._of([tuple(c * x for x in row) for row in self._data], self.cols)
+        d, ints = self._form
+        n = c.numerator
+        return RatMatrix._of(d * c.denominator, [[n * x for x in row] for row in ints], self.cols)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -146,30 +161,29 @@ class RatMatrix:
                 "shape mismatch for product: %s @ %s" % (self.shape, other.shape)
             )
         # self = L / d and other = R / e: the entry (i, j) is (L R)[i, j] / (d e)
-        (d, left), (e, right) = self.integer_form(), other.integer_form()
-        rows, de = sparse_rows(left), d * e
+        (d, left), (e, right) = self._form, other._form
+        rows = sparse_rows(left)
         out = [sparse_apply(rows, c) for c in (zip(*right) if right else [()] * other.cols)]
-        return RatMatrix._of(
-            [_fractions(row, de) for row in zip(*out)]
-            if out else [()] * self.rows,
-            other.cols,
-        )
+        ints = [list(row) for row in zip(*out)] if out else [[] for _ in range(self.rows)]
+        return RatMatrix._of(d * e, ints, other.cols)
 
     def transpose(self):
         if not (self.rows and self.cols):
             return RatMatrix.zeros(self.cols, self.rows)
-        return RatMatrix._of(list(zip(*self._data)), self.rows)
+        d, ints = self._form
+        return RatMatrix._of(d, [list(col) for col in zip(*ints)], self.rows)
 
     def trace(self):
         if not self.is_square():
             raise ValueError("trace of non-square matrix")
-        return sum((self._data[i][i] for i in range(self.rows)), _ZERO)
+        d, ints = self._form
+        return Fraction(sum(ints[i][i] for i in range(self.rows)), d)
 
     # -- elimination --------------------------------------------------
 
     def _row_space(self):
         """The row space, the integer rows fed last-first so that the worklist inserts them in order."""
-        return Subspace(self.cols, reversed(self.integer_form()[1]))
+        return Subspace(self.cols, reversed(self._form[1]))
 
     def rref(self):
         """Reduced row echelon form, read off the reduced rows of the row space.
@@ -178,9 +192,9 @@ class RatMatrix:
         `test_rref_is_idempotent_and_rank_revealing` checks it against sympy.
         """
         reduced = self._row_space()._rows()
-        m = [_fractions(row, row[p]) for p, row in reduced]
-        m += [(_ZERO,) * self.cols] * (self.rows - len(m))
-        return RatMatrix._of(m, self.cols), [p for p, _ in reduced]
+        zero = [0] * self.cols
+        m = [(row, row[p]) for p, row in reduced] + [(zero, 1)] * (self.rows - len(reduced))
+        return _stacked(m, self.cols), [p for p, _ in reduced]
 
     def kernel_basis(self):
         """Basis of {x : Mx = 0} as a list of n x 1 column matrices."""
@@ -195,7 +209,7 @@ class RatMatrix:
         if not self.is_square():
             raise ValueError("determinant of non-square matrix")
         basis, num, den = [], 1, 1
-        d, rows = self.integer_form()
+        d, rows = self._form
         for v in rows:
             found = _insert(basis, v)
             if found is None:
@@ -207,6 +221,23 @@ class RatMatrix:
 
     def __repr__(self):
         return "RatMatrix(%r)" % (self.to_strings(),)
+
+
+def aligned(*matrices):
+    """(d, [rows, ...]): the matrices' integer rows over their least common denominator d.
+
+    A matrix already over d hands out its own rows, which callers must not change.
+    """
+    forms = [m._form for m in matrices]
+    d = lcm(*[e for e, _ in forms])
+    return d, [rows if e == d else [[x * (d // e) for x in row] for row in rows]
+               for e, rows in forms]
+
+
+def _stacked(rows, cols):
+    """The matrix whose row i is the int row r_i over the positive int s_i, rows = [(r_i, s_i)]."""
+    d = lcm(*[s for _, s in rows])
+    return RatMatrix._of(d, [[x * (d // s) for x in r] for r, s in rows], cols)
 
 
 def _width(data, cols):
@@ -295,6 +326,9 @@ def _insert(basis, v):
 
 
 def _fractions(row, d):
+    """The int row over the positive int d, as a tuple of Fractions."""
+    if d == 1:
+        return tuple(map(Fraction, row))
     return tuple(Fraction(x, d) if x else _ZERO for x in row)
 
 
@@ -322,7 +356,7 @@ def _null_rows(reduced, cols):
 
 def _kernel(reduced, cols):
     """Kernel basis, 1 at each free column, off reduced rows whose first `cols` columns are an rref."""
-    return [RatMatrix.column(_fractions(v, v[k])) for k, v in _null_rows(reduced, cols)]
+    return [RatMatrix._of(v[k], [[x] for x in v], 1) for k, v in _null_rows(reduced, cols)]
 
 
 def sparse_rows(rows):
@@ -351,14 +385,14 @@ def solve_affine(a: RatMatrix, b: RatMatrix):
     """
     if a.rows != b.rows or b.cols != 1:
         raise ValueError("shape mismatch in solve_affine")
-    augmented = RatMatrix._of([ra + rb for ra, rb in zip(a._data, b._data)], a.cols + 1)
-    reduced = augmented._row_space()._rows()
+    _, (left, right) = aligned(a, b)
+    reduced = Subspace(a.cols + 1, [ra + rb for ra, rb in zip(left[::-1], right[::-1])])._rows()
     if reduced and reduced[-1][0] == a.cols:
         return None
-    x = [_ZERO] * a.cols
+    x = [([0], 1)] * a.cols
     for p, row in reduced:
-        x[p] = Fraction(row[a.cols], row[p])
-    return RatMatrix.column(x), _kernel(reduced, a.cols)
+        x[p] = [row[a.cols]], row[p]
+    return _stacked(x, 1), _kernel(reduced, a.cols)
 
 
 class Subspace:
@@ -366,7 +400,7 @@ class Subspace:
 
     A worklist inserts each vector, as a primitive integer row, into an
     echelon basis of at most n rows; only a vector that is new to the span
-    is pushed through the maps, each cleared to integers.  `dim` reads the
+    is pushed through the maps, each read as its integer form.  `dim` reads the
     basis; the canonical reduced rows are built each time a caller reads
     rows or compares.
     """
@@ -378,14 +412,18 @@ class Subspace:
         self.ambient_dim = ambient_dim
         work = []
         for v in vectors:
+            # a vector's multiples span the same line: each enters as an integer one
             if isinstance(v, RatMatrix):
                 if v.shape != (ambient_dim, 1):
                     raise ValueError("vector shape mismatch")
-                v = v.col(0)
+                v = [row[0] for row in v._form[1]]
             elif len(v) != ambient_dim:
                 raise ValueError("vector length mismatch")
-            v = [x if type(x) in (int, Fraction) else exact(x) for x in v]
-            work.append(cleared([v])[1][0])
+            elif all(type(x) is int for x in v):
+                v = list(v)
+            else:
+                v = cleared([[exact(x) for x in v]])[1][0]
+            work.append(v)
         if any(m.shape != (ambient_dim, ambient_dim) for m in maps):
             raise ValueError("map shape mismatch")
         rows = [sparse_rows(m.integer_form()[1]) for m in maps]
@@ -414,8 +452,7 @@ class Subspace:
 
     def basis_rows_matrix(self):
         """The reduced rows; `test_subspace_is_the_rref_of_its_vectors_in_any_order` checks them."""
-        rows = [_fractions(row, row[p]) for p, row in self._rows()]
-        return RatMatrix._of(rows, self.ambient_dim)
+        return _stacked([(row, row[p]) for p, row in self._rows()], self.ambient_dim)
 
     def annihilator(self):
         """{x : v . x = 0 for every v in the subspace}, read off the reduced rows."""

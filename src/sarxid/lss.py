@@ -19,15 +19,15 @@ from fractions import Fraction
 from .linalg import (
     RatMatrix,
     Subspace,
-    _fractions,
     _null_rows,
-    cleared,
+    _stacked,
+    aligned,
     lowest_terms,
     solve_affine,
     sparse_apply,
     sparse_rows,
 )
-from .rationals import InputError, JsonLoadable, Record, _ONE, _ZERO, malformed, parse_int, read_modes
+from .rationals import InputError, JsonLoadable, Record, malformed, parse_int, read_modes
 from .sarx import HybridWord, SarxModel
 
 
@@ -100,52 +100,52 @@ class Lss(Record, JsonLoadable):
 def associated_lss(model: SarxModel) -> Lss:
     """Companion-style state-space embedding with the regressor as state."""
     ny, nu, p, m, n = model.ny, model.nu, model.p, model.m, model.width
+    b = [[0] * m for _ in range(n)]
+    for i in range(m):
+        b[ny * p + i][i] = 1
+    b = RatMatrix._of(1, b, m)
     modes = {}
     for q in model.labels:
-        a = [[_ZERO] * n for _ in range(n)]
         h = model.modes[q]
-        # top block: next state's newest output is h_q applied to the state
-        for i in range(p):
-            for j in range(n):
-                a[i][j] = h[i, j]
+        # A_q = a / d, h_q = H / d: next state's newest output is h_q applied to the state
+        d, top = h.integer_form()
+        a = [list(row) for row in top] + [[0] * n for _ in range(n - p)]
         # output shift: block row i copies output block i-1
         for blk in range(1, ny):
             for i in range(p):
-                a[blk * p + i][(blk - 1) * p + i] = _ONE
+                a[blk * p + i][(blk - 1) * p + i] = d
         # input shift: block row ny+blk copies input block blk-1
         for blk in range(1, nu):
             for i in range(m):
-                a[ny * p + blk * m + i][ny * p + (blk - 1) * m + i] = _ONE
-        b = [[_ZERO] * m for _ in range(n)]
-        for i in range(m):
-            b[ny * p + i][i] = _ONE
-        modes[q] = LssMode(a=RatMatrix(a), b=RatMatrix(b), c=h)
+                a[ny * p + blk * m + i][ny * p + (blk - 1) * m + i] = d
+        modes[q] = LssMode(a=RatMatrix._of(d, a, n), b=b, c=h)
     return Lss(n=n, m=m, p=p, modes=modes, x0=RatMatrix.zeros(n, 1))
 
 
 def simulate_lss(sys: Lss, word: HybridWord):
     """Output trace y_t = C_{q_t} x_t with x_{t+1} = A_{q_t} x_t + B_{q_t} u_t.
 
-    Per mode, C_q = C / e and [A_q | B_q] = M / d are cleared to integers
-    once, and the state is kept as x_t = X_t / s_t, an int vector over a
-    positive int: with u_t = U / v, X_(t+1) = M (v X_t, s_t U) over d s_t v,
-    both divided by their gcd.  Each output entry is one Fraction.
+    Per mode, C_q = C / e and [A_q | B_q] = M / d are read off the integer
+    forms once, and the state is kept as x_t = X_t / s_t, an int vector over
+    a positive int: with u_t = U / v, the word's integer form of the input,
+    X_(t+1) = M (v X_t, s_t U) over d s_t v, both divided by their gcd.
+    Each output entry is one Fraction.
     """
     modes = {}
     for q, md in sys.modes.items():
         e, c = md.c.integer_form()
-        d, ab = cleared([ra + rb for ra, rb in zip(md.a.to_lists(), md.b.to_lists())])
-        modes[q] = (e, sparse_rows(c), d, sparse_rows(ab))
-    s, (x,) = cleared([sys.x0.col(0)])
+        d, (a, b) = aligned(md.a, md.b)
+        modes[q] = (e, sparse_rows(c), d, sparse_rows([ra + rb for ra, rb in zip(a, b)]))
+    s, x = sys.x0.integer_form()
+    x = [row[0] for row in x]
     outputs = []
-    for q, u in word:
+    for q, v, u in word.integer_steps:
         if q not in modes:
             raise InputError("unknown mode label %r" % q)
         if len(u) != sys.m:
             raise InputError("input dimension %d != m=%d" % (len(u), sys.m))
         e, c, d, ab = modes[q]
         outputs.append(tuple(Fraction(y, e * s) for y in sparse_apply(c, x)))
-        v, (u,) = cleared([u])
         if v != 1:
             x = [v * a for a in x]
         x, s = lowest_terms(sparse_apply(ab, [*x, *[s * a for a in u]]), d * s * v)
@@ -161,7 +161,9 @@ def dual(sys: Lss) -> Lss:
 
 def reachable_span(sys: Lss) -> Subspace:
     """Smallest subspace containing x0 and all B columns, invariant under every A_q."""
-    seeds = [sys.x0.col(0)] + [sys.modes[q].b.col(j) for q in sys.labels for j in range(sys.m)]
+    # each seed enters as an integer multiple, which spans the same line
+    seeds = [[row[0] for row in sys.x0.integer_form()[1]]]
+    seeds += [col for q in sys.labels for col in zip(*sys.modes[q].b.integer_form()[1])]
     return Subspace(sys.n, seeds, [sys.modes[q].a for q in sys.labels])
 
 
@@ -249,7 +251,7 @@ def find_isomorphisms(a: Lss, b: Lss, seed=0) -> IsoSolution:
     if transposed:
         outs.append((a.x0.transpose(), b.x0.transpose()))
     outs = [(cp, cp @ t0 - c) for cp, c in outs]
-    if any(any(row) for _, r in outs for row in (r @ span).to_lists()):
+    if any(any(row) for _, r in outs for row in (r @ span).integer_form()[1]):
         return none
 
     def oriented(t):
@@ -266,32 +268,35 @@ def find_isomorphisms(a: Lss, b: Lss, seed=0) -> IsoSolution:
         return i * n + j if transposed else j * k + i
 
     def equation(entries, value):
-        row = [_ZERO] * (n * k)
+        row = [0] * (n * k)
         for (j, i), x in entries:
             row[col(j, i)] += x
         rows.append(row)
-        rhs.append(-value)
+        rhs.append([-value])
 
+    # each equation is written over int, times the common denominator of its
+    # family: scaling an equation leaves the solution set as it is
     for q in a.labels:
         fa, sa = first.modes[q].a, second.modes[q].a
-        res, g, sa_rows = t0 @ fa - sa @ t0, f @ fa, sa.to_lists()
+        _, (res, g, sa) = aligned(t0 @ fa - sa @ t0, f @ fa, sa)
         for i, c in enumerate(free):
             for r in range(n):
-                equation([((r, i2), g[i2, c]) for i2 in range(k)]
-                         + [((j, i), -sa_rows[r][j]) for j in range(n)], res[r, c])
+                equation([((r, i2), g[i2][c]) for i2 in range(k)]
+                         + [((j, i), -sa[r][j]) for j in range(n)], res[r][c])
     for cp, res in outs:
+        _, (cp, res) = aligned(cp, res)
         for i, c in enumerate(free):
-            for r in range(cp.rows):
-                equation([((j, i), cp[r, j]) for j in range(n)], res[r, c])
-    solution = solve_affine(RatMatrix(rows, n * k), RatMatrix.column(rhs))
+            for r, cp_row in enumerate(cp):
+                equation([((j, i), cp_row[j]) for j in range(n)], res[r][c])
+    solution = solve_affine(RatMatrix._of(1, rows, n * k), RatMatrix._of(1, rhs, 1))
     if solution is None:
         return none
     particular, null = solution
 
     def at(point):
-        x = point.col(0)
-        return oriented(t0 + RatMatrix._of([tuple(x[col(j, i)] for i in range(k))
-                                            for j in range(n)], k) @ f)
+        d, x = point.integer_form()
+        return oriented(t0 + RatMatrix._of(d, [[x[col(j, i)][0] for i in range(k)]
+                                               for j in range(n)], k) @ f)
 
     if not null:
         return _unique(at(particular))
@@ -312,21 +317,26 @@ def _graph_map(a, b):
     non-pivots that the u_i annihilate (`_null_rows`), and U holds integer
     multiples of the u_i as columns.  The T are T0 + X F, X any n x k matrix.
     """
-    n, z = a.n, (_ZERO,) * a.n
-    modes = [(a.modes[q], b.modes[q]) for q in a.labels]
-    seeds = [a.x0.col(0) + b.x0.col(0)]
-    seeds += [ma.b.col(j) + mb.b.col(j) for ma, mb in modes for j in range(a.m)]
-    diags = [RatMatrix._of([ma.a.row(i) + z for i in range(n)]
-                           + [z + mb.a.row(i) for i in range(n)], 2 * n) for ma, mb in modes]
+    n, z = a.n, [0] * a.n
+    # each pair of blocks over one denominator; a vector's or a map's
+    # multiples give the same closure, so the denominators are dropped
+    seeds, diags = [], []
+    for xa, xb in [aligned(a.x0, b.x0)[1]] + [aligned(a.modes[q].b, b.modes[q].b)[1]
+                                               for q in a.labels]:
+        seeds += [ca + cb for ca, cb in zip(zip(*xa), zip(*xb))]
+    for q in a.labels:
+        _, (aa, ab) = aligned(a.modes[q].a, b.modes[q].a)
+        diags.append(RatMatrix._of(1, [row + z for row in aa] + [z + row for row in ab], 2 * n))
     reduced = Subspace(2 * n, seeds, diags)._rows()
     if reduced and reduced[-1][0] >= n:
         return None
     by_pivot = dict(reduced)
-    t0 = RatMatrix._of([_fractions(by_pivot[k][n:], by_pivot[k][k]) if k in by_pivot else z
-                        for k in range(n)], n).transpose()
+    t0 = _stacked([(by_pivot[k][n:], by_pivot[k][k]) if k in by_pivot else (z, 1)
+                   for k in range(n)], n).transpose()
     null = _null_rows(reduced, n)
-    f = RatMatrix._of([_fractions(v, v[k]) for k, v in null], n)
-    return t0, [k for k, _ in null], f, RatMatrix([row[:n] for _, row in reduced], n).transpose()
+    f = _stacked([(v, v[k]) for k, v in null], n)
+    span = RatMatrix._of(1, [row[:n] for _, row in reduced], n).transpose()
+    return t0, [k for k, _ in null], f, span
 
 
 def _unique(s):

@@ -2,9 +2,10 @@
 
 All numeric data in this package is held as `fractions.Fraction`.  Decimal
 literals from input files ("0.001") are converted exactly, never through
-binary floating point.  `exact` is the one refusal, by `TypeError`, of
-any other scalar, floats and bools among them; `parse_rational` hands it
-every value that is not a string.
+binary floating point.  `read_rational` is the one reader of a rational,
+into its numerator and denominator, and `exact` the one refusal, by
+`TypeError`, of any other scalar, floats and bools among them;
+`read_rational` hands it every value that is not a string.
 
 Input the program refuses, from an unreadable file to a model of the wrong
 shape, raises `InputError`; the CLI turns it into exit code 2.
@@ -18,6 +19,7 @@ package's start-up time.
 import json
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -113,41 +115,65 @@ def malformed(what):
         raise InputError("malformed %s JSON: %s" % (what, exc)) from exc
 
 
-def parse_rational(value) -> Fraction:
-    """Parse "8", "-3/2" or "0.001" into an exact Fraction; any other value goes to `exact`.
+def read_rational(value):
+    """(n, d), d > 0, gcd 1: the exact value of "8", "-3/2", "0.001", an int or a Fraction.
 
-    Exponent notation is refused, since "1e999999999" would expand to a
-    billion digits.  So are digit separators ("1_000") and whitespace
-    inside a number ("1 /2"), which `Fraction` reads on some Python
-    versions and not on others: a file reads the same on all of them.  An
-    integer string is read by `int`, without `Fraction`'s regex; every
+    The one reader of rationals: a matrix reads each entry through it, and
+    `parse_rational` is its value as a Fraction.  A value that is not a
+    string goes to `exact`.  Exponent notation is refused, since
+    "1e999999999" would expand to a billion digits.  So are digit
+    separators ("1_000") and whitespace inside a number ("1 /2"), which
+    `Fraction` reads on some Python versions and not on others: a file
+    reads the same on all of them.  An integer string is read by `int`
+    and "n/d" by `int` on each side, without `Fraction`'s regex; every
     other string takes the regex.
+    `test_read_rational_reads_what_fraction_reads` checks it.
     """
     if not isinstance(value, str):
-        return exact(value)
+        if type(value) is not int:
+            value = exact(value)
+        return value.numerator, value.denominator
     if "_" in value:
         raise ValueError("digit separators not accepted: %r" % value)
-    try:
-        return Fraction(int(value))
-    except ValueError:
-        pass
+    if "/" not in value:
+        try:
+            return int(value), 1
+        except ValueError:
+            pass
     text = value.strip()
     if "e" in text.lower():
         raise ValueError("exponent notation not accepted: %r" % value)
     if len(text.split()) > 1:
         raise ValueError("whitespace inside a number not accepted: %r" % value)
+    num, slash, den = text.partition("/")
     try:
-        return Fraction(text)
+        # "n/d" as `Fraction` reads it, a signed run of digits over an unsigned one
+        if slash and den.isdecimal() and (num[1:] if num[:1] in ("+", "-") else num).isdecimal():
+            n, d = int(num), int(den)
+            if d:
+                g = gcd(n, d)
+                return n // g, d // g
+        x = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError("cannot parse rational from %r" % value) from exc
+    return x.numerator, x.denominator
+
+
+def parse_rational(value) -> Fraction:
+    """`read_rational`'s value as a Fraction; a Fraction is returned as it is."""
+    if isinstance(value, Fraction):
+        return value
+    return Fraction(*read_rational(value))
 
 
 def exact(value) -> Fraction:
-    """An int or a Fraction as a Fraction; anything else raises `TypeError`.
+    """An int or a Fraction as a Fraction, a Fraction as it is; anything else raises `TypeError`.
 
     A float has already lost exactness, and a bool is not a number.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError("%r is not an int or a Fraction; write a decimal exactly, as a string"
                         " like '0.001' or as Fraction('0.001')" % (value,))
     return Fraction(value)

@@ -104,9 +104,14 @@ class SarxModel(SarxType):
 
 
 class HybridWord(JsonLoadable):
-    """Finite sequence of (mode label, input vector) pairs, time-indexed from 0."""
+    """Finite sequence of (mode label, input vector) pairs, time-indexed from 0.
 
-    __slots__ = ("steps",)
+    Beside the steps, whose inputs are Fractions, `integer_steps` holds each
+    step as (q, v, U), the input as the int vector U over the positive int
+    v, read once here for the simulators.
+    """
+
+    __slots__ = ("steps", "integer_steps")
 
     def __init__(self, steps):
         self.steps = [
@@ -114,6 +119,10 @@ class HybridWord(JsonLoadable):
         ]
         if not self.steps:
             raise InputError("hybrid word must be nonempty")
+        self.integer_steps = []
+        for q, u in self.steps:
+            v, (ints,) = cleared([u])
+            self.integer_steps.append((q, v, ints))
 
     def __iter__(self):
         return iter(self.steps)
@@ -155,7 +164,7 @@ def simulate_sarx(model: SarxModel, word: HybridWord):
     top, p, m = model.ny * model.p, model.p, model.m
     phi, s = [0] * model.width, 1
     outputs = []
-    for q, u in word:
+    for q, v, u in word.integer_steps:
         if q not in rows:
             raise InputError("unknown mode label %r" % q)
         if len(u) != m:
@@ -164,7 +173,6 @@ def simulate_sarx(model: SarxModel, word: HybridWord):
         y = sparse_apply(h, phi)
         outputs.append(tuple(Fraction(a, d * s) for a in y))
         # y = Y / (d s), the register phi / s and u = U / v, over d s v
-        v, (u,) = cleared([u])
         if d * v != 1:
             y = [v * a for a in y]
             phi = [d * v * a for a in phi]

@@ -24,6 +24,7 @@ from sarxid import (
     SarxModel,
     Subspace,
     dual,
+    find_isomorphisms,
     reachable_span,
     simulate_lss,
     simulate_sarx,
@@ -48,7 +49,7 @@ def test_entries_are_exact_fractions():
     m = RatMatrix([[2, "-3/2", "0.25", third]])
     assert m.row(0) == (2, Fraction(-3, 2), Fraction(1, 4), third)
     assert all(type(x) is Fraction for x in m.row(0))
-    assert m[0, 3] is third
+    assert m[0, 3] == third
 
 
 def test_rank_matches_minor_enumeration(rng):
@@ -443,6 +444,21 @@ def assert_integer_form_kept(m):
     assert all(type(x) is Fraction for row in m.to_lists() for x in row)
 
 
+def test_entries_are_read_off_the_integer_form():
+    """Each reader of entries builds its Fractions from (d, rows), which is in lowest terms."""
+    m = RatMatrix([["1/2", "-3", "0.25"], [Fraction(4, 6), 0, "-7/2"]])
+    assert m.integer_form() == (12, [[6, -36, 3], [8, 0, -42]])
+    rows = [[Fraction(1, 2), -3, Fraction(1, 4)], [Fraction(2, 3), 0, Fraction(-7, 2)]]
+    assert m.to_lists() == rows
+    assert [m.row(i) for i in range(2)] == [tuple(r) for r in rows]
+    assert [m.col(j) for j in range(3)] == [tuple(c) for c in zip(*rows)]
+    assert [[m[i, j] for j in range(3)] for i in range(2)] == rows
+    assert all(type(x) is Fraction for r in m.to_lists() for x in r + [m[1, 1]])
+    assert m.to_strings() == [["1/2", "-3", "1/4"], ["2/3", "0", "-7/2"]]
+    assert RatMatrix.column(m.col(2)).integer_form() == (4, [[1], [-14]])
+    assert RatMatrix([["2/4", "-1/2"]]).integer_form() == (2, [[1, -1]])
+
+
 @properties
 @given(
     any_shapes.flatmap(lambda s: st.tuples(
@@ -493,10 +509,9 @@ def test_from_strings_refuses_ragged_and_non_list_rows():
     assert RatMatrix.from_strings([["1/2", 3]]) == RatMatrix([[Fraction(1, 2), 3]])
 
 
-def test_each_map_is_cleared_once(rng, monkeypatch):
-    """Closures that share a map clear it once, as an n-row matrix."""
+def test_no_closure_clears_a_map(rng, monkeypatch):
+    """Closures read each map's and seed's integer form as it is: `cleared` is never called."""
     sys = random_rational_lss(rng, n=4, m=1, p=2, modes=3)
-    transposed = dual(sys)
     calls = []
     real = linalg.cleared
 
@@ -505,7 +520,8 @@ def test_each_map_is_cleared_once(rng, monkeypatch):
         return real(rows)
 
     monkeypatch.setattr(linalg, "cleared", counted)
-    for _ in range(2):
-        reachable_span(sys)
-        reachable_span(transposed)
-    assert calls.count(sys.n) == 2 * len(sys.modes)
+    reachable_span(sys)
+    reachable_span(dual(sys))
+    unobservable_space(sys)
+    find_isomorphisms(sys, sys)
+    assert calls == []

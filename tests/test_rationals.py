@@ -1,3 +1,4 @@
+import json
 import re
 from fractions import Fraction
 
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sarxid.rationals import parse_rational
+from sarxid import RatMatrix
+from sarxid.cli import main
+from sarxid.rationals import exact, parse_rational, read_rational
 
 # strings that look like numbers, with the characters where `int` and
 # `Fraction` could part ways: "_", signs, "/", ".", whitespace (the file
@@ -31,11 +34,13 @@ def check_against_fraction(s):
         # exponent notation, digit separators and whitespace inside a number
         # are refused even where Fraction reads them, so that a file reads the
         # same on every Python version
-        with pytest.raises(ValueError):
-            parse_rational(s)
+        for read in (parse_rational, read_rational):
+            with pytest.raises(ValueError):
+                read(s)
     else:
         got = parse_rational(s)
         assert type(got) is Fraction and got == want
+        assert read_rational(s) == (want.numerator, want.denominator)
 
 
 @settings(max_examples=400, derandomize=True)
@@ -60,3 +65,66 @@ def test_pinned_values():
     for s in ("1__0", "1e3", "0x10", "", " ", "1/0", "1/2/3", "1_000", "1 /2", "1/ 2", "+9/ 8"):
         with pytest.raises(ValueError):
             parse_rational(s)
+
+
+# -- the one reader: read_rational, under parse_rational and every matrix ----
+
+DIGITS = "0123456789\u0663\u096c\uff13"  # ASCII, Arabic-Indic 3, Devanagari 6, fullwidth 3
+digits = st.text(alphabet=DIGITS, min_size=1, max_size=6)
+sign = st.sampled_from(["", "+", "-"])
+space = st.sampled_from(["", " ", "\t", "\n", "\x1c", " \n"])
+# "n", "n/d", "n.f", ".f" and "n.", each with a sign and surrounding whitespace
+ACCEPTED = st.builds(
+    lambda pre, sgn, body, post: pre + sgn + body + post,
+    space, sign,
+    st.one_of(
+        digits,
+        st.builds(lambda n, d: n + "/" + d, digits, digits.filter(lambda d: int(d) != 0)),
+        st.builds(lambda n, f: n + "." + f, digits, digits),
+        st.builds(lambda f: "." + f, digits),
+        st.builds(lambda n: n + ".", digits),
+    ),
+    space,
+)
+
+
+@settings(max_examples=400, derandomize=True)
+@given(ACCEPTED)
+def test_read_rational_reads_what_fraction_reads(s):
+    want = Fraction(s.strip())
+    assert read_rational(s) == (want.numerator, want.denominator)
+    got = parse_rational(s)
+    assert type(got) is Fraction and got == want
+    assert RatMatrix([[s]]).integer_form() == (want.denominator, [[want.numerator]])
+
+
+REFUSED = ["1_000", "1 /2", "3/+2", "1e3", "3/0", "", "-", 0.5, True]
+
+
+@pytest.mark.parametrize("value", REFUSED, ids=repr)
+def test_refusals_are_unchanged_and_exit_two(capsys, tmp_path, value):
+    error = TypeError if isinstance(value, (bool, float)) else ValueError
+    for read in (read_rational, parse_rational, lambda v: RatMatrix([[v]])):
+        with pytest.raises(error):
+            read(value)
+    model = {"ny": 1, "nu": 1, "p": 1, "m": 1, "modes": {"1": [["1", value]]}}
+    word = {"steps": [{"q": "1", "u": [value]}]}
+    lss = {"n": 1, "m": 1, "p": 1, "modes": {"1": {"A": [[value]], "B": [["1"]], "C": [["1"]]}},
+           "x0": ["0"]}
+    good_model = dict(model, modes={"1": [["1", "1"]]})
+    for name, obj in (("model", model), ("word", word), ("lss", lss), ("good", good_model)):
+        (tmp_path / (name + ".json")).write_text(json.dumps(obj))
+    for argv in (["check-min", "model.json"], ["simulate", "good.json", "word.json"],
+                 ["iso", "lss.json", "lss.json"]):
+        code = main([argv[0]] + [str(tmp_path / a) for a in argv[1:]])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+def test_exact_returns_a_fraction_as_it_is_and_refuses_the_rest():
+    f = Fraction(-3, 7)
+    assert exact(f) is f
+    assert exact(5) == 5 and type(exact(5)) is Fraction
+    for value in (True, False, 0.5, 1.0, "1", None, 1j):
+        with pytest.raises(TypeError, match="is not an int or a Fraction"):
+            exact(value)
