@@ -58,10 +58,7 @@ class RatMatrix:
         data = [[read_rational(x) for x in row] for row in data]
         self.rows, self.cols = len(data), _width(data, cols)
         d = lcm(*{b for row in data for _, b in row})
-        if d == 1:
-            self._form = d, [[a for a, _ in row] for row in data]
-        else:
-            self._form = d, [[a * (d // b) for a, b in row] for row in data]
+        self._form = d, [[a * (d // b) for a, b in row] for row in data]
 
     @classmethod
     def _of(cls, d, ints, cols):
@@ -327,8 +324,6 @@ def _insert(basis, v):
 
 def _fractions(row, d):
     """The int row over the positive int d, as a tuple of Fractions."""
-    if d == 1:
-        return tuple(map(Fraction, row))
     return tuple(Fraction(x, d) if x else _ZERO for x in row)
 
 

@@ -18,6 +18,7 @@ from sarxid import (
     simulate_sarx,
     theorem2_polynomials,
 )
+from sarxid import linalg, sarx
 
 
 def test_model_validation():
@@ -40,6 +41,26 @@ def test_word_roundtrip():
     w = HybridWord([("1", [Fraction(1, 2)]), ("2", [3])])
     again = HybridWord.from_json_dict(json.loads(json.dumps(w.to_json_dict())))
     assert again.steps == w.steps
+
+
+def test_word_reads_each_input_once(rng, monkeypatch):
+    """HybridWord keeps each input as (v, U); the simulators clear no input per step."""
+    w = HybridWord([("1", [Fraction(1, 2), 3]), ("2", [Fraction(-2, 3), Fraction(1, 6)])])
+    assert w.integer_steps == [("1", 2, [1, 6]), ("2", 6, [-4, 1])]
+    assert list(w) == w.steps == [("1", (Fraction(1, 2), 3)), ("2", (Fraction(-2, 3), Fraction(1, 6)))]
+    model = random_mimo_model(rng)
+    while model.m != 2:
+        model = random_mimo_model(rng)
+    word = random_word(model.labels, 2, 12, rng, max_den=4)
+    want = simulate_sarx(model, word)
+
+    def refuse(rows):
+        raise AssertionError("an input was cleared during a simulation")
+
+    monkeypatch.setattr(sarx, "cleared", refuse)
+    monkeypatch.setattr(linalg, "cleared", refuse)
+    assert simulate_sarx(model, word) == want
+    assert simulate_lss(associated_lss(model), word) == want
 
 
 def test_simulation_matches_scalar_recurrence(rng):
