@@ -380,8 +380,10 @@ def solve_affine(a: RatMatrix, b: RatMatrix):
     """
     if a.rows != b.rows or b.cols != 1:
         raise ValueError("shape mismatch in solve_affine")
+    # [A | b] times its common denominator, which has the same row space
     _, (left, right) = aligned(a, b)
-    reduced = Subspace(a.cols + 1, [ra + rb for ra, rb in zip(left[::-1], right[::-1])])._rows()
+    augmented = RatMatrix._of(1, [ra + rb for ra, rb in zip(left, right)], a.cols + 1)
+    reduced = augmented._row_space()._rows()
     if reduced and reduced[-1][0] == a.cols:
         return None
     x = [([0], 1)] * a.cols
