@@ -1,13 +1,16 @@
-"""CLI output pinned byte for byte: `iso` on one generated pair of each kind, `to-lss` and `simulate`.
+"""CLI output pinned byte for byte: `iso` on one generated pair of each kind,
+`to-lss`, `simulate`, `param-analyze` and `param-generic`.
 
 The expected reports are the program's output, captured once: a change in
-how entries are read, stored or multiplied that changes any output shows
-here.  The pairs are drawn from a
+how entries or polynomials are read, stored or multiplied that changes any
+output shows here.  The pairs are drawn from a
 fixed seed: entries are fractions with denominators 1 to 3, and halves are
 written as decimals, so the reader's three forms ("3", "-1/3", "1.5") all
-occur.
+occur.  `param-analyze` reports run to 16 kB, so they are pinned by the
+SHA-256 of the bytes written.
 """
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -160,3 +163,67 @@ def test_simulate_compare_lss_output_is_pinned(capsys):
     argv = ["simulate", fixture_path("example3.json"), fixture_path("example3_word.json"),
             "--compare-lss"]
     assert run(capsys, argv) == (0, dumped(SIMULATE), "")
+
+
+def affine_family(rng):
+    """A type-(1,1) family with 2 modes and entries c0 + c1*theta1 + c2*theta2,
+    each c a nonzero integer in [-9, 9]: the generated families of the
+    benchmark's `region` workload, drawn the same way."""
+    def entry():
+        return {"terms": [{"c": str(rng.choice([c for c in range(-9, 10) if c])), "e": e}
+                          for e in ([0, 0], [1, 0], [0, 1])]}
+
+    return {"vars": ["theta1", "theta2"], "ny": 1, "nu": 1, "p": 1, "m": 1,
+            "modes": {str(q): [entry(), entry()] for q in (1, 2)}}
+
+
+# input -> (exit code, |S|, SHA-256 of the JSON report, of the text report);
+# family1 and family19 are degenerate, with 4 and 3 polynomials in S
+ANALYZE = {
+    "example2_param": (0, 3, "a6af5971790dc65899efbc7853ac9212d06b56b64ec0f60b1414f03bd08bad62",
+        "0030403c7175103d02dad294132844699bababeb5bcba381c6dc52939ffd2394"),
+    "example8_first_family": (0, 1, "2bffdfd4a59e94376287efb4399e02921cddfca98ae774eed897099e036b613e",
+        "ee2ca642f9ec12ad1c72774928eaadfa6e2443dcd4e44ffc203b54407ce2f6b9"),
+    "example8_second_family": (0, 3, "ded27132f420a3b9bc354ca017561205bd08d8c06684d5b9a020ae035e3ed2e2",
+        "f0ec09fc5d88f35b660a8f2934b9cdcfbe9c60dadd1c5a589754fa53e9243443"),
+    "family0": (0, 5, "b37501e20c933321ed1892f15e1f6bf1f355fc9899bb0ba41e44755c38c739d6",
+        "ae63ca297b8c4494b2492cb30fcc075391b392f84e472200ebc08c01c92f47f4"),
+    "family1": (0, 4, "bc857f550d0645814d57d9aadaa1b35706becd074324b7f9f1ef6a26c4c3274c",
+        "4b4a29c5d711377af6af49fd3a6f0953c745090a7b9c017f2e31cd488fbe506a"),
+    "family2": (0, 5, "69fa881f45688a60411db6be647215404d0796e831be937b934f769e187bc96a",
+        "fc500b5b9334a30ad5ad0ede736593352877610dfa3ae6d477810fd631613811"),
+    "family19": (0, 3, "62268d0652627a96d336e3a66be37d6d6165939b4958476b27bc194d8631c6a8",
+        "d60c8e11b86d4b0f5edb290a6c14fffb5d7d3a170497b421366126badd1b6e6c"),
+}
+
+
+def param_file(tmp_path, name):
+    if not name.startswith("family"):
+        return fixture_path(name + ".json")
+    path = tmp_path / (name + ".json")
+    path.write_text(json.dumps(affine_family(random.Random("pinned:" + name))))
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE))
+def test_param_analyze_output_is_pinned(capsys, tmp_path, name):
+    path = param_file(tmp_path, name)
+    code, size, json_digest, text_digest = ANALYZE[name]
+    got_code, out, err = run(capsys, ["param-analyze", path])
+    assert (got_code, len(json.loads(out)["S"]), err) == (code, size, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == json_digest
+    got_code, out, err = run(capsys, ["param-analyze", path, "--format", "text"])
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest(), err) == (code, text_digest, "")
+
+
+GENERIC = {
+    "engine_family": {"attempts": 1, "witness": [
+        "1", "-9/2", "3", "1", "5/2", "8", "6", "-1", "-7/3", "-2/3", "9", "-1", "-8/3", "0", "7",
+        "1/2", "0", "10", "7/2", "4/3"]},
+    "trivial_param": {"attempts": 1, "witness": ["1", "-9/2", "3", "1", "5/2", "8", "6", "-1"]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC))
+def test_param_generic_output_is_pinned(capsys, name):
+    assert run(capsys, ["param-generic", fixture_path(name + ".json")]) == (0, dumped(GENERIC[name]), "")
