@@ -14,8 +14,9 @@
 - Each call packs its generators once (`multipoly` describes the packing)
   and keeps every basis element, S-polynomial and remainder as packed
   monomials with `int` coefficients: divisors are integer forms, primitive
-  over `int`, and `normal_form` divides with `multipoly._remainder`.  Only
-  the final reduced basis is unpacked and made monic over `Fraction`.
+  over `int`, and `normal_form` divides with `multipoly._remainder`.  The
+  generators are packed from their integer forms and the final reduced
+  basis is unpacked into integer forms, made monic by `MultiPoly._of`.
 - `ideal_product` gives the basis of a product ideal, Procedure 1's S: it
   forms the products of the two bases packed, over `int`, and feeds them
   to the same run in ascending order of leading monomial.
@@ -28,7 +29,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .multipoly import (
@@ -66,12 +66,11 @@ def normal_form(f, basis, order: MonomialOrder):
         return _Packed(_remainder(f.terms, basis, guard)[0])
     basis = list(basis)
     _ring([f, *basis], order)
-    d, work = order.pack(f.terms)
-    forms = [_primitive(order.pack(g.terms)[1], guard) for g in basis if g.terms]
+    d, work = order.pack(f)
+    forms = [_primitive(order.pack(g)[1], guard) for g in basis if not g.is_zero()]
     r, scale = _remainder(work, forms, guard)
-    d *= scale
     unpack = order.unpack
-    return MultiPoly(f.vars, {unpack(e): Fraction(c, d) for e, c in r.items()})
+    return MultiPoly._of(f.vars, d * scale, {unpack(e): c for e, c in r.items()})
 
 
 def _s_polynomial(f, g, m, guard) -> _Packed:
@@ -145,7 +144,7 @@ def buchberger(generators, order: MonomialOrder):
     """
     generators = list(generators)
     ring = _ring(generators, order)
-    return _reduced_basis([order.pack(g.terms)[1] for g in generators], ring, order)
+    return _reduced_basis([order.pack(g)[1] for g in generators], ring, order)
 
 
 def ideal_product(a, b, order: MonomialOrder):
@@ -162,7 +161,7 @@ def ideal_product(a, b, order: MonomialOrder):
     ring = _ring(a + b, order)
     guard = order.guard
     fa, fb = (
-        [_primitive(order.pack(f.terms)[1], guard) for f in polys if f.terms] for polys in (a, b)
+        [_primitive(order.pack(f)[1], guard) for f in polys if not f.is_zero()] for polys in (a, b)
     )
     products = []
     for lf, cf, tf, topf in fa:
@@ -204,7 +203,9 @@ def _reduced_basis(packed, ring, order: MonomialOrder):
 
     # the leading monomials of the basis are distinct, so elements whose
     # leading monomial another one divides reduce to zero and the rest keep
-    # their leading monomial
+    # their leading monomial, whose coefficient is the denominator of the
+    # monic element
+    unpack = order.unpack
     out = []
     for ig in sorted(basis, key=lead.__getitem__, reverse=True):
         lm, lc, tail, _ = forms[ig]
@@ -212,7 +213,7 @@ def _reduced_basis(packed, ring, order: MonomialOrder):
         terms[lm] = lc
         h = normal_form(_Packed(terms), [forms[o] for o in basis if o != ig], order).terms
         if h:
-            out.append(MultiPoly(ring, {order.unpack(e): Fraction(c, h[lm]) for e, c in h.items()}))
+            out.append(MultiPoly._of(ring, h[lm], {unpack(e): c for e, c in h.items()}))
     return out
 
 

@@ -206,9 +206,10 @@ def _affine_linear_part(par: PolyParametrization):
             if f.total_degree() > 1:
                 return None
             row = []
+            terms = f.terms
             for i in range(par.dim):
                 exp = tuple(1 if j == i else 0 for j in range(par.dim))
-                row.append(f.terms.get(exp, _ZERO))
+                row.append(terms.get(exp, _ZERO))
             rows.append(row)
     return RatMatrix(rows)
 

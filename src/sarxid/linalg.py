@@ -405,7 +405,8 @@ class Subspace:
     __slots__ = ("ambient_dim", "_basis")
 
     def __init__(self, ambient_dim, vectors=(), maps=()):
-        """vectors: n x 1 column matrices or coordinate sequences; maps: n x n RatMatrix."""
+        """vectors: n x 1 column matrices or coordinate sequences, whose
+        entries are read as `RatMatrix` entries are; maps: n x n RatMatrix."""
         self.ambient_dim = ambient_dim
         work = []
         for v in vectors:
@@ -419,7 +420,7 @@ class Subspace:
             elif all(type(x) is int for x in v):
                 v = list(v)
             else:
-                v = cleared([[exact(x) for x in v]])[1][0]
+                v = RatMatrix([v]).integer_form()[1][0]
             work.append(v)
         if any(m.shape != (ambient_dim, ambient_dim) for m in maps):
             raise ValueError("map shape mismatch")

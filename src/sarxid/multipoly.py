@@ -1,9 +1,14 @@
 """Sparse multivariate polynomials over the rationals.
 
-Terms are a dict mapping exponent tuples to nonzero Fractions.  The one
-monomial order is graded reverse lex, optionally with a block of variables
-to eliminate; it is a separate object, so the same polynomial can be viewed
-under the plain and the elimination order.
+A polynomial is held as its integer form (d, ints): a positive int d and a
+dict mapping exponent tuples to nonzero ints, d times the polynomial, in
+lowest terms (gcd(d, every coefficient) = 1), so that equal polynomials
+have equal forms.  Arithmetic, ring
+changes, substitution and the Groebner and gcd kernels read and write this
+form; `MultiPoly.terms`, exponent tuple -> Fraction, is built only when it
+is read.  The one monomial order is graded reverse lex, optionally with a
+block of variables to eliminate; it is a separate object, so the same
+polynomial can be viewed under the plain and the elimination order.
 
 The order is also the packing of monomials into single ints (Monagan and
 Pearce, *Polynomial division using dynamic arrays, heaps, and packed
@@ -41,8 +46,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add, mul
+from types import MappingProxyType
 
-from .rationals import _ONE, _ZERO, exact, format_rational, parse_int, parse_rational
+from .rationals import _ZERO, exact, format_rational, parse_int, parse_rational, read_rational
 
 # The largest exponent an input file may hold.  Every analysis raises the
 # parameters to their exponents exactly (param-generic evaluates theta^e at
@@ -106,13 +112,13 @@ class MonomialOrder:
         return sum(map(mul, exp, self.weights))
 
     def unpack(self, key):
-        return tuple(key >> s & _FIELD for s in self.shifts)
+        return tuple([key >> s & _FIELD for s in self.shifts])
 
-    def pack(self, terms):
-        """(d, d * terms over int, keyed by packed monomials) for the least
-        common denominator d of the coefficients."""
+    def pack(self, f):
+        """The integer form (d, ints) of the MultiPoly f, with ints keyed by packed monomials."""
+        d, ints = f.integer_form()
         key = self.key
-        return _integral({key(e): c for e, c in terms.items()})
+        return d, {key(e): c for e, c in ints.items()}
 
     def lcm(self, a, b):
         return self.key(tuple(map(max, self.unpack(a), self.unpack(b))))
@@ -127,12 +133,6 @@ def _fieldmax(a, b, guard):
     t = ((a | guard) - b) & guard  # a field's guard bit: a's field >= b's
     m = t - (t >> (FIELD_BITS - 1))
     return (a & m) | (b & ~m)
-
-
-def _integral(terms):
-    """(d, d * terms over int) for the least common denominator d."""
-    d = lcm(*(c.denominator for c in terms.values()))
-    return d, {e: c.numerator * (d // c.denominator) for e, c in terms.items()}
 
 
 def _primitive(ints, guard):
@@ -195,23 +195,53 @@ def _remainder(work, divisors, guard):
 
 
 class MultiPoly:
-    __slots__ = ("vars", "terms")
+    """A polynomial held as its integer form, which the module docstring
+    describes.  The constructor reads each coefficient through
+    `read_rational`; `_of` brings a form that is already over int to lowest terms.
+    """
+
+    __slots__ = ("vars", "_form")
 
     def __init__(self, vars, terms=None):
         self.vars = tuple(vars)
-        clean = {}
+        read = {}
         if terms:
             for exp, c in terms.items():
-                if type(c) is not Fraction:
-                    c = exact(c)
-                if not c:
+                n, d = read_rational(c)
+                if not n:
                     continue
                 exp = tuple(exp)
                 if len(exp) != len(self.vars):
                     raise ValueError("exponent length mismatch")
                 # distinct keys stay distinct as tuples, so nothing accumulates
-                clean[exp] = c
-        self.terms = clean
+                read[exp] = n, d
+        # over the lcm of lowest-terms denominators, the form is in lowest terms
+        d = lcm(*[b for _, b in read.values()])
+        self._form = d, {e: a * (d // b) for e, (a, b) in read.items()}
+
+    @classmethod
+    def _of(cls, vars, d, ints):
+        """The polynomial ints / d over the tuple `vars`, in lowest terms;
+        ints maps exponent tuples to nonzero ints, d is a nonzero int."""
+        if d < 0:
+            d, ints = -d, {e: -c for e, c in ints.items()}
+        if d != 1:
+            g = gcd(d, *ints.values())
+            if g != 1:
+                d, ints = d // g, {e: c // g for e, c in ints.items()}
+        f = cls.__new__(cls)
+        f.vars, f._form = vars, (d, ints)
+        return f
+
+    def integer_form(self):
+        """(d, ints), the state, in lowest terms: d > 0 and ints, exponent tuple -> nonzero int."""
+        return self._form
+
+    @property
+    def terms(self):
+        """Exponent tuple -> nonzero Fraction, a read-only mapping built when read."""
+        d, ints = self._form
+        return MappingProxyType({e: Fraction(c, d) for e, c in ints.items()})
 
     # -- constructors -------------------------------------------------
 
@@ -223,20 +253,18 @@ class MultiPoly:
     def variable(cls, vars, index, power=1):
         exp = [0] * len(vars)
         exp[index] = power
-        return cls(vars, {tuple(exp): _ONE})
+        return cls(vars, {tuple(exp): 1})
 
     # -- predicates ---------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self._form[1]
 
     def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(exp) for exp in self.terms)
+        return max(map(sum, self._form[1]), default=-1)
 
     def involves(self, index):
-        return any(exp[index] > 0 for exp in self.terms)
+        return any(exp[index] > 0 for exp in self._form[1])
 
     # -- arithmetic ---------------------------------------------------
 
@@ -248,7 +276,7 @@ class MultiPoly:
         return (
             isinstance(other, MultiPoly)
             and self.vars == other.vars
-            and self.terms == other.terms
+            and self._form == other._form
         )
 
     def __add__(self, other):
@@ -257,15 +285,23 @@ class MultiPoly:
         elif not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_ring(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            out[exp] = out.get(exp, _ZERO) + c
-        return MultiPoly(self.vars, out)
+        (da, a), (db, b) = self._form, other._form
+        d = lcm(da, db)
+        sa, sb = d // da, d // db
+        out = {e: sa * c for e, c in a.items()} if sa != 1 else dict(a)
+        for e, c in b.items():
+            c = out.get(e, 0) + sb * c
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return MultiPoly._of(self.vars, d, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        d, ints = self._form
+        return MultiPoly._of(self.vars, -d, ints)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -276,29 +312,35 @@ class MultiPoly:
         return -self + other
 
     def __mul__(self, other):
+        d, a = self._form
         if isinstance(other, (int, Fraction)):
-            c = exact(other)
-            return MultiPoly(self.vars, {e: c * v for e, v in self.terms.items()})
+            n, m = read_rational(other)
+            if not n:
+                return MultiPoly._of(self.vars, 1, {})
+            return MultiPoly._of(self.vars, d * m, {e: n * c for e, c in a.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_ring(other)
-        # one Fraction per output term, not one product and sum per pair
-        da, ints_a = _integral(self.terms)
-        db, ints_b = _integral(other.terms)
+        db, b = other._form
         out = {}
-        for ea, ca in ints_a.items():
-            for eb, cb in ints_b.items():
+        for ea, ca in a.items():
+            for eb, cb in b.items():
                 e = tuple(map(add, ea, eb))
                 out[e] = out.get(e, 0) + ca * cb
-        d = da * db
-        return MultiPoly(self.vars, {e: Fraction(c, d) for e, c in out.items()})
+        return MultiPoly._of(self.vars, d * db, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
     # -- ordered terms ------------------------------------------------
 
     def sorted_terms(self, order: MonomialOrder):
-        return sorted(self.terms.items(), key=lambda kv: order.key(kv[0]), reverse=True)
+        """(exponent tuple, coefficient) pairs, largest monomial first: an int
+        coefficient over the denominator 1, else a Fraction."""
+        d, ints = self._form
+        ordered = sorted(ints, key=order.key, reverse=True)
+        if d == 1:
+            return [(e, ints[e]) for e in ordered]
+        return [(e, Fraction(ints[e], d)) for e in ordered]
 
     # -- evaluation / substitution ------------------------------------
 
@@ -308,27 +350,43 @@ class MultiPoly:
             raise ValueError(
                 "point length %d != variable count %d" % (len(point), len(self.vars))
             )
-        return self.substitute(dict(enumerate(point))).terms.get((0,) * len(point), _ZERO)
+        d, ints = self.substitute(dict(enumerate(point)))._form
+        return Fraction(ints.get((0,) * len(point), 0), d)
 
     def substitute(self, assignment):
         """Partially evaluate: assignment maps variable index -> int or Fraction.
 
         Each value goes through `exact` first, so a float is refused at any
-        variable, whether or not the polynomial involves it.
+        variable, whether or not the polynomial involves it.  A value n/m is
+        substituted over int: the result is taken over d * m^k, with k the
+        highest power of the variable, and a term with x^e gains n^e m^(k-e).
         `test_symbolic_data_specializes_to_numeric` checks the specialization.
         """
         values = [(i, exact(x)) for i, x in assignment.items()]
+        d, ints = self._form
+        if not ints:
+            return self
+        tops = list(map(max, zip(*ints)))  # each variable's highest power
+        steps = []
+        for i, x in values:
+            k = tops[i]
+            if k:
+                n, m = x.numerator, x.denominator
+                d *= m**k
+                steps.append((i, n, m, k))
         out = {}
-        for exp, c in self.terms.items():
+        for exp, c in ints.items():
             new_exp = list(exp)
-            for i, x in values:
+            for i, n, m, k in steps:
                 e = exp[i]
                 if e:
-                    c *= x**e
+                    c *= n**e
                     new_exp[i] = 0
+                if m != 1 and k != e:
+                    c *= m ** (k - e)
             key = tuple(new_exp)
-            out[key] = out.get(key, _ZERO) + c
-        return MultiPoly(self.vars, out)
+            out[key] = out.get(key, 0) + c
+        return MultiPoly._of(self.vars, d, {e: c for e, c in out.items() if c})
 
     def in_ring(self, vars):
         """The same polynomial over `vars`, each variable matched by name.
@@ -340,8 +398,9 @@ class MultiPoly:
         vars = tuple(vars)
         where = {v: i for i, v in enumerate(vars)}
         positions = [where.get(v) for v in self.vars]
+        d, ints = self._form
         out = {}
-        for exp, c in self.terms.items():
+        for exp, c in ints.items():
             new_exp = [0] * len(vars)
             for pos, e in zip(positions, exp):
                 if e:
@@ -349,13 +408,13 @@ class MultiPoly:
                         raise ValueError("polynomial involves a dropped variable")
                     new_exp[pos] = e
             out[tuple(new_exp)] = c
-        return MultiPoly(vars, out)
+        return MultiPoly._of(vars, d, out)
 
     # -- serialization ------------------------------------------------
 
     def to_str(self):
         """Terms in grevlex order, largest first."""
-        if not self.terms:
+        if self.is_zero():
             return "0"
         parts = []
         for exp, c in self.sorted_terms(MonomialOrder.grevlex(len(self.vars))):

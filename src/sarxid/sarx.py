@@ -17,7 +17,6 @@ from .rationals import (
     InputError,
     JsonLoadable,
     Record,
-    exact,
     format_rational,
     malformed,
     parse_int,
@@ -106,7 +105,8 @@ class SarxModel(SarxType):
 class HybridWord(JsonLoadable):
     """Finite sequence of (mode label, input vector) pairs, time-indexed from 0.
 
-    Beside the steps, whose inputs are Fractions, `integer_steps` holds each
+    Each input entry is read by `parse_rational`, as a `RatMatrix` entry
+    is.  Beside the steps, whose inputs are Fractions, `integer_steps` holds each
     step as (q, v, U), the input as the int vector U over the positive int
     v, read once here for the simulators.
     """
@@ -115,7 +115,7 @@ class HybridWord(JsonLoadable):
 
     def __init__(self, steps):
         self.steps = [
-            (str(q), tuple(exact(x) for x in u)) for q, u in steps
+            (str(q), tuple(parse_rational(x) for x in u)) for q, u in steps
         ]
         if not self.steps:
             raise InputError("hybrid word must be nonempty")

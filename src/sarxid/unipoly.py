@@ -10,8 +10,6 @@ packed monomials `multipoly` describes.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .linalg import RatMatrix
 from .multipoly import MonomialOrder, MultiPoly, _primitive, _remainder
 
@@ -31,7 +29,7 @@ def uni_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     ring, guard = a.vars, _ORDER.guard
-    a, b = (_ORDER.pack(f.terms)[1] for f in (a, b))
+    a, b = (_ORDER.pack(f)[1] for f in (a, b))
     while b:
         lm, lc, tail, _ = form = _primitive(b, guard)
         r = _remainder(a, [form], guard)[0]
@@ -39,8 +37,8 @@ def uni_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         a = dict(tail)
         a[lm] = lc
         b = r
-    unpack, lc = _ORDER.unpack, a[max(a)]
-    return MultiPoly(ring, {unpack(e): Fraction(c, lc) for e, c in a.items()})
+    unpack = _ORDER.unpack
+    return MultiPoly._of(ring, a[max(a)], {unpack(e): c for e, c in a.items()})
 
 
 def is_coprime(a: MultiPoly, b: MultiPoly) -> bool:
@@ -57,8 +55,9 @@ def eval_matrix(f: MultiPoly, a: RatMatrix) -> RatMatrix:
     _univariate(f)
     acc = RatMatrix.zeros(a.rows, a.rows)
     eye = RatMatrix.identity(a.rows)
+    terms = f.terms
     for k in range(f.total_degree(), -1, -1):
-        acc = acc @ a + eye.scale(f.terms.get((k,), 0))
+        acc = acc @ a + eye.scale(terms.get((k,), 0))
     return acc
 
 

@@ -179,6 +179,35 @@ def mul_reference(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return MultiPoly(f.vars, out)
 
 
+def add_reference(f: MultiPoly, g: MultiPoly):
+    """The terms of f + g, exponent -> nonzero Fraction, summed term by term."""
+    out = dict(f.terms)
+    for e, c in g.terms.items():
+        out[e] = out.get(e, _ZERO) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def scale_reference(f: MultiPoly, c):
+    """The terms of c * f, exponent -> nonzero Fraction."""
+    return {e: c * v for e, v in f.terms.items() if c}
+
+
+def in_ring_reference(f: MultiPoly, vars):
+    """The terms of f over `vars`, each exponent moved to its variable's new position."""
+    return {tuple(dict(zip(f.vars, e)).get(v, 0) for v in vars): c for e, c in f.terms.items()}
+
+
+def substitute_reference(f: MultiPoly, assignment):
+    """The terms of f with x_i = assignment[i], each term times x_i^e as a Fraction."""
+    out = {}
+    for e, c in f.terms.items():
+        for i, x in assignment.items():
+            c *= Fraction(x) ** e[i]
+        e = tuple(0 if i in assignment else k for i, k in enumerate(e))
+        out[e] = out.get(e, _ZERO) + c
+    return {e: c for e, c in out.items() if c}
+
+
 def normal_form_reference(f: MultiPoly, basis, order) -> MultiPoly:
     """Remainder of f under division by `basis`, over `Fraction` throughout.
 

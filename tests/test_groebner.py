@@ -309,7 +309,7 @@ def test_remainder_moves_work_below_every_divisor_at_once(kind, monkeypatch):
 
     def remainder(f, divisors):
         """(remainder, scale, leading monomials the division looked up)."""
-        forms = [multipoly._primitive(order.pack(g.terms)[1], order.guard) for g in divisors]
+        forms = [multipoly._primitive(order.pack(g)[1], order.guard) for g in divisors]
         leads = []
 
         def counting_max(work):
@@ -318,7 +318,7 @@ def test_remainder_moves_work_below_every_divisor_at_once(kind, monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(multipoly, "max", counting_max, raising=False)
-            r, scale = multipoly._remainder(order.pack(f.terms)[1], forms, order.guard)
+            r, scale = multipoly._remainder(order.pack(f)[1], forms, order.guard)
         return MultiPoly(VARS, {order.unpack(e): c for e, c in r.items()}), scale, len(leads)
 
     # every term is below x*y, the lower leading monomial in both orders

@@ -222,6 +222,22 @@ def test_str_is_called_only_at_named_sites():
     assert found == STR_SITES
 
 
+# -- the polynomial kernels run over int ------------------------------------
+
+
+def imported_names(source):
+    """Every name an import statement of the source binds."""
+    return {alias.asname or alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+
+
+@pytest.mark.parametrize("module", ["groebner", "unipoly"])
+def test_polynomial_kernels_do_not_import_fraction(module):
+    """Groebner runs and the gcd read and write `MultiPoly`'s integer form."""
+    names = imported_names((ROOT / "src" / "sarxid" / (module + ".py")).read_text())
+    assert "Fraction" not in names and "fractions" not in names
+
+
 # -- start-up: a CLI call imports no code generator ------------------------
 
 HEAVY = ("dataclasses", "inspect", "ast")

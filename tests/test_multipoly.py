@@ -1,6 +1,7 @@
 from datetime import timedelta
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 import sympy
@@ -8,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_fraction
-from oracles import mul_reference, multipoly_to_sympy, order_key
+from oracles import (
+    add_reference,
+    in_ring_reference,
+    mul_reference,
+    multipoly_to_sympy,
+    normal_form_reference,
+    order_key,
+    scale_reference,
+    substitute_reference,
+)
 from sarxid import (
     Z_RING,
     HybridWord,
@@ -78,6 +88,83 @@ def test_ring_axioms_property(f, g, h):
     assert multipoly_to_sympy(f * g, SYMS) == sympy.expand(
         multipoly_to_sympy(f, SYMS) * multipoly_to_sympy(g, SYMS)
     )
+
+
+# -- the integer form ---------------------------------------------------------
+
+
+def assert_lowest_terms(f):
+    """f's state is (d, ints): d > 0, no zero coefficient, gcd(d, ints) = 1."""
+    d, ints = f.integer_form()
+    assert type(d) is int and d > 0
+    assert all(type(c) is int and c for c in ints.values())
+    assert all(type(e) is tuple and len(e) == len(f.vars) for e in ints)
+    assert gcd(d, *ints.values()) == 1
+    assert f.terms == {e: Fraction(c, d) for e, c in ints.items()}
+
+
+# denominators up to 12, so that sums and products have common factors to cancel
+term_dicts = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * len(VARS)),
+    st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=12)),
+    max_size=5,
+)
+scalars = st.one_of(st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@properties
+@given(term_dicts, term_dicts, scalars)
+def test_arithmetic_keeps_lowest_terms_and_matches_fraction_references(ft, gt, c):
+    f, g = MultiPoly(VARS, ft), MultiPoly(VARS, gt)
+    assert f.terms == {e: Fraction(v) for e, v in ft.items() if v}
+    for h in (f, g, f + g, f - g, -f, f * g, f * c, c * f, f + c, c - f):
+        assert_lowest_terms(h)
+    assert (f + g).terms == add_reference(f, g)
+    assert (f - g).terms == add_reference(f, -1 * g)
+    assert (f * g).terms == mul_reference(f, g).terms
+    assert (f * c).terms == (c * f).terms == scale_reference(f, Fraction(c))
+
+
+@properties
+@given(term_dicts, st.dictionaries(st.integers(0, len(VARS) - 1), scalars, max_size=len(VARS)))
+def test_ring_changes_and_substitution_match_fraction_references(ft, assignment):
+    f = MultiPoly(VARS, ft)
+    wide = ("v",) + VARS[::-1]
+    for h in (f.in_ring(wide), f.in_ring(wide).in_ring(VARS), f.substitute(assignment)):
+        assert_lowest_terms(h)
+    assert f.in_ring(wide).terms == in_ring_reference(f, wide)
+    assert f.in_ring(wide).in_ring(VARS) == f
+    assert f.substitute(assignment).terms == substitute_reference(f, assignment)
+
+
+@properties
+@given(term_dicts, term_dicts)
+def test_groebner_results_are_monic_in_lowest_terms(ft, gt):
+    """A reduced basis element's leading coefficient is the denominator of
+    its integer form, negative whenever the primitive form leads with a
+    negative coefficient, as -f does for every f that leads with a positive one."""
+    order = MonomialOrder.grevlex(len(VARS))
+    f, g = MultiPoly(VARS, ft), MultiPoly(VARS, gt)
+    for gens in ([f], [-f], [f, g], [-f, -g]):
+        for h in buchberger(gens, order):
+            assert_lowest_terms(h)
+            assert h.terms[max(h.terms, key=order.key)] == 1
+    if not f.is_zero():
+        lc = f.terms[max(f.terms, key=order.key)]
+        assert buchberger([-f], order) == [MultiPoly(VARS, scale_reference(f, 1 / lc))]
+    r = normal_form(f, [-g], order)
+    assert_lowest_terms(r)
+    assert r == normal_form_reference(f, [-g], order)
+
+
+def test_entries_are_read_off_the_integer_form():
+    f = MultiPoly(VARS, {(1, 0, 0): Fraction(1, 4), (0, 2, 0): "-3/6", (0, 0, 0): 0})
+    assert f.integer_form() == (4, {(1, 0, 0): 1, (0, 2, 0): -2})
+    assert f.terms == {(1, 0, 0): Fraction(1, 4), (0, 2, 0): Fraction(-1, 2)}
+    assert (f * 4).integer_form() == (1, {(1, 0, 0): 1, (0, 2, 0): -2})
+    assert (f - f).integer_form() == (1, {})
+    with pytest.raises(TypeError):
+        f.terms[(0, 0, 0)] = 1
 
 
 def test_leading_monomial_agrees_with_sympy_orders(rng):
@@ -306,7 +393,7 @@ def test_new_monomials_that_overflow_raise():
         normal_form(x * x, [x - yw], elim)
     # the S-polynomial of x*w - y^half and x*y^half - 1 shifts y^half by y^half
     f, g = (
-        multipoly._primitive(elim.pack(p.terms)[1], elim.guard)
+        multipoly._primitive(elim.pack(p)[1], elim.guard)
         for p in (x * w - y_half, x * y_half - 1)
     )
     with pytest.raises(OverflowError):

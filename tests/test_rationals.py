@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sarxid import RatMatrix
+from sarxid import HybridWord, MultiPoly, RatMatrix, Subspace
 from sarxid.cli import main
 from sarxid.rationals import exact, parse_rational, read_rational
 
@@ -119,6 +119,32 @@ def test_refusals_are_unchanged_and_exit_two(capsys, tmp_path, value):
         code = main([argv[0]] + [str(tmp_path / a) for a in argv[1:]])
         out, err = capsys.readouterr()
         assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+# a word's inputs, a subspace's vectors and a polynomial's coefficients are
+# read by the same reader as a matrix's entries
+OTHER_READERS = [
+    lambda v: HybridWord([("1", [v])]),
+    lambda v: Subspace(1, [[v]]),
+    lambda v: MultiPoly(("x",), {(1,): v}),
+]
+
+
+@settings(max_examples=100, derandomize=True)
+@given(ACCEPTED)
+def test_words_subspaces_and_polynomials_read_strings_as_a_matrix_does(s):
+    want = Fraction(s.strip())
+    assert HybridWord([("1", [s])]).steps == [("1", (want,))]
+    assert Subspace(2, [[s, "1"]]) == Subspace(2, [[want, 1]])
+    assert MultiPoly(("x",), {(1,): s}) == MultiPoly(("x",), {(1,): want})
+
+
+@pytest.mark.parametrize("value", REFUSED, ids=repr)
+def test_words_subspaces_and_polynomials_refuse_what_a_matrix_refuses(value):
+    error = TypeError if isinstance(value, (bool, float)) else ValueError
+    for read in OTHER_READERS:
+        with pytest.raises(error):
+            read(value)
 
 
 def test_exact_returns_a_fraction_as_it_is_and_refuses_the_rest():
