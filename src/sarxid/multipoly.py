@@ -112,7 +112,7 @@ class MonomialOrder:
         return sum(map(mul, exp, self.weights))
 
     def unpack(self, key):
-        return tuple([key >> s & _FIELD for s in self.shifts])
+        return tuple(key >> s & _FIELD for s in self.shifts)
 
     def pack(self, f):
         """The integer form (d, ints) of the MultiPoly f, with ints keyed by packed monomials."""
@@ -288,7 +288,7 @@ class MultiPoly:
         (da, a), (db, b) = self._form, other._form
         d = lcm(da, db)
         sa, sb = d // da, d // db
-        out = {e: sa * c for e, c in a.items()} if sa != 1 else dict(a)
+        out = {e: sa * c for e, c in a.items()}
         for e, c in b.items():
             c = out.get(e, 0) + sb * c
             if c:
@@ -316,7 +316,7 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             n, m = read_rational(other)
             if not n:
-                return MultiPoly._of(self.vars, 1, {})
+                return MultiPoly(self.vars)
             return MultiPoly._of(self.vars, d * m, {e: n * c for e, c in a.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -334,13 +334,9 @@ class MultiPoly:
     # -- ordered terms ------------------------------------------------
 
     def sorted_terms(self, order: MonomialOrder):
-        """(exponent tuple, coefficient) pairs, largest monomial first: an int
-        coefficient over the denominator 1, else a Fraction."""
+        """(exponent tuple, Fraction) pairs, largest monomial first."""
         d, ints = self._form
-        ordered = sorted(ints, key=order.key, reverse=True)
-        if d == 1:
-            return [(e, ints[e]) for e in ordered]
-        return [(e, Fraction(ints[e], d)) for e in ordered]
+        return [(e, Fraction(ints[e], d)) for e in sorted(ints, key=order.key, reverse=True)]
 
     # -- evaluation / substitution ------------------------------------
 
@@ -382,7 +378,7 @@ class MultiPoly:
                 if e:
                     c *= n**e
                     new_exp[i] = 0
-                if m != 1 and k != e:
+                if e != k:
                     c *= m ** (k - e)
             key = tuple(new_exp)
             out[key] = out.get(key, 0) + c
