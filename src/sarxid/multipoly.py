@@ -4,9 +4,9 @@ A polynomial is held as its integer form (d, ints): a positive int d and a
 dict mapping exponent tuples to nonzero ints, d times the polynomial, in
 lowest terms (gcd(d, every coefficient) = 1), so that equal polynomials
 have equal forms.  Arithmetic, ring
-changes, substitution and the Groebner and gcd kernels read and write this
-form; `MultiPoly.terms`, exponent tuple -> Fraction, is built only when it
-is read.  The one monomial order is graded reverse lex, optionally with a
+changes, substitution, the Groebner and gcd kernels and the writers read
+and write this form; `MultiPoly.terms`, exponent tuple -> Fraction, is
+built only when it is read.  The one monomial order is graded reverse lex, optionally with a
 block of variables to eliminate; it is a separate object, so the same
 polynomial can be viewed under the plain and the elimination order.
 
@@ -334,9 +334,9 @@ class MultiPoly:
     # -- ordered terms ------------------------------------------------
 
     def sorted_terms(self, order: MonomialOrder):
-        """(exponent tuple, Fraction) pairs, largest monomial first."""
-        d, ints = self._form
-        return [(e, Fraction(ints[e], d)) for e in sorted(ints, key=order.key, reverse=True)]
+        """(exponent tuple, int coefficient) pairs of the integer form, largest monomial first."""
+        ints = self._form[1]
+        return [(e, ints[e]) for e in sorted(ints, key=order.key, reverse=True)]
 
     # -- evaluation / substitution ------------------------------------
 
@@ -412,9 +412,10 @@ class MultiPoly:
         """Terms in grevlex order, largest first."""
         if self.is_zero():
             return "0"
+        d = self._form[0]
         parts = []
         for exp, c in self.sorted_terms(MonomialOrder.grevlex(len(self.vars))):
-            factors = [format_rational(c)]
+            factors = [format_rational(c, d)]
             for name, e in zip(self.vars, exp):
                 if e == 1:
                     factors.append(name)
@@ -425,9 +426,10 @@ class MultiPoly:
 
     def to_json_terms(self):
         order = MonomialOrder.grevlex(len(self.vars))
+        d = self._form[0]
         return {
             "terms": [
-                {"c": format_rational(c), "e": list(exp)}
+                {"c": format_rational(c, d), "e": list(exp)}
                 for exp, c in self.sorted_terms(order)
             ]
         }

@@ -194,19 +194,25 @@ def read_modes(obj, read):
     return {str(q): read(entry) for q, entry in modes.items()}
 
 
-def format_rational(x: Fraction) -> str:
-    """Canonical text form: integer as "n", otherwise "n/d" with d > 0.
+def format_rational(x, d=1) -> str:
+    """Canonical text form of x / d: integer as "n", otherwise "n/d" with d > 0.
 
-    The one writer of rationals: every exact number the program prints
-    passes through it.
+    x is a Fraction, or an int over the positive int d, as in an integer
+    form.  The one writer of rationals: every exact number the program
+    prints passes through it.
 
     A numerator or denominator past Python's int-to-str digit limit
     (`sys.get_int_max_str_digits()`) cannot be written, so it is refused
     as an `InputError` that names the limit.
     """
+    if d == 1:
+        n, d = x.numerator, x.denominator
+    else:
+        g = gcd(x, d)
+        n, d = x // g, d // g
     try:
-        if x.denominator == 1:
-            return str(x.numerator)
-        return "%d/%d" % (x.numerator, x.denominator)
+        if d == 1:
+            return str(n)
+        return "%d/%d" % (n, d)
     except ValueError as exc:
         raise InputError("cannot write an exact result: %s" % exc) from exc

@@ -106,9 +106,9 @@ class HybridWord(JsonLoadable):
     """Finite sequence of (mode label, input vector) pairs, time-indexed from 0.
 
     Each input entry is read by `parse_rational`, as a `RatMatrix` entry
-    is.  Beside the steps, whose inputs are Fractions, `integer_steps` holds each
-    step as (q, v, U), the input as the int vector U over the positive int
-    v, read once here for the simulators.
+    is.  Beside the steps, whose inputs are Fractions, `integer_steps`
+    holds each step as (q, v, U), the input as the int vector U over the
+    positive int v, read once here for the simulators.
     """
 
     __slots__ = ("steps", "integer_steps")

@@ -205,7 +205,7 @@ def str_calls(source):
 # `rationals.format_rational` is the one writer of rationals; `str` writes only
 # mode labels and the writer's own integers
 STR_SITES = [
-    ("rationals", "format_rational", "x.numerator"),
+    ("rationals", "format_rational", "n"),
     ("rationals", "read_modes", "q"),
     ("sarx", "HybridWord.__init__", "q"),
 ]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sarxid import HybridWord, MultiPoly, RatMatrix, Subspace
 from sarxid.cli import main
-from sarxid.rationals import exact, parse_rational, read_rational
+from sarxid.rationals import exact, format_rational, parse_rational, read_rational
 
 # strings that look like numbers, with the characters where `int` and
 # `Fraction` could part ways: "_", signs, "/", ".", whitespace (the file
@@ -145,6 +145,12 @@ def test_words_subspaces_and_polynomials_refuse_what_a_matrix_refuses(value):
     for read in OTHER_READERS:
         with pytest.raises(error):
             read(value)
+
+
+def test_the_writer_takes_a_fraction_or_an_int_over_a_denominator():
+    assert [format_rational(x) for x in (Fraction(-3, 2), Fraction(4), 5)] == ["-3/2", "4", "5"]
+    # an integer form's coefficient c over its d, brought to lowest terms
+    assert [format_rational(c, 12) for c in (6, -24, 0, 5)] == ["1/2", "-2", "0", "5/12"]
 
 
 def test_exact_returns_a_fraction_as_it_is_and_refuses_the_rest():
