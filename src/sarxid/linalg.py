@@ -5,7 +5,7 @@ times the matrix, in lowest terms.  Input is read into that form entry by
 entry (`rationals.read_rational`), `@`, `+`, `-`, `transpose`, `scale`,
 the eliminations, both simulators and `Subspace` work on it, and Fractions
 are built only when a caller reads entries: `[i, j]`, `row`, `col`,
-`to_lists`, `to_strings`, a determinant or a trace.  `aligned` brings
+`to_lists`, a determinant or a trace; `to_strings` writes the form.  `aligned` brings
 several matrices to one denominator.  One elimination, `_insert`,
 adds a primitive integer row to an echelon basis by fraction-free steps
 (`_reduce`, the step of `multipoly._remainder` for polynomials; Bareiss,
@@ -48,7 +48,7 @@ class RatMatrix:
     `read_rational`; `_of` takes a form that is already over int and brings
     it to lowest terms, as `transpose`, `@`, `+`, `-`, `scale`, `rref` and
     the reduced rows of a `Subspace` make it.  Entries are Fractions when
-    they are read: `[i, j]`, `row`, `col`, `to_lists`, `to_strings`.
+    they are read: `[i, j]`, `row`, `col`, `to_lists`; `to_strings` writes the form.
     """
 
     __slots__ = ("rows", "cols", "_form")
@@ -112,11 +112,13 @@ class RatMatrix:
         return self._form
 
     def to_lists(self):
+        """The entries as Fractions, row by row (`test_entries_are_read_off_the_integer_form`)."""
         d, ints = self._form
         return [list(_fractions(row, d)) for row in ints]
 
     def to_strings(self):
-        return [[format_rational(x) for x in row] for row in self.to_lists()]
+        d, ints = self._form
+        return [[format_rational(x, d) for x in row] for row in ints]
 
     @property
     def shape(self):
@@ -244,17 +246,6 @@ def _width(data, cols):
         if any(len(row) != cols for row in data):
             raise ValueError("ragged rows")
     return cols
-
-
-def cleared(rows):
-    """(d, ints): d > 0 the least common denominator of the rows' entries, ints d times the rows.
-
-    The entries are Fractions or ints.
-    """
-    d = lcm(*[x.denominator for row in rows for x in row])
-    if d == 1:
-        return 1, [[x.numerator for x in row] for row in rows]
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
 
 
 def lowest_terms(v, s):

@@ -1,11 +1,12 @@
 """Exact rational scalars, and where the program meets its input files.
 
-All numeric data in this package is held as `fractions.Fraction`.  Decimal
-literals from input files ("0.001") are converted exactly, never through
-binary floating point.  `read_rational` is the one reader of a rational,
-into its numerator and denominator, and `exact` the one refusal, by
-`TypeError`, of any other scalar, floats and bools among them;
-`read_rational` hands it every value that is not a string.
+Matrices, polynomials and hybrid words hold int numerators over one positive
+int denominator, in lowest terms; scalars and the entries a caller reads are
+`fractions.Fraction`.  Decimal literals from input files ("0.001") are
+converted exactly, never through binary floating point.  `read_rational` is
+the one reader of a rational, into its numerator and denominator, and
+`exact` the one refusal, by `TypeError`, of any other scalar, floats and
+bools among them; `read_rational` hands it every value that is not a string.
 
 Input the program refuses, from an unreadable file to a model of the wrong
 shape, raises `InputError`; the CLI turns it into exit code 2.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import RatMatrix, cleared, lowest_terms, sparse_apply, sparse_rows
+from .linalg import RatMatrix, lowest_terms, sparse_apply, sparse_rows
 from .rationals import (
     InputError,
     JsonLoadable,
@@ -20,7 +20,6 @@ from .rationals import (
     format_rational,
     malformed,
     parse_int,
-    parse_rational,
     read_modes,
 )
 
@@ -105,32 +104,30 @@ class SarxModel(SarxType):
 class HybridWord(JsonLoadable):
     """Finite sequence of (mode label, input vector) pairs, time-indexed from 0.
 
-    Each input entry is read by `parse_rational`, as a `RatMatrix` entry
-    is.  Beside the steps, whose inputs are Fractions, `integer_steps`
-    holds each step as (q, v, U), the input as the int vector U over the
-    positive int v, read once here for the simulators.
+    A word is its integer steps, its only state: each step is (q, v, U),
+    the input as the int vector U over the positive int v in lowest terms,
+    read as a one-row `RatMatrix` is, once, for the simulators.  Iterating
+    yields (q, inputs) with the inputs as Fractions, built when read.
     """
 
-    __slots__ = ("steps", "integer_steps")
+    __slots__ = ("integer_steps",)
 
     def __init__(self, steps):
-        self.steps = [
-            (str(q), tuple(parse_rational(x) for x in u)) for q, u in steps
-        ]
-        if not self.steps:
-            raise InputError("hybrid word must be nonempty")
         self.integer_steps = []
-        for q, u in self.steps:
-            v, (ints,) = cleared([u])
-            self.integer_steps.append((q, v, ints))
+        for q, u in steps:
+            v, (ints,) = RatMatrix([u]).integer_form()
+            self.integer_steps.append((str(q), v, ints))
+        if not self.integer_steps:
+            raise InputError("hybrid word must be nonempty")
 
     def __iter__(self):
-        return iter(self.steps)
+        return ((q, tuple(Fraction(x, v) for x in u)) for q, v, u in self.integer_steps)
 
     def to_json_dict(self):
         return {
             "steps": [
-                {"q": q, "u": [format_rational(x) for x in u]} for q, u in self.steps
+                {"q": q, "u": [format_rational(x, v) for x in u]}
+                for q, v, u in self.integer_steps
             ]
         }
 
@@ -141,7 +138,7 @@ class HybridWord(JsonLoadable):
             for s in obj["steps"]:
                 if not isinstance(s["u"], list):
                     raise TypeError('a step\'s "u" must be a list')
-                steps.append((s["q"], [parse_rational(x) for x in s["u"]]))
+                steps.append((s["q"], s["u"]))
             return cls(steps)
 
 

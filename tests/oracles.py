@@ -250,6 +250,19 @@ def normal_form_reference(f: MultiPoly, basis, order) -> MultiPoly:
 # -- the elimination over Fraction ------------------------------------------
 
 
+def cleared(rows):
+    """(d, ints): d the least positive int with d times every entry an int, ints d times the rows.
+
+    The reference for a `RatMatrix`'s integer form, over Fraction: d grows
+    by the denominator that is left on each entry times d.
+    """
+    d = 1
+    for row in rows:
+        for x in row:
+            d *= Fraction(x * d).denominator
+    return d, [[int(x * d) for x in row] for row in rows]
+
+
 def reference_insert(basis, v):
     """Add the row v to a reduced echelon basis over Fraction, in place.
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import rand_fraction, random_rational_lss, random_word, rank
 from oracles import (
+    cleared,
     from_sympy,
     lss_trace_oracle,
     matrix_from_sympy,
@@ -32,7 +33,7 @@ from sarxid import (
     unobservable_space,
 )
 from sarxid import linalg
-from sarxid.linalg import cleared
+from sarxid.rationals import read_rational
 
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):
@@ -436,7 +437,7 @@ def test_closures_and_simulators_do_no_fraction_arithmetic(rng, monkeypatch):
 
 
 def assert_integer_form_kept(m):
-    """m's integer form is `cleared` of its rows, and RatMatrix(...) builds the same matrix."""
+    """m's integer form is `oracles.cleared` of its rows, and RatMatrix(...) builds the same matrix."""
     assert m.integer_form() == cleared(m.to_lists())
     assert m.integer_form() is m.integer_form()
     built = RatMatrix(m.to_lists(), m.cols)
@@ -510,18 +511,17 @@ def test_from_strings_refuses_ragged_and_non_list_rows():
 
 
 def test_no_closure_clears_a_map(rng, monkeypatch):
-    """Closures read each map's and seed's integer form as it is: `cleared` is never called."""
+    """Closures read each map's and seed's integer form as it is: no entry is read again."""
     sys = random_rational_lss(rng, n=4, m=1, p=2, modes=3)
-    calls = []
-    real = linalg.cleared
+    reads = []
 
-    def counted(rows):
-        calls.append(len(rows))
-        return real(rows)
+    def counted(value):
+        reads.append(value)
+        return read_rational(value)
 
-    monkeypatch.setattr(linalg, "cleared", counted)
+    monkeypatch.setattr(linalg, "read_rational", counted)
     reachable_span(sys)
     reachable_span(dual(sys))
     unobservable_space(sys)
     find_isomorphisms(sys, sys)
-    assert calls == []
+    assert reads == []

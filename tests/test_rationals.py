@@ -134,7 +134,7 @@ OTHER_READERS = [
 @given(ACCEPTED)
 def test_words_subspaces_and_polynomials_read_strings_as_a_matrix_does(s):
     want = Fraction(s.strip())
-    assert HybridWord([("1", [s])]).steps == [("1", (want,))]
+    assert list(HybridWord([("1", [s])])) == [("1", (want,))]
     assert Subspace(2, [[s, "1"]]) == Subspace(2, [[want, 1]])
     assert MultiPoly(("x",), {(1,): s}) == MultiPoly(("x",), {(1,): want})
 

@@ -1,8 +1,12 @@
 import json
+from datetime import timedelta
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_fraction, random_mimo_model, random_siso_model, random_word
 from oracles import mimo_trace_oracle, siso_trace_oracle, unipoly_to_sympy
@@ -18,7 +22,8 @@ from sarxid import (
     simulate_sarx,
     theorem2_polynomials,
 )
-from sarxid import linalg, sarx
+from sarxid import linalg
+from sarxid.rationals import read_rational
 
 
 def test_model_validation():
@@ -40,27 +45,62 @@ def test_json_roundtrip(rng):
 def test_word_roundtrip():
     w = HybridWord([("1", [Fraction(1, 2)]), ("2", [3])])
     again = HybridWord.from_json_dict(json.loads(json.dumps(w.to_json_dict())))
-    assert again.steps == w.steps
+    assert again.integer_steps == w.integer_steps
+    assert list(again) == list(w)
 
 
 def test_word_reads_each_input_once(rng, monkeypatch):
-    """HybridWord keeps each input as (v, U); the simulators clear no input per step."""
+    """HybridWord keeps each input as (v, U); the simulators read no input again per step."""
     w = HybridWord([("1", [Fraction(1, 2), 3]), ("2", [Fraction(-2, 3), Fraction(1, 6)])])
     assert w.integer_steps == [("1", 2, [1, 6]), ("2", 6, [-4, 1])]
-    assert list(w) == w.steps == [("1", (Fraction(1, 2), 3)), ("2", (Fraction(-2, 3), Fraction(1, 6)))]
+    assert list(w) == [("1", (Fraction(1, 2), 3)), ("2", (Fraction(-2, 3), Fraction(1, 6)))]
     model = random_mimo_model(rng)
     while model.m != 2:
         model = random_mimo_model(rng)
     word = random_word(model.labels, 2, 12, rng, max_den=4)
+    lss = associated_lss(model)
     want = simulate_sarx(model, word)
+    reads = []
 
-    def refuse(rows):
-        raise AssertionError("an input was cleared during a simulation")
+    def counted(value):
+        reads.append(value)
+        return read_rational(value)
 
-    monkeypatch.setattr(sarx, "cleared", refuse)
-    monkeypatch.setattr(linalg, "cleared", refuse)
+    monkeypatch.setattr(linalg, "read_rational", counted)
     assert simulate_sarx(model, word) == want
-    assert simulate_lss(associated_lss(model), word) == want
+    assert simulate_lss(lss, word) == want
+    assert reads == []
+
+
+# an input entry as an int, a Fraction or a string: an integer, a ratio that
+# is not in lowest terms, or a decimal
+WORD_ENTRIES = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.tuples(st.integers(-9, 9), st.integers(1, 12), st.integers(1, 4)).map(
+        lambda t: "%d/%d" % (t[0] * t[2], t[1] * t[2])),
+    st.tuples(st.integers(-9, 9), st.integers(0, 99)).map(lambda t: "%d.%02d" % t),
+)
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=10), derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(["1", "2", 3]),
+                          st.lists(WORD_ENTRIES, min_size=0, max_size=4)),
+                min_size=1, max_size=6))
+def test_a_word_is_its_integer_form(steps):
+    word = HybridWord(steps)
+    want = [(str(q), tuple(Fraction(x) for x in u)) for q, u in steps]
+    reference = []
+    for q, u in want:
+        v = lcm(*[x.denominator for x in u])
+        reference.append((q, v, [(x * v).numerator for x in u]))
+    assert word.integer_steps == reference
+    assert all(gcd(v, *u) == 1 for _, v, u in word.integer_steps)
+    assert list(word) == want
+    text = json.dumps(word.to_json_dict())
+    again = HybridWord.from_json_dict(json.loads(text))
+    assert again.integer_steps == word.integer_steps
+    assert json.dumps(again.to_json_dict()) == text
 
 
 def test_simulation_matches_scalar_recurrence(rng):
