@@ -1,5 +1,6 @@
 """CLI output pinned byte for byte: `iso` on one generated pair of each kind,
-`to-lss`, `simulate`, `param-analyze` and `param-generic`.
+`to-lss`, `simulate`, `param-analyze`, `param-generic`, `check-min` with each
+method and `check-sufficient`.
 
 The expected reports are the program's output, captured once: a change in
 how entries or polynomials are read, stored or multiplied that changes any
@@ -227,3 +228,91 @@ GENERIC = {
 @pytest.mark.parametrize("name", sorted(GENERIC))
 def test_param_generic_output_is_pinned(capsys, name):
     assert run(capsys, ["param-generic", fixture_path(name + ".json")]) == (0, dumped(GENERIC[name]), "")
+
+
+def siso_json(name):
+    """A SISO model drawn from the seed "pinned:" + name, "<kind><modes>-<i>".
+
+    ny is in 1..3 and nu in 1..ny.  Kind "siso" draws every coefficient; kind
+    "mute" has its input coefficients zero, so that phi is zero on every pair
+    and condition A fails.
+    """
+    rng = random.Random("pinned:" + name)
+    modes = int(name.partition("-")[0][-1])
+    ny = rng.randint(1, 3)
+    nu = rng.randint(1, ny)
+    inputs = draw if name.startswith("siso") else lambda rng: Fraction(0)
+    return {"ny": ny, "nu": nu, "p": 1, "m": 1, "modes": {
+        str(q): [[text(draw(rng)) for _ in range(ny)] + [text(inputs(rng)) for _ in range(nu)]]
+        for q in range(1, modes + 1)}}
+
+
+def model_file(tmp_path, name):
+    if not name.startswith(("siso", "mute")):
+        return fixture_path(name + ".json")
+    path = tmp_path / (name + ".json")
+    path.write_text(json.dumps(siso_json(name)))
+    return path
+
+
+# model -> (exit codes of exact-rank, theorem2 and both; condition A's witness,
+# condition B's witness and scalar; SHA-256 of the six reports, JSON then text
+# per method).  siso2-1, siso3-0 and siso3-23 find B's witness past the first
+# pair, siso3-16 A's; remark1_counterexample and siso2-17 fail B, mute3-0 both
+CHECK_MIN = {
+    "example3": ((0, 0, 0), ["1", "2"], ["1", "2"], "-3",
+        "b7543d0a5a379a196810e9bf09984cbaa1654d73e559bc66cc48e339202b2f76"),
+    "mute3-0": ((1, 1, 1), None, None, None,
+        "595e840a44677e87afdfe3cb2d8f9d0130b9f366851963b3da353a8d6b512a0f"),
+    "remark1_counterexample": ((1, 1, 1), ["1", "2"], None, None,
+        "7efcac67bbd07612e4185ed6b00e2bd23dccbbbcc9f33475436e06c62e054e27"),
+    "siso2-1": ((0, 0, 0), ["1", "2"], ["2", "1"], "-3",
+        "2c5cdb46f83babe6d6fcb43dc31637666f1851f294c65fe86be520a561a47118"),
+    "siso2-17": ((1, 1, 1), ["1", "2"], None, None,
+        "5aa22bc6a881a08a660d1a76e8b7fd1c3222fa81124b2298806951107194d883"),
+    "siso3-0": ((0, 0, 0), ["1", "2"], ["2", "3"], "-19/9",
+        "e1dc822db9949565a805bb9db26c4d565a9cc30c19d578b78516261b38332dd8"),
+    "siso3-16": ((0, 0, 0), ["1", "3"], ["1", "2"], "-1",
+        "48cdc2f5c71dd3ddf74605926285373cd734201415c59c1e5879461da66e2b32"),
+    "siso3-23": ((0, 0, 0), ["1", "2"], ["3", "1"], "-3",
+        "80846c6c9e147452603d9595e7a1c62b790ded7dcfddfe5c96685ff7e3a50194"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_MIN))
+def test_check_min_output_is_pinned(capsys, tmp_path, name):
+    path = model_file(tmp_path, name)
+    codes, witness_a, witness_b, scalar, expected = CHECK_MIN[name]
+    digest = hashlib.sha256()
+    for method, code in zip(("exact-rank", "theorem2", "both"), codes):
+        for fmt in ("json", "text"):
+            got_code, out, err = run(capsys, ["check-min", path, "--method", method, "--format", fmt])
+            assert (got_code, err) == (code, ""), (method, fmt)
+            digest.update(out.encode())
+    conditions = json.loads(run(capsys, ["check-min", path, "--method", "both"])[1])["sufficient_conditions"]
+    assert (conditions["A"]["witness"], conditions["B"]["witness"], conditions["B"]["scalar"]) == (
+        witness_a, witness_b, scalar)
+    assert digest.hexdigest() == expected
+
+
+# model -> (exit code, status, reason)
+CHECK_SUFFICIENT = {
+    "example3": (0, "minimal-certified", "the associated switched state-space system is minimal"),
+    "mute3-0": (1, "unknown", None),
+    "remark1_counterexample": (0, "minimal-certified", "mode 1 has a minimal ARX subsystem"),
+    "siso2-1": (0, "minimal-certified", "mode 1 has a minimal ARX subsystem"),
+    "siso2-17": (0, "minimal-certified", "mode 1 has a minimal ARX subsystem"),
+    "siso3-0": (0, "minimal-certified", "mode 2 has a minimal ARX subsystem"),
+    "siso3-16": (0, "minimal-certified", "mode 1 has a minimal ARX subsystem"),
+    "siso3-23": (0, "minimal-certified", "mode 1 has a minimal ARX subsystem"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_SUFFICIENT))
+def test_check_sufficient_output_is_pinned(capsys, tmp_path, name):
+    path = model_file(tmp_path, name)
+    code, status, reason = CHECK_SUFFICIENT[name]
+    report = {"status": status, "reason": reason}
+    assert run(capsys, ["check-sufficient", path]) == (code, dumped(report), "")
+    text_report = "status: %s\nreason: %s\n" % (status, reason)
+    assert run(capsys, ["check-sufficient", path, "--format", "text"]) == (code, text_report, "")
