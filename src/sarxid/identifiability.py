@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .groebner import buchberger, elimination_ideal, ideal_product
 from .linalg import RatMatrix
-from .minimality import Theorem2Data, _theorem2, check_strong_minimality
+from .minimality import Theorem2Data, check_strong_minimality
 from .multipoly import MonomialOrder, MultiPoly
 from .rationals import InputError, Record, _ZERO, exact, format_rational, malformed, read_modes
 from .sarx import SarxModel, SarxType
@@ -95,7 +95,7 @@ def symbolic_theorem2(par: PolyParametrization) -> Theorem2Data:
     par.require_siso("scalar coefficient access")
     ring = par.vars + Z_RING
     h = {q: [f.in_ring(ring) for f in par.modes[q]] for q in par.labels}
-    return _theorem2(par.ny, par.nu, h, ring)
+    return Theorem2Data(par.ny, par.nu, h, ring)
 
 
 class IdentifiableRegion(Record):
@@ -134,11 +134,11 @@ class IdentifiableRegion(Record):
 def procedure1(par: PolyParametrization) -> IdentifiableRegion:
     """Compute the strongly minimal sub-parametrization region.
 
-    Per ordered pair of distinct modes, eliminate z from the reachability
-    ideal (chi with the advanced phi) and from the observability ideal (chi
-    with the other mode's upsilon, scaled by the pair's condition-B scale
-    `b_scale`), then return the reduced Groebner basis of the product of the
-    two combined ideals, `ideal_product(I_A, I_B)`.
+    Per ordered pair (q, qh) of distinct modes, eliminate z from the
+    reachability ideal (chi with the advanced phi) and from the observability
+    ideal (chi with the other mode's upsilon, scaled by the pair's
+    condition-B scale `b_scale(q, qh)`), then return the reduced Groebner
+    basis of the product of the two combined ideals, `ideal_product(I_A, I_B)`.
     """
     if not par.vars:
         raise InputError("region computation needs at least one parameter")
@@ -154,7 +154,7 @@ def procedure1(par: PolyParametrization) -> IdentifiableRegion:
         s_a[pair] = elimination_ideal([sym.chi[q], sym.phi_next(q, qh)], [d])
         raw = elimination_ideal([sym.chi[q], sym.upsilon[qh]], [d])
         s_b_raw[pair] = raw
-        scale = sym.b_scale[pair].in_ring(par.vars)
+        scale = sym.b_scale(q, qh).in_ring(par.vars)
         s_b[pair] = [f * scale for f in raw]
 
     gens_a = [f for polys in s_a.values() for f in polys]

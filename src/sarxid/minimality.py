@@ -21,12 +21,23 @@ from .multipoly import MultiPoly
 from .unipoly import Z_RING, is_coprime
 
 
-class Theorem2Data(Record):
+def _horner(lead, coeffs, z):
+    """lead z^k + coeffs[0] z^(k-1) + ... + coeffs[k-1], with k = len(coeffs)."""
+    for c in coeffs:
+        lead = lead * z + c
+    return lead
+
+
+class Theorem2Data:
     """Polynomial data backing the sufficient strong-minimality conditions.
 
-    Polynomials are MultiPoly in z over the ring of the coefficients h_q^j:
-    in Z_RING for one model, in the parameters and z for a family.  A pair
-    key (q, qh) names first the mode q whose chi is tested; t_q = h_q^(ny+nu).
+    `Theorem2Data(ny, nu, h, ring)` runs the Theorem-2 recursions over any
+    coefficient ring: h maps each mode label to its coefficients
+    h_q^1..h_q^(ny+nu), and the polynomials are MultiPoly in `ring`, whose
+    last variable is z: Z_RING for one model, the parameters and z for a
+    family.  Only +, * and Horner steps are used, so the same code builds the
+    data of one model and, symbolically, of a whole parametrized family.  A
+    pair (q, qh) names first the mode q whose chi is tested; t_q = h_q^(ny+nu).
 
     pairs            the ordered pairs of distinct modes, in witness search order
     chi[q]           monic z^ny - sum h_q^j z^(ny-j)
@@ -35,90 +46,57 @@ class Theorem2Data(Record):
     psi(q, qh)[j]    monic degree-j polynomials with psi_j(A_q) e_1 = A_qh^j e_1
     phi(q, qh)       sum_j h_qh^(ny+j) psi_(nu-j); phi(A_q) e_1 = A_qh^nu B
     phi_next(q, qh)  sum_j h_qh^(ny+j) psi_(nu-j+1); represents A_qh^(nu+1) B
-    b_scale[(q,qh)]  t_q (h_qh^ny t_q - h_q^ny t_qh) = t_q^2 condition_b_scalar
+    b_scale(q, qh)   t_q (h_qh^ny t_q - h_q^ny t_qh) = t_q^2 condition_b_scalar
 
-    psi, phi and phi_next are functions that build a pair's value when
-    called, q = qh included, and raise KeyError for an unknown label; b_scale
-    holds only `pairs`.  On the diagonal psi_j = z^j, so phi(q, q) =
-    sum_{j<=nu} h_q^(ny+j) z^(nu-j) is the numerator N_q of mode q's transfer
-    function.
+    The pair data are methods that build their value when called, q = qh
+    included, and raise KeyError for an unknown label.  On the diagonal
+    psi_j = z^j, so phi(q, q) = sum_{j<=nu} h_q^(ny+j) z^(nu-j) is the
+    numerator N_q of mode q's transfer function.
     """
 
-    pairs: tuple
-    chi: dict
-    upsilon: dict
-    d: dict
-    psi: object
-    phi: object
-    phi_next: object
-    b_scale: dict
+    __slots__ = ("ny", "nu", "_h", "_one", "_z", "pairs", "chi", "upsilon", "d")
 
+    def __init__(self, ny, nu, h, ring):
+        self.ny, self.nu, self._h = ny, nu, h
+        self._one = one = MultiPoly.constant(ring, 1)
+        self._z = z = MultiPoly.variable(ring, len(ring) - 1)
+        self.pairs = tuple(permutations(h, 2))
+        self.chi, self.upsilon, self.d = {}, {}, {}
+        for q, hq in h.items():
+            self.chi[q] = _horner(one, [-c for c in hq[:ny]], z)
+            self.upsilon[q] = _horner(one * 0, hq[:ny], z)
+            seq = [(_ONE,) + (_ZERO,) * (ny - 1)]
+            for _ in range(nu):
+                prev = seq[-1]
+                seq.append((sum(c * x for c, x in zip(hq, prev)),) + prev[:-1])
+            self.d[q] = seq
 
-def _horner(lead, coeffs, z):
-    """lead z^k + coeffs[0] z^(k-1) + ... + coeffs[k-1], with k = len(coeffs)."""
-    for c in coeffs:
-        lead = lead * z + c
-    return lead
-
-
-def _theorem2(ny, nu, h, ring) -> Theorem2Data:
-    """The Theorem-2 recursions over any coefficient ring.
-
-    h maps each mode label to its coefficients h_q^1..h_q^(ny+nu); the
-    polynomials live in `ring`, whose last variable is z.  Only +, * and
-    Horner steps are used, so the same code builds the data of one model
-    and, symbolically, of a whole parametrized family.
-    """
-    z = MultiPoly.variable(ring, len(ring) - 1)
-    one = MultiPoly.constant(ring, 1)
-    zero = one * 0
-    chi, upsilon, d = {}, {}, {}
-    for q, hq in h.items():
-        chi[q] = _horner(one, [-c for c in hq[:ny]], z)
-        upsilon[q] = _horner(zero, hq[:ny], z)
-        seq = [(_ONE,) + (_ZERO,) * (ny - 1)]
-        for _ in range(nu):
-            prev = seq[-1]
-            seq.append((sum(c * x for c, x in zip(hq, prev)),) + prev[:-1])
-        d[q] = seq
-
-    def psi(q, qh):
+    def psi(self, q, qh):
+        h, ny = self._h, self.ny
         diff = [a - b for a, b in zip(h[qh][:ny], h[q][:ny])]
-        seq = [one]
-        for j in range(nu):
-            seq.append(z * seq[-1] + sum(c * x for c, x in zip(diff, d[qh][j])))
+        seq = [self._one]
+        for j in range(self.nu):
+            seq.append(self._z * seq[-1] + sum(c * x for c, x in zip(diff, self.d[qh][j])))
         return seq
 
-    def weighted(qh, seq):
-        return sum((c * p for c, p in zip(h[qh][ny:], reversed(seq))), zero)
+    def _weighted(self, qh, seq):
+        return sum((c * p for c, p in zip(self._h[qh][self.ny:], reversed(seq))), self._one * 0)
 
-    def phi(q, qh):
-        return weighted(qh, psi(q, qh)[:-1])
+    def phi(self, q, qh):
+        return self._weighted(qh, self.psi(q, qh)[:-1])
 
-    def phi_next(q, qh):
-        return weighted(qh, psi(q, qh)[1:])
+    def phi_next(self, q, qh):
+        return self._weighted(qh, self.psi(q, qh)[1:])
 
-    pairs = tuple(permutations(h, 2))
-    t = {q: hq[-1] for q, hq in h.items()}
-    b_scale = {
-        (q, qh): one * (t[q] * (h[qh][ny - 1] * t[q] - h[q][ny - 1] * t[qh]))
-        for q, qh in pairs
-    }
-    return Theorem2Data(
-        pairs=pairs,
-        chi=chi,
-        upsilon=upsilon,
-        d=d,
-        psi=psi,
-        phi=phi,
-        phi_next=phi_next,
-        b_scale=b_scale,
-    )
+    def b_scale(self, q, qh):
+        h, ny = self._h, self.ny
+        t = h[q][-1]
+        return self._one * (t * (h[qh][ny - 1] * t - h[q][ny - 1] * h[qh][-1]))
 
 
 def theorem2_polynomials(model: SarxModel) -> Theorem2Data:
     model.require_siso("scalar coefficient access")
-    return _theorem2(model.ny, model.nu, {q: model.modes[q].row(0) for q in model.labels}, Z_RING)
+    return Theorem2Data(model.ny, model.nu, {q: model.modes[q].row(0) for q in model.labels}, Z_RING)
 
 
 def arx_is_minimal(data: Theorem2Data, q) -> bool:
@@ -127,8 +105,7 @@ def arx_is_minimal(data: Theorem2Data, q) -> bool:
     N_q is phi(q, q).  The delay factor counts when ny > nu.
     `test_transfer_minimality_matches_sympy_gcd` checks it against sympy.
     """
-    ny, nu = len(data.d[q][0]), len(data.d[q]) - 1
-    delay = MultiPoly.variable(data.chi[q].vars, 0, max(ny - nu, 0))
+    delay = MultiPoly.variable(data.chi[q].vars, 0, max(data.ny - data.nu, 0))
     return is_coprime(delay * data.phi(q, q), data.chi[q])
 
 
@@ -174,7 +151,7 @@ def condition_b_scalar(model: SarxModel, q2, q3):
 def check_condition_b(data: Theorem2Data):
     """First pair (q2, q3) with b_scale nonzero and upsilon_q3 coprime to chi_q2, or None."""
     for q2, q3 in data.pairs:
-        if not data.b_scale[(q2, q3)].is_zero() and is_coprime(data.upsilon[q3], data.chi[q2]):
+        if not data.b_scale(q2, q3).is_zero() and is_coprime(data.upsilon[q3], data.chi[q2]):
             return (q2, q3)
     return None
 

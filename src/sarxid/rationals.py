@@ -161,9 +161,7 @@ def read_rational(value):
 
 
 def parse_rational(value) -> Fraction:
-    """`read_rational`'s value as a Fraction; a Fraction is returned as it is."""
-    if isinstance(value, Fraction):
-        return value
+    """`read_rational`'s value as a Fraction, equal to a Fraction it is given."""
     return Fraction(*read_rational(value))
 
 

@@ -70,45 +70,49 @@ def test_counterexample_not_strongly_minimal():
 
 @pytest.fixture
 def pair_builds(monkeypatch):
-    """(builder name, pair) for each call of a Theorem2Data's psi, phi and phi_next."""
+    """(method name, pair) for each call of a Theorem2Data's pair methods from outside
+    the class: phi and phi_next reach psi through self.psi, which is not counted."""
     built = []
-    init = minimality.Theorem2Data.__init__
+    depth = [0]
 
     def counted(name, build):
-        def call(q, qh):
-            built.append((name, (q, qh)))
-            return build(q, qh)
+        def call(self, q, qh):
+            if not depth[0]:
+                built.append((name, (q, qh)))
+            depth[0] += 1
+            try:
+                return build(self, q, qh)
+            finally:
+                depth[0] -= 1
 
         return call
 
-    def counting_init(self, **fields):
-        for name in ("psi", "phi", "phi_next"):
-            fields[name] = counted(name, fields[name])
-        init(self, **fields)
-
-    monkeypatch.setattr(minimality.Theorem2Data, "__init__", counting_init)
+    for name in ("psi", "phi", "phi_next", "b_scale"):
+        build = getattr(minimality.Theorem2Data, name)
+        monkeypatch.setattr(minimality.Theorem2Data, name, counted(name, build))
     return built
 
 
 def test_pair_data_is_built_when_called(reference_model, pair_builds):
     data = theorem2_polynomials(reference_model)
     assert pair_builds == []
-    # condition A passes on its first pair, and condition B reads no pair data
+    # each condition passes on its first pair
     assert check_condition_a(data) == ("1", "2")
     assert check_condition_b(data) == ("1", "2")
-    assert pair_builds == [("phi", ("1", "2"))]
-    for name in ("psi", "phi", "phi_next"):
+    assert pair_builds == [("phi", ("1", "2")), ("b_scale", ("1", "2"))]
+    for name in ("psi", "phi", "phi_next", "b_scale"):
         for missing in [("1", "3"), ("3", "1"), ("3", "3")]:
             with pytest.raises(KeyError):
                 getattr(data, name)(*missing)
 
 
 def test_procedure1_builds_only_off_diagonal_phi_next(pair_builds):
-    # each phi_next builds its own pair's psi and no other
+    # each phi_next builds its own pair's psi and no other, and each b_scale is built once
     par = PolyParametrization.load(fixture_path("example8_first_family.json"))
     procedure1(par)
     pairs = [(q, qh) for q in par.labels for qh in par.labels if q != qh]
-    assert sorted(pair_builds) == sorted(("phi_next", pair) for pair in pairs)
+    assert sorted(pair_builds) == sorted((name, pair) for pair in pairs
+                                         for name in ("phi_next", "b_scale"))
 
 
 def test_strong_minimality_despite_nonminimal_arx_modes(reference_model):

@@ -60,7 +60,7 @@ def test_pinned_values():
     assert parse_rational(" 7\n") == 7
     assert parse_rational("\u0663") == 3
     assert parse_rational("7\x1c") == 7
-    assert parse_rational("-3/2") == Fraction(-3, 2)
+    assert parse_rational("-3/2") == parse_rational(Fraction(-6, 4)) == Fraction(-3, 2)
     assert parse_rational("0.001") == Fraction(1, 1000)
     for s in ("1__0", "1e3", "0x10", "", " ", "1/0", "1/2/3", "1_000", "1 /2", "1/ 2", "+9/ 8"):
         with pytest.raises(ValueError):

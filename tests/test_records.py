@@ -1,8 +1,13 @@
 """The value semantics of `rationals.Record` and of the package's record types."""
 
+from fractions import Fraction
+
 import pytest
 
+from conftest import fixture_path
 from sarxid import (
+    IdentifiabilityReport,
+    IdentifiableRegion,
     InjectivityEvidence,
     IsoSolution,
     Lss,
@@ -14,6 +19,7 @@ from sarxid import (
     RatMatrix,
     SarxModel,
     SarxType,
+    procedure1,
 )
 from sarxid.rationals import FrozenInstanceError, InputError, Record
 
@@ -25,6 +31,65 @@ def one_mode_lss(n=1):
 
 def certificate(minimal=True):
     return LssMinimalityCertificate(minimal, 2, 0, 2)
+
+
+def theta_family():
+    t = MultiPoly.variable(("t",), 0)
+    return PolyParametrization(1, 1, 1, 1, {"1": (t, t * t)}, ("t",))
+
+
+# one zero-argument builder per record class of the package; each call builds a new value
+RECORDS = {
+    IdentifiabilityReport: lambda: IdentifiabilityReport(
+        False, True, InjectivityEvidence("no-collision-found"), ("injectivity is unproven",)),
+    IdentifiableRegion: lambda: procedure1(
+        PolyParametrization.load(fixture_path("example8_first_family.json"))),
+    InjectivityEvidence: lambda: InjectivityEvidence("collision", ((0, Fraction(1, 2)), (1, 0))),
+    IsoSolution: lambda: IsoSolution("unique-other", RatMatrix([[0, 1], [1, 0]]), 0),
+    Lss: one_mode_lss,
+    LssMinimalityCertificate: certificate,
+    LssMode: lambda: one_mode_lss().modes["1"],
+    MinimalityVerdict: lambda: MinimalityVerdict(
+        "both", True, ("1", "2"), ("2", "1"), Fraction(-3), certificate()),
+    PolyParametrization: theta_family,
+    SarxModel: lambda: SarxModel(1, 1, 1, 2, {"1": RatMatrix([["1/2", 0, "-3"]])}),
+    SarxType: lambda: SarxType(1, 1, 1, 1, {"1": RatMatrix([[0, 1]])}),
+}
+
+
+def record_classes(base=Record):
+    """The subclasses of `base` defined in the package, found recursively.
+
+    Importing `sarxid` imports every module but `cli`, which defines no record.
+    """
+    found = set()
+    for cls in base.__subclasses__():
+        if cls.__module__.startswith("sarxid."):
+            found.add(cls)
+        found |= record_classes(cls)
+    return found
+
+
+def hashable(value):
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def test_the_registry_covers_every_record_class():
+    assert set(RECORDS) == record_classes()
+
+
+@pytest.mark.parametrize("cls", sorted(RECORDS, key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_two_builds_compare_and_hash_equal(cls):
+    a, b = RECORDS[cls](), RECORDS[cls]()
+    assert type(a) is type(b) is cls and a is not b
+    assert a == b and not a != b
+    if all(hashable(v) for v in a._values()):
+        assert hash(a) == hash(b)
 
 
 def test_construction_by_position_keyword_and_default():
