@@ -95,7 +95,7 @@ def symbolic_theorem2(par: PolyParametrization) -> Theorem2Data:
     par.require_siso("scalar coefficient access")
     ring = par.vars + Z_RING
     h = {q: [f.in_ring(ring) for f in par.modes[q]] for q in par.labels}
-    return Theorem2Data(par.ny, par.nu, h, ring)
+    return Theorem2Data(par.ny, par.nu, h, 1, ring)
 
 
 class IdentifiableRegion(Record):

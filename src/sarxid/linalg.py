@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals, computed over the integers.
 
 A `RatMatrix` is its integer form (d, rows): d > 0 and the int rows d
-times the matrix, in lowest terms.  Input is read into that form entry by
-entry (`rationals.read_rational`), `@`, `+`, `-`, `transpose`, `scale`,
-the eliminations, both simulators and `Subspace` work on it, and Fractions
+times the matrix, in lowest terms.  Input is read into that form row by
+row (`read_row`, each entry by `rationals.read_rational`), `@`, `+`, `-`,
+`transpose`, `scale`, the eliminations, both simulators and `Subspace`
+work on it, and Fractions
 are built only when a caller reads entries: `[i, j]`, `row`, `col`,
 `to_lists`, a determinant or a trace; `to_strings` writes the form.  `aligned` brings
 several matrices to one denominator.  One elimination, `_insert`,
@@ -44,8 +45,8 @@ class RatMatrix:
     int rows d times the matrix, in lowest terms, so that d is the least
     common denominator of the entries and equal matrices have equal forms.
     `integer_form` hands it out, and callers read it without changing it.
-    `RatMatrix(...)` and `from_strings` read each entry through
-    `read_rational`; `_of` takes a form that is already over int and brings
+    `RatMatrix(...)` and `from_strings` read each row through `read_row`,
+    each entry through `read_rational`; `_of` takes a form that is already over int and brings
     it to lowest terms, as `transpose`, `@`, `+`, `-`, `scale`, `rref` and
     the reduced rows of a `Subspace` make it.  Entries are Fractions when
     they are read: `[i, j]`, `row`, `col`, `to_lists`; `to_strings` writes the form.
@@ -55,10 +56,10 @@ class RatMatrix:
 
     def __init__(self, data, cols=0):
         """data: a list of rows; cols: the column count when there are no rows."""
-        data = [[read_rational(x) for x in row] for row in data]
-        self.rows, self.cols = len(data), _width(data, cols)
-        d = lcm(*{b for row in data for _, b in row})
-        self._form = d, [[a * (d // b) for a, b in row] for row in data]
+        read = [read_row(row) for row in data]
+        self.rows, self.cols = len(read), _width([row for _, row in read], cols)
+        d = lcm(*[e for e, _ in read])
+        self._form = d, [row if e == d else [x * (d // e) for x in row] for e, row in read]
 
     @classmethod
     def _of(cls, d, ints, cols):
@@ -100,6 +101,7 @@ class RatMatrix:
         return Fraction(ints[i][j], d)
 
     def row(self, i):
+        """Row i (`test_entries_are_read_off_the_integer_form`)."""
         return _fractions(self._form[1][i], self._form[0])
 
     def col(self, j):
@@ -220,6 +222,15 @@ class RatMatrix:
 
     def __repr__(self):
         return "RatMatrix(%r)" % (self.to_strings(),)
+
+
+def read_row(values):
+    """(d, ints): the values, each read by `read_rational`, as int numerators over
+    the lcm d of their denominators, in lowest terms.  The one reader of a row of
+    input, for `RatMatrix`, `Subspace` and `sarx.HybridWord`."""
+    read = [read_rational(x) for x in values]
+    d = lcm(*[b for _, b in read])
+    return d, [a * (d // b) for a, b in read]
 
 
 def aligned(*matrices):
@@ -411,7 +422,7 @@ class Subspace:
             elif all(type(x) is int for x in v):
                 v = list(v)
             else:
-                v = RatMatrix([v]).integer_form()[1][0]
+                v = read_row(v)[1]
             work.append(v)
         if any(m.shape != (ambient_dim, ambient_dim) for m in maps):
             raise ValueError("map shape mismatch")

@@ -7,96 +7,164 @@ polynomials built from the mode coefficients: a characteristic polynomial
 chi_q per mode, an observability polynomial upsilon_q per mode, and a
 cross-mode family phi built through the psi recursion.  The coprimality
 route is sound but not complete.
+
+The Theorem-2 data are built over int: the coefficients h_q are read as
+numerators H_q over one denominator D (the lcm of the modes' denominators;
+D = 1 for a family, whose coefficients are polynomials in the parameters),
+the recursions run on numerators, and each polynomial in z is assembled
+once from its coefficient list over its power of D (`_poly`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
+from .linalg import aligned
 from .lss import LssMinimalityCertificate, associated_lss, is_minimal_lss
-from .rationals import InputError, Record, _ONE, _ZERO, format_rational
+from .rationals import InputError, Record, format_rational
 from .sarx import SarxModel
 from .multipoly import MultiPoly
 from .unipoly import Z_RING, is_coprime
 
 
-def _horner(lead, coeffs, z):
-    """lead z^k + coeffs[0] z^(k-1) + ... + coeffs[k-1], with k = len(coeffs)."""
-    for c in coeffs:
-        lead = lead * z + c
-    return lead
+def _poly(ring, coeffs, den):
+    """sum_k coeffs[k] z^(n-1-k) / den, n = len(coeffs), as a MultiPoly in `ring`.
+
+    z is the last variable of the ring, den a positive int, and each
+    coefficient an int or a z-free MultiPoly in the ring, read through its
+    integer form; the terms are brought to one denominator over int.
+    """
+    flat = (0,) * (len(ring) - 1)
+    top = len(coeffs) - 1
+    terms, dens = [], []
+    for k, c in enumerate(coeffs):
+        if type(c) is int:
+            if c:
+                terms.append((flat + (top - k,), c, 1))
+        else:
+            e, ints = c.integer_form()
+            dens.append(e)
+            terms.extend((exp[:-1] + (top - k,), x, e) for exp, x in ints.items())
+    m = lcm(*dens)
+    return MultiPoly._of(ring, den * m, {exp: x * (m // e) for exp, x, e in terms})
+
+
+def _total(terms):
+    """The sum of ints and MultiPolys, an int 0 when there are none."""
+    return sum(terms[1:], terms[0]) if terms else 0
+
+
+def _dot(a, b):
+    """sum_i a_i b_i over the shorter length; terms with an int 0 in b are skipped."""
+    return _total([x * y for x, y in zip(a, b) if not (type(y) is int and y == 0)])
 
 
 class Theorem2Data:
     """Polynomial data backing the sufficient strong-minimality conditions.
 
-    `Theorem2Data(ny, nu, h, ring)` runs the Theorem-2 recursions over any
-    coefficient ring: h maps each mode label to its coefficients
-    h_q^1..h_q^(ny+nu), and the polynomials are MultiPoly in `ring`, whose
-    last variable is z: Z_RING for one model, the parameters and z for a
-    family.  Only +, * and Horner steps are used, so the same code builds the
-    data of one model and, symbolically, of a whole parametrized family.  A
-    pair (q, qh) names first the mode q whose chi is tested; t_q = h_q^(ny+nu).
+    `Theorem2Data(ny, nu, h, den, ring)` runs the Theorem-2 recursions over
+    any coefficient ring: h maps each mode label to the numerators
+    H_q^1..H_q^(ny+nu) of its coefficients h_q^j = H_q^j / den, ints for one
+    model, z-free MultiPolys in `ring` (with den = 1) for a family.  The
+    polynomials are MultiPoly in `ring`, whose last variable is z: Z_RING for
+    one model, the parameters and z for a family.  The recursions use only
+    +, * and the numerators, so the same code builds the data of one model
+    and, symbolically, of a whole parametrized family; each polynomial is
+    the coefficient list of its numerator over the power of den given
+    below.  A pair (q, qh) names first the mode q whose chi is tested;
+    t_q = h_q^(ny+nu).
 
     pairs            the ordered pairs of distinct modes, in witness search order
-    chi[q]           monic z^ny - sum h_q^j z^(ny-j)
-    upsilon[q]       sum_{j<=ny} h_q^j z^(ny-j)
-    d[q][j]          the first ny entries of A_q^j e_1, j = 0..nu (the rest are 0)
-    psi(q, qh)[j]    monic degree-j polynomials with psi_j(A_q) e_1 = A_qh^j e_1
-    phi(q, qh)       sum_j h_qh^(ny+j) psi_(nu-j); phi(A_q) e_1 = A_qh^nu B
-    phi_next(q, qh)  sum_j h_qh^(ny+j) psi_(nu-j+1); represents A_qh^(nu+1) B
-    b_scale(q, qh)   t_q (h_qh^ny t_q - h_q^ny t_qh) = t_q^2 condition_b_scalar
+    chi[q]           monic z^ny - sum h_q^j z^(ny-j), over den
+    upsilon[q]       sum_{j<=ny} h_q^j z^(ny-j), over den
+    d[q][j]          the numerators over den^j of the first ny entries of
+                     A_q^j e_1, j = 0..nu (the rest are 0)
+    psi(q, qh)[j]    monic degree-j polynomials with psi_j(A_q) e_1 = A_qh^j e_1,
+                     over den^j
+    phi(q, qh)       sum_j h_qh^(ny+j) psi_(nu-j); phi(A_q) e_1 = A_qh^nu B,
+                     over den^nu
+    phi_next(q, qh)  sum_j h_qh^(ny+j) psi_(nu-j+1); represents A_qh^(nu+1) B,
+                     over den^(nu+1)
+    b_scale(q, qh)   t_q (h_qh^ny t_q - h_q^ny t_qh) = t_q^2 condition_b_scalar,
+                     over den^3
 
     The pair data are methods that build their value when called, q = qh
     included, and raise KeyError for an unknown label.  On the diagonal
     psi_j = z^j, so phi(q, q) = sum_{j<=nu} h_q^(ny+j) z^(nu-j) is the
     numerator N_q of mode q's transfer function.
+    `test_data_match_the_fraction_reference` checks every field against the
+    Fraction recursion of `tests/oracles.py`.
     """
 
-    __slots__ = ("ny", "nu", "_h", "_one", "_z", "pairs", "chi", "upsilon", "d")
+    __slots__ = ("ny", "nu", "den", "_h", "_ring", "pairs", "chi", "upsilon", "d")
 
-    def __init__(self, ny, nu, h, ring):
-        self.ny, self.nu, self._h = ny, nu, h
-        self._one = one = MultiPoly.constant(ring, 1)
-        self._z = z = MultiPoly.variable(ring, len(ring) - 1)
+    def __init__(self, ny, nu, h, den, ring):
+        self.ny, self.nu, self.den, self._h, self._ring = ny, nu, den, h, ring
         self.pairs = tuple(permutations(h, 2))
         self.chi, self.upsilon, self.d = {}, {}, {}
         for q, hq in h.items():
-            self.chi[q] = _horner(one, [-c for c in hq[:ny]], z)
-            self.upsilon[q] = _horner(one * 0, hq[:ny], z)
-            seq = [(_ONE,) + (_ZERO,) * (ny - 1)]
+            self.chi[q] = _poly(ring, [den] + [-c for c in hq[:ny]], den)
+            self.upsilon[q] = _poly(ring, hq[:ny], den)
+            # A_q d_j = (h_q . d_j, d_j shifted down), and one more factor of den
+            seq = [(1,) + (0,) * (ny - 1)]
             for _ in range(nu):
                 prev = seq[-1]
-                seq.append((sum(c * x for c, x in zip(hq, prev)),) + prev[:-1])
+                tail = prev[:-1] if den == 1 else tuple(den * x for x in prev[:-1])
+                seq.append((_dot(hq, prev),) + tail)
             self.d[q] = seq
 
-    def psi(self, q, qh):
-        h, ny = self._h, self.ny
+    def _psi_numerators(self, q, qh):
+        """Per j = 0..nu, the coefficient list, highest first, of den^j psi_j(q, qh).
+
+        psi_(j+1) = z psi_j + (h_qh - h_q) . d_qh[j], so over den^(j+1) the
+        list gains one entry, the dot product of the numerators.
+        """
+        h, ny, den = self._h, self.ny, self.den
         diff = [a - b for a, b in zip(h[qh][:ny], h[q][:ny])]
-        seq = [self._one]
-        for j in range(self.nu):
-            seq.append(self._z * seq[-1] + sum(c * x for c, x in zip(diff, self.d[qh][j])))
+        seq = [[1]]
+        for dj in self.d[qh][: self.nu]:
+            prev = seq[-1] if den == 1 else [den * c for c in seq[-1]]
+            seq.append(prev + [_dot(diff, dj)])
         return seq
 
-    def _weighted(self, qh, seq):
-        return sum((c * p for c, p in zip(self._h[qh][self.ny:], reversed(seq))), self._one * 0)
+    def psi(self, q, qh):
+        """psi_0..psi_nu of the pair (`test_psi_d_phi_identities` checks them)."""
+        nums, den, ring = self._psi_numerators(q, qh), self.den, self._ring
+        return [_poly(ring, p, den**j) for j, p in enumerate(nums)]
+
+    def _weighted(self, qh, nums, k):
+        """sum_i h_qh^(ny+i) psi_(k-i), i = 1..nu, over den^k, off the psi numerators."""
+        den = self.den
+        acc = [[] for _ in range(k)]
+        w = 1  # den^(i-1): psi_(k-i) is over den^(k-i)
+        for i, c in enumerate(self._h[qh][self.ny :], 1):
+            if not (type(c) is int and c == 0):
+                cw = c if w == 1 else c * w
+                for t, x in enumerate(nums[k - i], i - 1):
+                    acc[t].append(cw if type(x) is int and x == 1 else cw * x)
+            w *= den
+        return _poly(self._ring, [_total(terms) for terms in acc], den**k)
 
     def phi(self, q, qh):
-        return self._weighted(qh, self.psi(q, qh)[:-1])
+        return self._weighted(qh, self._psi_numerators(q, qh), self.nu)
 
     def phi_next(self, q, qh):
-        return self._weighted(qh, self.psi(q, qh)[1:])
+        return self._weighted(qh, self._psi_numerators(q, qh), self.nu + 1)
 
     def b_scale(self, q, qh):
         h, ny = self._h, self.ny
         t = h[q][-1]
-        return self._one * (t * (h[qh][ny - 1] * t - h[q][ny - 1] * h[qh][-1]))
+        return _poly(self._ring, [t * (h[qh][ny - 1] * t - h[q][ny - 1] * h[qh][-1])], self.den**3)
 
 
 def theorem2_polynomials(model: SarxModel) -> Theorem2Data:
+    """The Theorem-2 data of one model, off the integer forms of its mode rows."""
     model.require_siso("scalar coefficient access")
-    return Theorem2Data(model.ny, model.nu, {q: model.modes[q].row(0) for q in model.labels}, Z_RING)
+    den, rows = aligned(*[model.modes[q] for q in model.labels])
+    h = {q: r[0] for q, r in zip(model.labels, rows)}
+    return Theorem2Data(model.ny, model.nu, h, den, Z_RING)
 
 
 def arx_is_minimal(data: Theorem2Data, q) -> bool:

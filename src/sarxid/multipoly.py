@@ -100,6 +100,12 @@ class MonomialOrder:
     @classmethod
     def elimination(cls, nvars, drop):
         """Block order ranking the variables in `drop` strictly above the rest."""
+        return cls._elimination(nvars, tuple(drop))
+
+    @classmethod
+    @lru_cache(maxsize=None)
+    def _elimination(cls, nvars, drop):
+        # one shared packing per (nvars, drop), since every elimination_ideal asks for one
         order = cls(nvars, drop)
         if not (order.drop and order.keep):
             raise ValueError("elimination split must be proper")

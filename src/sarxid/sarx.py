@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import RatMatrix, lowest_terms, sparse_apply, sparse_rows
+from .linalg import RatMatrix, lowest_terms, read_row, sparse_apply, sparse_rows
 from .rationals import (
     InputError,
     JsonLoadable,
@@ -106,7 +106,8 @@ class HybridWord(JsonLoadable):
 
     A word is its integer steps, its only state: each step is (q, v, U),
     the input as the int vector U over the positive int v in lowest terms,
-    read as a one-row `RatMatrix` is, once, for the simulators.  Iterating
+    read once by `linalg.read_row`, as a row of a `RatMatrix` is, for the
+    simulators.  Iterating
     yields (q, inputs) with the inputs as Fractions, built when read.
     """
 
@@ -115,7 +116,7 @@ class HybridWord(JsonLoadable):
     def __init__(self, steps):
         self.integer_steps = []
         for q, u in steps:
-            v, (ints,) = RatMatrix([u]).integer_form()
+            v, ints = read_row(u)
             self.integer_steps.append((str(q), v, ints))
         if not self.integer_steps:
             raise InputError("hybrid word must be nonempty")

@@ -437,6 +437,70 @@ def brute_force_unobservable(sys, max_len=None) -> Subspace:
     return Subspace(sys.n, vstack(rows).kernel_basis())
 
 
+def _horner(lead, coeffs, z):
+    """lead z^k + coeffs[0] z^(k-1) + ... + coeffs[k-1], with k = len(coeffs)."""
+    for c in coeffs:
+        lead = lead * z + c
+    return lead
+
+
+class Theorem2Reference:
+    """The Theorem-2 data by the Fraction recursions, Horner step by Horner step.
+
+    h maps each mode label to its coefficients h_q^1..h_q^(ny+nu) themselves,
+    Fractions or MultiPolys in `ring`, whose last variable is z; d[q][j]
+    holds the entries of A_q^j e_1 themselves, not numerators.  The fields
+    and pair methods are those of `minimality.Theorem2Data`.
+    """
+
+    def __init__(self, ny, nu, h, ring):
+        self.ny, self.nu, self._h = ny, nu, h
+        self._one = one = MultiPoly.constant(ring, 1)
+        self._z = z = MultiPoly.variable(ring, len(ring) - 1)
+        self.pairs = tuple(permutations(h, 2))
+        self.chi, self.upsilon, self.d = {}, {}, {}
+        for q, hq in h.items():
+            self.chi[q] = _horner(one, [-c for c in hq[:ny]], z)
+            self.upsilon[q] = _horner(one * 0, hq[:ny], z)
+            seq = [(_ONE,) + (_ZERO,) * (ny - 1)]
+            for _ in range(nu):
+                prev = seq[-1]
+                seq.append((sum(c * x for c, x in zip(hq, prev)),) + prev[:-1])
+            self.d[q] = seq
+
+    @classmethod
+    def of_model(cls, model):
+        return cls(model.ny, model.nu, {q: model.modes[q].row(0) for q in model.labels}, Z_RING)
+
+    @classmethod
+    def of_family(cls, par):
+        ring = par.vars + Z_RING
+        return cls(par.ny, par.nu, {q: [f.in_ring(ring) for f in par.modes[q]]
+                                    for q in par.labels}, ring)
+
+    def psi(self, q, qh):
+        h, ny = self._h, self.ny
+        diff = [a - b for a, b in zip(h[qh][:ny], h[q][:ny])]
+        seq = [self._one]
+        for j in range(self.nu):
+            seq.append(self._z * seq[-1] + sum(c * x for c, x in zip(diff, self.d[qh][j])))
+        return seq
+
+    def _weighted(self, qh, seq):
+        return sum((c * p for c, p in zip(self._h[qh][self.ny:], reversed(seq))), self._one * 0)
+
+    def phi(self, q, qh):
+        return self._weighted(qh, self.psi(q, qh)[:-1])
+
+    def phi_next(self, q, qh):
+        return self._weighted(qh, self.psi(q, qh)[1:])
+
+    def b_scale(self, q, qh):
+        h, ny = self._h, self.ny
+        t = h[q][-1]
+        return self._one * (t * (h[qh][ny - 1] * t - h[q][ny - 1] * h[qh][-1]))
+
+
 def theorem2_witnesses_sympy(model):
     """First witness pairs of conditions A and B (or None), over QQ with sympy.
 

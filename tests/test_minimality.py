@@ -1,10 +1,14 @@
 import random
+from datetime import timedelta
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fixture_path, matrix_power, random_siso_model, rank, zpoly
-from oracles import theorem2_witnesses_sympy, vstack
+from oracles import Theorem2Reference, theorem2_witnesses_sympy, vstack
 from sarxid import (
     InputError,
     LssMinimalityCertificate,
@@ -106,6 +110,51 @@ def test_pair_data_is_built_when_called(reference_model, pair_builds):
                 getattr(data, name)(*missing)
 
 
+def test_theorem2_reads_only_integer_forms(reference_model, monkeypatch):
+    """The data and both conditions read each mode row's integer form, no Fraction entry."""
+
+    def refused(self, *args):
+        raise AssertionError("an entry was read as a Fraction")
+
+    monkeypatch.setattr(RatMatrix, "row", refused)
+    monkeypatch.setattr(RatMatrix, "__getitem__", refused)
+    data = theorem2_polynomials(reference_model)
+    assert check_condition_a(data) == ("1", "2")
+    assert check_condition_b(data) == ("1", "2")
+
+
+# a mode row: n_y + n_u numerators, zero half of the time, over a denominator of its own
+def siso_models():
+    def model(shape):
+        ny, nu, count = shape
+        row = st.tuples(st.lists(st.one_of(st.just(0), st.integers(-5, 5)),
+                                 min_size=ny + nu, max_size=ny + nu), st.integers(1, 6))
+        return st.lists(row, min_size=count, max_size=count).map(lambda rows: SarxModel(
+            ny, nu, 1, 1,
+            {str(q): RatMatrix([[Fraction(n, den) for n in nums]])
+             for q, (nums, den) in enumerate(rows, 1)}))
+
+    shapes = st.integers(1, 5).flatmap(
+        lambda ny: st.tuples(st.just(ny), st.integers(1, ny), st.integers(1, 3)))
+    return shapes.flatmap(model)
+
+
+@given(siso_models())
+@settings(max_examples=80, deadline=timedelta(seconds=10), derandomize=True)
+def test_data_match_the_fraction_reference(model):
+    """Every field and pair method equals the Fraction recursion of the oracle,
+    on every ordered pair and on the diagonal; d[q][j] is over den^j."""
+    data, want = theorem2_polynomials(model), Theorem2Reference.of_model(model)
+    assert data.pairs == want.pairs
+    for q in model.labels:
+        assert data.chi[q] == want.chi[q] and data.upsilon[q] == want.upsilon[q]
+        assert [[Fraction(x, data.den**j) for x in dj] for j, dj in enumerate(data.d[q])] == [
+            list(dj) for dj in want.d[q]]
+    for pair in product(model.labels, repeat=2):
+        for name in ("psi", "phi", "phi_next", "b_scale"):
+            assert getattr(data, name)(*pair) == getattr(want, name)(*pair), (name, pair)
+
+
 def test_procedure1_builds_only_off_diagonal_phi_next(pair_builds):
     # each phi_next builds its own pair's psi and no other, and each b_scale is built once
     par = PolyParametrization.load(fixture_path("example8_first_family.json"))
@@ -178,8 +227,9 @@ def test_psi_d_phi_identities(rng):
             for j in range(m.nu + 1):
                 # d lives in the output block; the tail stays zero because
                 # that block is invariant under every A_q
+                # d[q][j] holds the numerators over den^j
                 padded = RatMatrix.column(
-                    list(data.d[q][j])
+                    [Fraction(x, data.den**j) for x in data.d[q][j]]
                     + [Fraction(0)] * (sys.n - m.ny)
                 )
                 assert matrix_power(aq, j) @ e1 == padded

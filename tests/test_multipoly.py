@@ -185,6 +185,16 @@ def test_elimination_order_ranks_dropped_variables_first():
     assert order.key((0, 1, 0)) > order.key((5, 0, 7))
 
 
+def test_elimination_order_is_built_once_per_split():
+    order = MonomialOrder.elimination(3, [1])
+    assert MonomialOrder.elimination(3, (1,)) is order
+    assert MonomialOrder.elimination(3, [0, 1]) is not order
+    # a refusal is not cached: asking again raises again
+    for drop in ([], [0, 1, 2], [0, 1, 2]):
+        with pytest.raises(ValueError, match="must be proper"):
+            MonomialOrder.elimination(3, drop)
+
+
 def test_eval_substitute_consistency(rng):
     for _ in range(30):
         f = random_mpoly(rng)
