@@ -87,7 +87,8 @@ class PolyParametrization(SarxType):
 def symbolic_theorem2(par: PolyParametrization) -> Theorem2Data:
     """Theorem-2 data of the family, in the ring of the parameters plus z.
 
-    z is the last variable.  Specializing the parameters gives the data of
+    z is the last variable.  The numerators are the coefficient polynomials
+    themselves, over D = 1.  Specializing the parameters gives the data of
     the instantiated model, because both come from the same recursion.
     """
     if Z_RING[0] in par.vars:

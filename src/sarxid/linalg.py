@@ -1,12 +1,12 @@
 """Exact linear algebra over the rationals, computed over the integers.
 
 A `RatMatrix` is its integer form (d, rows): d > 0 and the int rows d
-times the matrix, in lowest terms.  Input is read into that form row by
-row (`read_row`, each entry by `rationals.read_rational`), `@`, `+`, `-`,
+times the matrix, in lowest terms.  Input is read into that form by
+`read_row` (each entry by `rationals.read_rational`), `@`, `+`, `-`,
 `transpose`, `scale`, the eliminations, both simulators and `Subspace`
-work on it, and Fractions
-are built only when a caller reads entries: `[i, j]`, `row`, `col`,
-`to_lists`, a determinant or a trace; `to_strings` writes the form.  `aligned` brings
+work on it, and Fractions are built only when a caller reads entries:
+`[i, j]`, `row`, `col`, `to_lists`, a determinant or a trace;
+`to_strings` writes the form.  `aligned` brings
 several matrices to one denominator.  One elimination, `_insert`,
 adds a primitive integer row to an echelon basis by fraction-free steps
 (`_reduce`, the step of `multipoly._remainder` for polynomials; Bareiss,
@@ -45,21 +45,22 @@ class RatMatrix:
     int rows d times the matrix, in lowest terms, so that d is the least
     common denominator of the entries and equal matrices have equal forms.
     `integer_form` hands it out, and callers read it without changing it.
-    `RatMatrix(...)` and `from_strings` read each row through `read_row`,
-    each entry through `read_rational`; `_of` takes a form that is already over int and brings
-    it to lowest terms, as `transpose`, `@`, `+`, `-`, `scale`, `rref` and
-    the reduced rows of a `Subspace` make it.  Entries are Fractions when
-    they are read: `[i, j]`, `row`, `col`, `to_lists`; `to_strings` writes the form.
+    `RatMatrix(...)` and `from_strings` read the entries, row after row,
+    through `read_row`; `_of` takes a form that is already
+    over int and brings it to lowest terms, as `transpose`, `@`, `+`, `-`,
+    `scale`, `rref` and the reduced rows of a `Subspace` make it.  Entries
+    are Fractions when they are read: `[i, j]`, `row`, `col`, `to_lists`;
+    `to_strings` writes the form.
     """
 
     __slots__ = ("rows", "cols", "_form")
 
     def __init__(self, data, cols=0):
         """data: a list of rows; cols: the column count when there are no rows."""
-        read = [read_row(row) for row in data]
-        self.rows, self.cols = len(read), _width([row for _, row in read], cols)
-        d = lcm(*[e for e, _ in read])
-        self._form = d, [row if e == d else [x * (d // e) for x in row] for e, row in read]
+        self.rows, self.cols = len(data), _width(data, cols)
+        d, flat = read_row([x for row in data for x in row])
+        c = self.cols
+        self._form = d, [flat[i * c : (i + 1) * c] for i in range(self.rows)]
 
     @classmethod
     def _of(cls, d, ints, cols):
@@ -229,7 +230,7 @@ def read_row(values):
     the lcm d of their denominators, in lowest terms.  The one reader of a row of
     input, for `RatMatrix`, `Subspace` and `sarx.HybridWord`."""
     read = [read_rational(x) for x in values]
-    d = lcm(*[b for _, b in read])
+    d = lcm(*{b for _, b in read})
     return d, [a * (d // b) for a, b in read]
 
 

@@ -8,11 +8,14 @@ chi_q per mode, an observability polynomial upsilon_q per mode, and a
 cross-mode family phi built through the psi recursion.  The coprimality
 route is sound but not complete.
 
-The Theorem-2 data are built over int: the coefficients h_q are read as
-numerators H_q over one denominator D (the lcm of the modes' denominators;
-D = 1 for a family, whose coefficients are polynomials in the parameters),
-the recursions run on numerators, and each polynomial in z is assembled
-once from its coefficient list over its power of D (`_poly`).
+The Theorem-2 data are numerators over one denominator D.  A model's
+coefficients h_q are read off each mode row's integer form as int
+numerators H_q over D, the lcm of the modes' denominators; a family's are
+its coefficient polynomials, with D = 1.  The d recursion, psi's sums,
+phi's weights and b_scale run on the numerators, with no Fraction, and
+each polynomial in z is assembled once from its coefficient list over its
+power of D (`_poly`): chi and upsilon over D, psi_j over D^j, phi over
+D^nu, phi_next over D^(nu+1) and b_scale over D^3.
 """
 
 from __future__ import annotations
@@ -66,15 +69,15 @@ class Theorem2Data:
 
     `Theorem2Data(ny, nu, h, den, ring)` runs the Theorem-2 recursions over
     any coefficient ring: h maps each mode label to the numerators
-    H_q^1..H_q^(ny+nu) of its coefficients h_q^j = H_q^j / den, ints for one
-    model, z-free MultiPolys in `ring` (with den = 1) for a family.  The
-    polynomials are MultiPoly in `ring`, whose last variable is z: Z_RING for
-    one model, the parameters and z for a family.  The recursions use only
-    +, * and the numerators, so the same code builds the data of one model
-    and, symbolically, of a whole parametrized family; each polynomial is
-    the coefficient list of its numerator over the power of den given
-    below.  A pair (q, qh) names first the mode q whose chi is tested;
-    t_q = h_q^(ny+nu).
+    H_q^1..H_q^(ny+nu) of its coefficients h_q^j = H_q^j / den (D in the
+    module docstring), ints for one model, z-free MultiPolys in `ring` with
+    den = 1 for a family.  The polynomials are MultiPoly in `ring`, whose
+    last variable is z: Z_RING for one model, the parameters and z for a
+    family.  The recursions use only + and * on numerators, so the same
+    code builds the data of one model and, symbolically, of a whole
+    parametrized family; each polynomial is assembled from its numerator's
+    coefficient list over the power of den given below.  A pair (q, qh)
+    names first the mode q whose chi is tested; t_q = h_q^(ny+nu).
 
     pairs            the ordered pairs of distinct modes, in witness search order
     chi[q]           monic z^ny - sum h_q^j z^(ny-j), over den

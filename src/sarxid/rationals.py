@@ -23,7 +23,6 @@ from fractions import Fraction
 from math import gcd
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class InputError(ValueError):

@@ -107,8 +107,8 @@ class HybridWord(JsonLoadable):
     A word is its integer steps, its only state: each step is (q, v, U),
     the input as the int vector U over the positive int v in lowest terms,
     read once by `linalg.read_row`, as a row of a `RatMatrix` is, for the
-    simulators.  Iterating
-    yields (q, inputs) with the inputs as Fractions, built when read.
+    simulators.  Iterating yields (q, inputs) with the inputs as
+    Fractions, built when read.
     """
 
     __slots__ = ("integer_steps",)

@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from conftest import fixture_path, rand_fraction
-from oracles import groebner_sympy, mul_reference, multipoly_to_sympy
+from oracles import Theorem2Reference, groebner_sympy, mul_reference, multipoly_to_sympy
 from sarxid import (
     IdentifiableRegion,
     InjectivityEvidence,
@@ -97,6 +97,24 @@ def test_symbolic_data_specializes_to_numeric(rng, name):
                 poly = getattr(sym, field)(*pair)
                 assert specialize(poly, theta) == getattr(data, field)(*pair), (field, pair)
             assert [specialize(p, theta) for p in sym.psi(*pair)] == data.psi(*pair), pair
+
+
+@pytest.mark.parametrize("name", PARAMETRIZATIONS)
+def test_family_data_match_the_fraction_reference(name):
+    """The family's data, over D = 1, equal the Fraction recursion of the oracle."""
+    par = PolyParametrization.load(fixture_path(name + ".json"))
+    sym, want = symbolic_theorem2(par), Theorem2Reference.of_family(par)
+    ring = par.vars + ("z",)
+
+    def poly(x):
+        return x if isinstance(x, MultiPoly) else MultiPoly.constant(ring, x)
+
+    for q in par.labels:
+        assert sym.chi[q] == want.chi[q] and sym.upsilon[q] == want.upsilon[q]
+        assert [list(map(poly, dj)) for dj in sym.d[q]] == [list(map(poly, dj)) for dj in want.d[q]]
+    for pair in product(par.labels, repeat=2):
+        for field in ("psi", "phi", "phi_next", "b_scale"):
+            assert getattr(sym, field)(*pair) == getattr(want, field)(*pair), (field, pair)
 
 
 def test_family_refuses_a_foreign_ring_and_a_parameter_of_the_wrong_length(two_param_family):

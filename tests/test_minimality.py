@@ -74,20 +74,14 @@ def test_counterexample_not_strongly_minimal():
 
 @pytest.fixture
 def pair_builds(monkeypatch):
-    """(method name, pair) for each call of a Theorem2Data's pair methods from outside
-    the class: phi and phi_next reach psi through self.psi, which is not counted."""
+    """(method name, pair) for each call of a Theorem2Data's pair methods; phi and
+    phi_next build their psi numerators without calling psi."""
     built = []
-    depth = [0]
 
     def counted(name, build):
         def call(self, q, qh):
-            if not depth[0]:
-                built.append((name, (q, qh)))
-            depth[0] += 1
-            try:
-                return build(self, q, qh)
-            finally:
-                depth[0] -= 1
+            built.append((name, (q, qh)))
+            return build(self, q, qh)
 
         return call
 
